@@ -47,6 +47,9 @@ def _load(path: str):
     except OSError as e:
         print(json.dumps({"error": "io", "message": str(e)}))
         raise SystemExit(EXIT_PARSE)
+    except UnicodeDecodeError as e:
+        print(json.dumps({"error": "parse", "message": f"not UTF-8: {e}"}))
+        raise SystemExit(EXIT_PARSE)
     try:
         return parse(text)
     except ParseError as e:
@@ -174,7 +177,16 @@ def _cmd_iso(args) -> int:
     return EXIT_OK if same else EXIT_INVALID
 
 
+def _usage(message: str) -> int:
+    print(json.dumps({"error": "usage", "message": message}))
+    return EXIT_USAGE
+
+
 def _cmd_realize(args) -> int:
+    if args.depth < 1:
+        return _usage("--depth must be at least 1")
+    if args.samples < 1:
+        return _usage("--samples must be at least 1")
     surface = _load(args.file)
     if not is_connected(surface):
         print(json.dumps({"error": "validation", "rule": "DisconnectedSurface"}))
@@ -183,8 +195,9 @@ def _cmd_realize(args) -> int:
     comps, _ = decompose(surface, Mode.WITH_BOUNDARY, ls)
     comp = next((c for c in comps if args.component in c.strip_ids()), None)
     if comp is None:
-        print(json.dumps({"error": "usage", "message": f"no component contains strip {args.component!r}"}))
-        return EXIT_USAGE
+        return _usage(f"no component contains strip {args.component!r}")
+    if comp.shape is not Shape.CHAIN:
+        return _usage(f"the component of strip {args.component!r} is a {comp.shape.value}; realize needs a chain")
     lower, upper, _ = component_closures(comp)
     closure = lower if args.side == "lower" else upper
     chart, eta = realize_half_strip(surface, comp, closure, depth=args.depth, samples=args.samples)

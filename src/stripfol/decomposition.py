@@ -26,7 +26,7 @@ from .core import (
     build_surface,
     is_connected,
 )
-from .leafspace import LeafPoint, LeafSpace, PointKind, build_leaf_space, is_special
+from .leafspace import LeafPoint, LeafSpace, PointKind, build_leaf_space
 
 
 class Mode(Enum):
@@ -121,7 +121,7 @@ def _gluing_sign(surface: StripedSurface, g: GluingSpec) -> int:
 def _cut_points(ls: LeafSpace, mode: Mode) -> frozenset[LeafPoint]:
     cut = set()
     for p in ls.points:
-        if is_special(ls, p):
+        if p.special:
             cut.add(p)
         elif mode is Mode.WITH_BOUNDARY and p.kind is PointKind.BOUNDARY_LEAF:
             cut.add(p)
@@ -135,7 +135,7 @@ def _outer_data(ls: LeafSpace, end: SideEnd, cut_ids: set[str], mode: Mode):
     retained = None
     if mode is Mode.INTERIOR and len(pids) == 1:
         p = ls.point(pids[0])
-        if p.kind is PointKind.BOUNDARY_LEAF and not is_special(ls, p):
+        if p.kind is PointKind.BOUNDARY_LEAF and not p.special:
             retained = p.id
     return base, retained
 
@@ -153,6 +153,7 @@ def decompose(
     if ls is None:
         ls = build_leaf_space(surface)
     cut = _cut_points(ls, mode)
+    cut_ids = {p.id for p in cut}
     edges = _merge_edges(ls)
 
     order = {sid: i for i, sid in enumerate(surface.strip_ids())}
@@ -161,7 +162,7 @@ def decompose(
     for sid in surface.strip_ids():
         if sid in seen:
             continue
-        comps.append(_trace_component(ls, sid, edges, cut, mode, seen, order))
+        comps.append(_trace_component(ls, sid, edges, cut_ids, mode, seen, order))
     return comps, cut
 
 
@@ -179,7 +180,7 @@ def _trace_component(
     ls: LeafSpace,
     start: str,
     edges: dict[SideEnd, GluingSpec],
-    cut: frozenset[LeafPoint],
+    cut_ids: set[str],
     mode: Mode,
     seen: set[str],
     order: dict[str, int],
@@ -205,7 +206,6 @@ def _trace_component(
         return sum(1 for side in (Side.LOWER, Side.UPPER) if _edge_at(edges, sid, side))
 
     extremes = sorted((s for s in members if degree(s) < 2), key=lambda s: order[s])
-    cut_ids = {p.id for p in cut}
 
     if extremes:
         first = extremes[0]
@@ -298,7 +298,7 @@ def check_cycle_components(
     if cycles:
         ls = build_leaf_space(surface)
         for p in ls.points:
-            if is_special(ls, p) or p.kind is PointKind.BOUNDARY_LEAF:
+            if p.special or p.kind is PointKind.BOUNDARY_LEAF:
                 violations.append(f"cycle surface carries cut leaf {p.id!r}")
     return CycleCheckReport(ok=not violations, violations=tuple(violations))
 

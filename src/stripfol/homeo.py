@@ -117,10 +117,6 @@ class PLFunction:
         t = (x - bp[lo]) / (bp[hi] - bp[lo])
         return vals[lo] + t * (vals[hi] - vals[lo])
 
-    def is_strictly_increasing(self) -> bool:
-        """Strict monotonicity across the breakpoint span."""
-        return all(a < b for a, b in zip(self.values, self.values[1:]))
-
     def min_on(self, lo: float, hi: float) -> float:
         xs = [lo, hi] + [x for x in self.breakpoints if lo < x < hi]
         return min(self(x) for x in xs)
@@ -252,22 +248,23 @@ class Trapezoid:
 
 @dataclass(frozen=True)
 class Piece:
-    """One region of a piecewise level map."""
+    """One region of a piecewise level map, with its forward and backward maps.
+
+    A region of None covers every point not claimed by an earlier piece;
+    likewise a target region of None for the inverse.
+    """
 
     forward: Callable[[float, float], tuple[float, float]]
-    sigma: Callable[[float], float]
+    backward: Callable[[float, float], tuple[float, float]]
     region: Callable[[float, float], bool] | None = None
-    backward: Callable[[float, float], tuple[float, float]] | None = None
     target_region: Callable[[float, float], bool] | None = None
 
 
 class LevelMap:
     """Piecewise-defined plane map sending levels to levels.
 
-    Pieces are tried in order; the first whose region holds evaluates the
-    point.  Inversion uses explicit backward maps where provided and falls
-    back to bisection (the forward map is strictly increasing in x at each
-    level and the level reparametrization is strictly increasing).
+    Pieces are tried in order: ``apply`` uses the first whose region holds,
+    ``invert`` the first whose target region holds.
     """
 
     def __init__(self, pieces: Sequence[Piece]):
@@ -276,7 +273,7 @@ class LevelMap:
     @staticmethod
     def identity() -> "LevelMap":
         ident = lambda x, y: (x, y)
-        return LevelMap([Piece(ident, lambda y: y, backward=ident)])
+        return LevelMap([Piece(ident, ident)])
 
     @staticmethod
     def chain(maps: Sequence["LevelMap"]) -> "LevelMap":
@@ -292,44 +289,19 @@ class LevelMap:
                 x, y = m.invert(x, y)
             return (x, y)
 
-        def sigma(y: float) -> float:
-            for m in maps:
-                y = m.pieces[0].sigma(y) if len(m.pieces) == 1 else m.apply(0.0, y)[1]
-            return y
-
-        return LevelMap([Piece(forward, sigma, backward=backward)])
-
-    def inverse_map(self) -> "LevelMap":
-        fwd = self.apply
-        bwd = self.invert
-        return LevelMap(
-            [Piece(lambda x, y: bwd(x, y), lambda y: y, backward=lambda x, y: fwd(x, y))]
-        )
-
-    def _piece_at(self, x: float, y: float) -> Piece:
-        for piece in self.pieces:
-            if piece.region is None or piece.region(x, y):
-                return piece
-        raise HomeoError(f"point ({x}, {y}) lies outside the map domain")
+        return LevelMap([Piece(forward, backward)])
 
     def apply(self, x: float, y: float) -> tuple[float, float]:
-        return self._piece_at(x, y).forward(x, y)
+        for piece in self.pieces:
+            if piece.region is None or piece.region(x, y):
+                return piece.forward(x, y)
+        raise HomeoError(f"point ({x}, {y}) lies outside the map domain")
 
     def invert(self, x: float, y: float) -> tuple[float, float]:
-        candidates = [
-            p
-            for p in self.pieces
-            if p.target_region is not None and p.target_region(x, y)
-        ]
-        if not candidates:
-            candidates = [p for p in self.pieces if p.target_region is None]
-        for piece in candidates:
-            if piece.backward is not None:
+        for piece in self.pieces:
+            if piece.target_region is None or piece.target_region(x, y):
                 return piece.backward(x, y)
-        piece = candidates[0]
-        y_in = _bisect_increasing(piece.sigma, y)
-        x_in = _bisect_increasing(lambda t: piece.forward(t, y_in)[0], x)
-        return (x_in, y_in)
+        raise HomeoError(f"point ({x}, {y}) lies outside the map image")
 
 
 CurveFn = Callable[[float], float]
@@ -367,33 +339,7 @@ def rectify_finite(
     The map is level-preserving, fixed pointwise on the level s, and carries
     the graph of each curve onto the vertical segment through its value at s.
     """
-    funcs = list(funcs)
-    if c is None:
-        c = s - 1.0
-    if funcs:
-        _check_disjoint([(f, s) for f in funcs], c, samples)
-    order = sorted(range(len(funcs)), key=lambda i: funcs[i](s))
-    sorted_funcs = [funcs[i] for i in order]
-    q = [f(s) for f in sorted_funcs]
-
-    def vals_at(y: float) -> list[float]:
-        vals = [f(y) for f in sorted_funcs]
-        for a, b in zip(vals, vals[1:]):
-            if not a < b:
-                raise GraphsIntersectError(f"curve order collapses at level {y}")
-        return vals
-
-    def forward(x: float, y: float) -> tuple[float, float]:
-        if y >= s or not sorted_funcs:
-            return (x, y)
-        return (uk_eval(x, vals_at(y), q), y)
-
-    def backward(x: float, y: float) -> tuple[float, float]:
-        if y >= s or not sorted_funcs:
-            return (x, y)
-        return (uk_inverse(x, vals_at(y), q), y)
-
-    return LevelMap([Piece(forward, lambda y: y, backward=backward)])
+    return rectify_stages([(f, s) for f in funcs], floor=c, samples=samples)
 
 
 def rectify_stages(
@@ -416,21 +362,31 @@ def rectify_stages(
     levels = sorted({d for _, d in staged}, reverse=True)
     stage_maps: list[LevelMap] = []
     for s in levels:
-        prefix = LevelMap.chain(stage_maps) if stage_maps else LevelMap.identity()
         alive = [f for f, d in staged if d >= s]
-        stage_maps.append(_make_stage(alive, prefix, s))
+        stage_maps.append(_make_stage(alive, LevelMap.chain(stage_maps), s))
     return LevelMap.chain(stage_maps)
 
 
 def _make_stage(curves: Sequence[CurveFn], prefix: LevelMap, s: float) -> LevelMap:
+    """Straighten ``curves``, as moved by ``prefix``, below level ``s``.
+
+    The curves keep their order at ``s`` on every lower level; a level where
+    that order breaks raises GraphsIntersectError.
+    """
+    at_s = [prefix.apply(f(s), s)[0] for f in curves]
+    order = sorted(range(len(curves)), key=at_s.__getitem__)
+    ordered = [curves[i] for i in order]
+    q = [at_s[i] for i in order]
+    for a, b in zip(q, q[1:]):
+        if not a < b:
+            raise GraphsIntersectError(f"stage curves collide at level {s}")
+
     def vals_at(y: float) -> list[float]:
-        vals = sorted(prefix.apply(f(y), y)[0] for f in curves)
+        vals = [prefix.apply(f(y), y)[0] for f in ordered]
         for a, b in zip(vals, vals[1:]):
             if not a < b:
-                raise GraphsIntersectError(f"stage curves collide at level {y}")
+                raise GraphsIntersectError(f"stage curves cross at level {y}")
         return vals
-
-    q = vals_at(s)
 
     def forward(x: float, y: float) -> tuple[float, float]:
         if y >= s:
@@ -442,7 +398,7 @@ def _make_stage(curves: Sequence[CurveFn], prefix: LevelMap, s: float) -> LevelM
             return (x, y)
         return (uk_inverse(x, vals_at(y), q), y)
 
-    return LevelMap([Piece(forward, lambda y: y, backward=backward)])
+    return LevelMap([Piece(forward, backward)])
 
 
 def shrink_leaf(a: float, b: float, eps: float) -> LevelMap:
@@ -475,7 +431,7 @@ def shrink_leaf(a: float, b: float, eps: float) -> LevelMap:
             return (x, y)
         return (_bisect_increasing(lambda t: m * t + (1.0 - m) * squeeze(t), x), y)
 
-    return LevelMap([Piece(forward, lambda y: y, backward=backward)])
+    return LevelMap([Piece(forward, backward)])
 
 
 def trapezoid_under_clearance(
@@ -566,7 +522,7 @@ def roof_homeo(
         G, D = target.alpha(y), target.beta(y)
         return (A + (B - A) * (x - G) / (D - G), y_in)
 
-    return LevelMap([Piece(forward, sig, backward=backward)])
+    return LevelMap([Piece(forward, backward)])
 
 
 @dataclass(frozen=True)
@@ -724,25 +680,12 @@ def realize_half_strip(
                 x, t = psi_inv(X, Y)
                 return trap.contains_closed(x, t, tol=1e-12)
 
-            return Piece(
-                forward,
-                lambda y: y,
-                region=region,
-                backward=backward,
-                target_region=target_region,
-            )
+            return Piece(forward, backward, region=region, target_region=target_region)
 
         pieces.append(make_piece())
 
     def z_region(x: float, y: float) -> bool:
         return -1.0 < y <= 0.0
 
-    pieces.append(
-        Piece(
-            lambda x, y: straighten.invert(x, y),
-            lambda y: y,
-            region=z_region,
-            backward=lambda x, y: straighten.apply(x, y),
-        )
-    )
+    pieces.append(Piece(straighten.invert, straighten.apply, region=z_region))
     return chart, LevelMap(pieces)

@@ -27,7 +27,7 @@ from .core import (
     build_surface,
     GluingSpec,
 )
-from .leafspace import LeafSpace, build_leaf_space, hausdorff_closure, is_special
+from .leafspace import LeafSpace, build_leaf_space, hausdorff_closure
 
 
 class ParseError(ValueError):
@@ -76,6 +76,10 @@ def parse(text: str) -> StripedSurface:
         raise ParseError(e.msg, e.lineno, e.colno) from None
     if not isinstance(doc, dict):
         raise ParseError("document must be a JSON object")
+
+    for key in ("strips", "gluings"):
+        if not isinstance(doc.get(key, []), list):
+            raise ParseError(f"'{key}' must be a list", path=key)
 
     strips = []
     for i, srec in enumerate(doc.get("strips", [])):
@@ -151,7 +155,7 @@ def render_dot(ls: LeafSpace | StripedSurface) -> str:
     for sid in ls.arcs:
         lines.append(f'  "strip:{sid}" [shape=box, label="{sid}"];')
     for p in ls.points:
-        shape = "doublecircle" if is_special(ls, p) else "circle"
+        shape = "doublecircle" if p.special else "circle"
         lines.append(f'  "pt:{p.id}" [shape={shape}, label="{p.id}"];')
     for p in ls.points:
         for sid, side in ls.ends_of(p):
@@ -287,7 +291,7 @@ def leafspace_json(ls: LeafSpace) -> str:
                 "id": p.id,
                 "members": list(p.members),
                 "kind": p.kind.value,
-                "special": is_special(ls, p),
+                "special": p.special,
                 "hausdorff_closure": sorted(q.id for q in hausdorff_closure(ls, p)),
             }
             for p in ls.points

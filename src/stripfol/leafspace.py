@@ -25,13 +25,15 @@ class PointKind(Enum):
 class LeafPoint:
     """A leaf-class point: one gluing (two member intervals) or one unglued interval.
 
-    Unglued intervals keep kind BOUNDARY_LEAF even when special; gluings are
-    SPECIAL exactly when their Hausdorff closure has more than one point.
+    ``special`` holds exactly when the Hausdorff closure has more than one
+    point.  Special gluings have kind SPECIAL; unglued intervals keep kind
+    BOUNDARY_LEAF even when special.
     """
 
     id: str
     members: tuple[str, ...]
     kind: PointKind
+    special: bool
 
 
 @dataclass(frozen=True)
@@ -64,13 +66,6 @@ class LeafSpace:
         return self.incidence.get(end, ())
 
 
-def _closure_ids(surface: StripedSurface, incidence: dict, members: tuple[str, ...], pid: str) -> set[str]:
-    out = {pid}
-    for m in members:
-        out.update(incidence[surface.side_end_of(m)])
-    return out
-
-
 def build_leaf_space(surface: StripedSurface) -> LeafSpace:
     """Quotient a surface to its leaf-space skeleton.
 
@@ -86,15 +81,22 @@ def build_leaf_space(surface: StripedSurface) -> LeafSpace:
                 ids.append(g.id if g is not None else iv.id)
             incidence[(s.id, side)] = tuple(ids)
 
+    # The closure of a point is the point plus every point sharing one of its
+    # side-ends, so it is more than the point exactly when one of those
+    # side-ends carries another interval: build_surface rejects same-side
+    # gluings, so the intervals of one side-end are distinct points.
+    def special(members: tuple[str, ...]) -> bool:
+        return any(len(incidence[surface.side_end_of(m)]) > 1 for m in members)
+
     points = []
     for g in surface.gluings:
         members = g.members()
-        special = len(_closure_ids(surface, incidence, members, g.id)) > 1
-        kind = PointKind.SPECIAL if special else PointKind.NON_SPECIAL_GLUED
-        points.append(LeafPoint(g.id, members, kind))
+        sp = special(members)
+        kind = PointKind.SPECIAL if sp else PointKind.NON_SPECIAL_GLUED
+        points.append(LeafPoint(g.id, members, kind, sp))
     for iv in surface.intervals():
         if surface.gluing_of(iv.id) is None:
-            points.append(LeafPoint(iv.id, (iv.id,), PointKind.BOUNDARY_LEAF))
+            points.append(LeafPoint(iv.id, (iv.id,), PointKind.BOUNDARY_LEAF, special((iv.id,))))
 
     return LeafSpace(surface, surface.strip_ids(), tuple(points), incidence)
 
@@ -107,17 +109,17 @@ def hausdorff_closure(ls: LeafSpace, point: LeafPoint | str) -> frozenset[LeafPo
     computation in :mod:`stripfol.oracle`.
     """
     p = ls.point(point) if isinstance(point, str) else point
-    ids = _closure_ids(ls.surface, ls.incidence, p.members, p.id)
+    ids = {p.id}.union(*(ls.incidence[ls.surface.side_end_of(m)] for m in p.members))
     return frozenset(ls.point(i) for i in ids)
 
 
 def is_special(ls: LeafSpace, point: LeafPoint | str) -> bool:
-    return len(hausdorff_closure(ls, point)) > 1
+    return (ls.point(point) if isinstance(point, str) else point).special
 
 
 def special_points(ls: LeafSpace) -> frozenset[LeafPoint]:
     """Points whose Hausdorff closure is not a singleton."""
-    return frozenset(p for p in ls.points if is_special(ls, p))
+    return frozenset(p for p in ls.points if p.special)
 
 
 class ArcType(Enum):
@@ -145,7 +147,7 @@ def _end_status(ls: LeafSpace, end: ArcEnd):
     if len(pids) != 1:
         return ("open",)
     p = ls.point(pids[0])
-    if is_special(ls, p):
+    if p.special:
         return ("open",)
     if p.kind is PointKind.BOUNDARY_LEAF:
         return ("closed", p.id)
@@ -155,79 +157,46 @@ def _end_status(ls: LeafSpace, end: ArcEnd):
     return ("continue", other_end, p.id)
 
 
+def _walk(ls: LeafSpace, end: ArcEnd, seen: set[str], arcs: list[str], joints: list[str]):
+    """Follow non-special gluings from an arc end, appending the strips and joints met.
+
+    Returns the status of the last end: ('open',), ('closed', pid), or
+    ('circle',) when the walk reaches a strip already seen.
+    """
+    while True:
+        status = _end_status(ls, end)
+        if status[0] != "continue":
+            return status
+        _, (strip_id, entered), joint = status
+        joints.append(joint)
+        if strip_id in seen:
+            return ("circle",)
+        seen.add(strip_id)
+        arcs.append(strip_id)
+        end = (strip_id, entered.other)
+
+
 def arc_component_types(ls: LeafSpace) -> list[tuple[ArcComponent, ArcType]]:
     """Connected components of the non-special part, each with its topological type.
 
     Arcs are joined across non-special glued points; a sole non-special
     boundary leaf closes its end; a chain meeting itself is a circle.
     """
-    # A non-special gluing between two side-ends of one strip closes that
-    # single arc into a circle; detect while walking.
     seen: set[str] = set()
     out: list[tuple[ArcComponent, ArcType]] = []
     for start in ls.arcs:
         if start in seen:
             continue
-        arcs = [start]
         seen.add(start)
-        joints: list[str] = []
-        end_points: list[str] = []
-        closed_ends = 0
-        circle = False
-
-        def walk(end: ArcEnd) -> None:
-            nonlocal closed_ends, circle
-            while True:
-                status = _end_status(ls, end)
-                if status[0] == "open":
-                    return
-                if status[0] == "closed":
-                    closed_ends += 1
-                    end_points.append(status[1])
-                    return
-                _, nxt, joint = status
-                if joint in joints:
-                    circle = True  # wrapped around to the start
-                    return
-                joints.append(joint)
-                strip_id, entered = nxt
-                if strip_id in seen:
-                    # can only happen when the chain closes into a circle
-                    circle = True
-                    return
-                seen.add(strip_id)
-                arcs.append(strip_id)
-                end = (strip_id, entered.other)
-
-        walk((start, Side.UPPER))
-        if not circle:
-            # continue from the other end, prepending
-            forward = list(arcs)
-            arcs = []
-
-            def walk_back(end: ArcEnd) -> None:
-                nonlocal closed_ends
-                while True:
-                    status = _end_status(ls, end)
-                    if status[0] == "open":
-                        return
-                    if status[0] == "closed":
-                        closed_ends += 1
-                        end_points.append(status[1])
-                        return
-                    _, nxt, joint = status
-                    joints.append(joint)
-                    strip_id, entered = nxt
-                    seen.add(strip_id)
-                    arcs.append(strip_id)
-                    end = (strip_id, entered.other)
-
-            walk_back((start, Side.LOWER))
-            arcs = list(reversed(arcs)) + forward
-
-        if circle:
-            kind = ArcType.CIRCLE
+        forward, backward, joints = [start], [], []
+        up = _walk(ls, (start, Side.UPPER), seen, forward, joints)
+        if up[0] == "circle":
+            kind, end_points = ArcType.CIRCLE, ()
         else:
-            kind = (ArcType.OPEN_INTERVAL, ArcType.HALF_CLOSED, ArcType.CLOSED)[closed_ends]
-        out.append((ArcComponent(tuple(arcs), tuple(joints), tuple(end_points)), kind))
+            # a chain that is not a circle cannot reach the strips walked above
+            down = _walk(ls, (start, Side.LOWER), seen, backward, joints)
+            end_points = tuple(st[1] for st in (up, down) if st[0] == "closed")
+            kind = (ArcType.OPEN_INTERVAL, ArcType.HALF_CLOSED, ArcType.CLOSED)[len(end_points)]
+        arcs = tuple(reversed(backward)) + tuple(forward)
+        out.append((ArcComponent(arcs, tuple(joints), end_points), kind))
     return out

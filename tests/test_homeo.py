@@ -172,6 +172,17 @@ def test_stage_maps_fixed_at_and_above_their_level():
         assert staged.apply(x, 1.0) == (x, 1.0)
 
 
+def test_rectify_stages_detects_swap_between_samples():
+    # f2 dips below f1 only on (0.325, 0.425), between the disjointness
+    # samples at 0.25 and 0.5, so the construction-time check passes
+    f1 = lambda y: 0.0
+    f2 = lambda y: 1.0 - 4.0 * max(0.0, 1.0 - abs(y - 0.375) / 0.05)
+    staged = rectify_stages([(f1, 1.0), (f2, 1.0)], floor=0.0, samples=4)
+    assert staged.apply(0.5, 0.75) == (0.5, 0.75)
+    with pytest.raises(GraphsIntersectError):
+        staged.apply(0.5, 0.375)
+
+
 def test_rectify_stages_empty_is_identity():
     m = rectify_stages([])
     assert m.apply(3.0, -0.7) == (3.0, -0.7)

@@ -55,6 +55,20 @@ def test_parse_error_names_the_path():
     assert "strips[0]" in str(e.value)
 
 
+@pytest.mark.parametrize(
+    "text, path",
+    [
+        ('{"strips": 5}', "strips"),
+        ('{"strips": [], "gluings": 3}', "gluings"),
+        ('{"strips": null}', "strips"),
+    ],
+)
+def test_parse_rejects_non_list_sections(text, path):
+    with pytest.raises(ParseError) as e:
+        parse(text)
+    assert e.value.path == path
+
+
 def test_same_side_gluing_surfaces_with_ids():
     text = json.dumps(
         {
@@ -184,6 +198,14 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
     assert json.loads(out)["error"] == "parse"
 
 
+def test_cli_non_utf8_file_is_a_parse_error(tmp_path, capsys):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"strips": [{"id": "\xff"}]}')
+    code, out = run_cli(capsys, "validate", str(bad))
+    assert code == 2
+    assert json.loads(out)["error"] == "parse"
+
+
 def test_cli_usage_error_exit_code(capsys):
     try:
         main(["frobnicate"])
@@ -274,6 +296,24 @@ def test_cli_realize_csv(fixture_dir, capsys):
         x_in, y_in, x_out, y_out, leaf = row.split(",")
         assert leaf.startswith("level:")
         assert abs(float(y_in) - float(y_out)) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "fixture, flags",
+    [
+        ("cylinder", ["--component", "A"]),
+        ("moebius", ["--component", "A"]),
+        ("kaplan5", ["--component", "B", "--side", "upper", "--depth", "0"]),
+        ("kaplan5", ["--component", "B", "--side", "upper", "--samples", "0"]),
+        ("kaplan5", ["--component", "B", "--side", "upper", "--samples", "-3"]),
+        ("kaplan5", ["--component", "nowhere"]),
+    ],
+)
+def test_cli_realize_refuses_bad_requests(fixture_dir, capsys, fixture, flags):
+    code, out = run_cli(capsys, "realize", str(fixture_dir / f"{fixture}.json"), *flags)
+    assert code == 3
+    [line] = out.splitlines()
+    assert json.loads(line)["error"] == "usage"
 
 
 def test_cli_deterministic_outputs(fixture_dir, capsys):

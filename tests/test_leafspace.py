@@ -68,6 +68,9 @@ def test_cylinder_leaf_space_is_circle():
     assert special_points(ls) == frozenset()
     [(comp, kind)] = arc_component_types(ls)
     assert kind is ArcType.CIRCLE
+    assert comp.arcs == ("A",)
+    assert comp.joints == ("seam",)
+    assert comp.end_points == ()
 
 
 def test_boundary_leaf_kept_even_when_special():
@@ -119,6 +122,7 @@ def test_closure_symmetry_on_random_surfaces():
         s = random_surface(rng, connected=False)
         ls = build_leaf_space(s)
         for p in ls.points:
+            assert p.special == (len(hausdorff_closure(ls, p)) > 1)
             for q in hausdorff_closure(ls, p):
                 assert p in hausdorff_closure(ls, q)
 
