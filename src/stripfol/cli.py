@@ -36,8 +36,7 @@ EXIT_USAGE = 3
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        raise SystemExit(_usage(message))
 
 
 def _load(path: str):

@@ -274,25 +274,27 @@ def build_surface(
     strips = tuple(strips)
     gluings = tuple(gluings)
 
-    seen_strips: set[str] = set()
+    # strip, interval and gluing ids share one namespace: leaf points are
+    # named by gluing ids and unglued interval ids alike
+    seen_ids: set[str] = set()
+
+    def claim(kind: str, id_: str) -> None:
+        if id_ in seen_ids:
+            raise DuplicateIdError(f"{kind} id {id_!r} appears twice")
+        seen_ids.add(id_)
+
     seen_intervals: dict[str, SideEnd] = {}
     for s in strips:
-        if s.id in seen_strips:
-            raise DuplicateIdError(f"strip id {s.id!r} appears twice")
-        seen_strips.add(s.id)
+        claim("strip", s.id)
         for side in (Side.LOWER, Side.UPPER):
             _check_side(s.id, side, s.side_intervals(side))
             for iv in s.side_intervals(side):
-                if iv.id in seen_intervals or iv.id in seen_strips:
-                    raise DuplicateIdError(f"interval id {iv.id!r} appears twice")
+                claim("interval", iv.id)
                 seen_intervals[iv.id] = (s.id, side)
 
-    seen_gluing_ids: set[str] = set()
     glued: set[str] = set()
     for g in gluings:
-        if g.id in seen_gluing_ids:
-            raise DuplicateIdError(f"gluing id {g.id!r} appears twice")
-        seen_gluing_ids.add(g.id)
+        claim("gluing", g.id)
         if g.first == g.second:
             raise SelfGluingError(f"gluing {g.id!r} pairs interval {g.first!r} with itself")
         for iid in g.members():

@@ -5,8 +5,8 @@ boundary) leaves splits it into chain and cycle components of the merge graph
 whose edges are the non-special gluings.  Chains are open / half-closed /
 closed strips; cycles are a cylinder or a Moebius band depending on the
 orientation monodromy around the cycle.  Merging chains yields a canonical
-representative, and a lexicographically minimal code over strip relabelings
-and flips decides foliated-homeomorphism equivalence.
+representative, and the least rooted-traversal code over root strips and
+their flips decides foliated-homeomorphism equivalence.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .core import (
     SideEnd,
     StripedSurface,
     build_surface,
+    components,
     is_connected,
 )
 from .leafspace import LeafPoint, LeafSpace, PointKind, build_leaf_space
@@ -404,6 +405,8 @@ def canonicalize(surface: StripedSurface) -> StripedSurface:
         return surface
 
     order = {sid: i for i, sid in enumerate(surface.strip_ids())}
+    # a merged strip's id must not repeat any id of the one namespace
+    taken = {iv.id for iv in surface.intervals()} | {g.id for g in surface.gluings} | set(order)
     h_flipped: set[str] = set()
     merged: list[tuple[int, ModelStripSpec]] = []
     for comp in comps:
@@ -430,6 +433,9 @@ def canonicalize(surface: StripedSurface) -> StripedSurface:
             )
 
         merged_id = "+".join(ids)
+        while merged_id in taken:
+            merged_id += "+"
+        taken.add(merged_id)
         lower = contributed(comp.outer_lower, Side.LOWER)
         upper = contributed(comp.outer_upper, Side.UPPER)
         merged.append((order[ids[0]], ModelStripSpec(merged_id, lower, upper)))
@@ -454,139 +460,80 @@ def canonicalize(surface: StripedSurface) -> StripedSurface:
 
 
 def _slot_table(surface: StripedSurface):
-    """Per strip: (lower ids, upper ids); plus interval -> (strip, side, slot)."""
+    """Per strip: (lower ids, upper ids); per interval: (strip, side, slot);
+    per glued interval: (partner, 1 if the seam reverses else 0)."""
     sides = {}
     loc = {}
     for s in surface.strips:
-        lo = tuple(iv.id for iv in s.lower)
-        up = tuple(iv.id for iv in s.upper)
-        sides[s.id] = (lo, up)
-        for side_idx, ids in enumerate((lo, up)):
+        sides[s.id] = (tuple(iv.id for iv in s.lower), tuple(iv.id for iv in s.upper))
+        for side_idx, ids in enumerate(sides[s.id]):
             for k, iid in enumerate(ids):
                 loc[iid] = (s.id, side_idx, k)
-    return sides, loc
+    partner = {}
+    for g in surface.gluings:
+        rev = int(g.orientation is Orientation.REVERSING)
+        partner[g.first] = (g.second, rev)
+        partner[g.second] = (g.first, rev)
+    return sides, loc, partner
 
 
-def _assignment_row(surface, sides, loc, placed_pos, placement, p):
-    """Encode strip row at position p given the partial placement.
+def _rooted_rows(table, root: str, h: int, v: int) -> list[list[int]]:
+    """Rows of the walk from ``root`` with flips ``h``, ``v``.
 
-    placement[p] = (strip_id, h, v).  Gluings are written as back references
-    from their later endpoint in scan order; earlier endpoints emit a forward
-    marker, boundary slots a 'b'.
+    Strips are scanned in placement order, oriented side 0 then 1, each
+    side's slots in oriented order.  A gluing that reaches an unplaced strip
+    places it next, flipped so the seam reads preserving and the strip is
+    entered on the oriented side opposite the one it was reached from.  A
+    row holds the two side lengths, then per slot -1 (boundary) or the
+    partner's (position, side, slot, seam flag).
     """
-    sid, h, v = placement[p]
-    lo, up = sides[sid]
-    row_sides = (lo, up) if not v else (up, lo)
-    row: list = [len(row_sides[0]), len(row_sides[1])]
-
-    def scan_pos(strip_pos, strip_key, side_idx_natural, slot_natural):
-        s_id, s_h, s_v = placement[strip_pos]
-        side_idx = side_idx_natural ^ (1 if s_v else 0)
-        n = len(sides[s_id][side_idx_natural])
-        slot = (n - 1 - slot_natural) if s_h else slot_natural
-        return (strip_pos, side_idx, slot)
-
-    # tokens are tuples throughout so rows compare lexicographically; back
-    # references ("g") sort below boundary ("i") and forward ("z") markers so
-    # the minimal code keeps gluings as early as possible, which is what lets
-    # the search prune on symmetric surfaces
-    for side_idx, ids in enumerate(row_sides):
-        ordered = tuple(reversed(ids)) if h else ids
-        for slot, iid in enumerate(ordered):
-            g = surface.gluing_of(iid)
-            if g is None:
-                row.append(("i",))
-                continue
-            other = g.other(iid)
-            o_sid, o_side_nat, o_slot_nat = loc[other]
-            if o_sid not in placed_pos:
-                row.append(("z",))
-                continue
-            q = placed_pos[o_sid]
-            here = (p, side_idx, slot)
-            there = scan_pos(q, o_sid, o_side_nat, o_slot_nat)
-            if there >= here:
-                row.append(("z",))
-                continue
-            _, o_h, _ = placement[q]
-            flag = (g.orientation is Orientation.REVERSING) ^ h ^ o_h
-            row.append(("g", there[0], there[1], there[2], 1 if flag else 0))
-    return tuple(row)
-
-
-def _canonical_rows(surface: StripedSurface) -> tuple:
-    sides, loc = _slot_table(surface)
-    n = len(surface.strips)
-    strip_ids = surface.strip_ids()
-    best: list[tuple] | None = None
-
-    def rec(placement: list, placed_pos: dict, rows: list):
-        nonlocal best
-        p = len(placement)
-        if p == n:
-            rows_t = tuple(rows)
-            if best is None or rows_t < tuple(best):
-                best = list(rows)
-            return
-        candidates = []
-        for sid in strip_ids:
-            if sid in placed_pos:
-                continue
-            for h in (False, True):
-                for v in (False, True):
-                    placement.append((sid, h, v))
-                    placed_pos[sid] = p
-                    row = _assignment_row(surface, sides, loc, placed_pos, placement, p)
-                    placement.pop()
-                    del placed_pos[sid]
-                    candidates.append((row, sid, h, v))
-        candidates.sort(key=lambda c: c[0])
-        for row, sid, h, v in candidates:
-            if best is not None and tuple(rows + [row]) > tuple(best[: p + 1]):
-                continue
-            placement.append((sid, h, v))
-            placed_pos[sid] = p
-            rows.append(row)
-            rec(placement, placed_pos, rows)
-            rows.pop()
-            placement.pop()
-            del placed_pos[sid]
-
-    rec([], {}, [])
-    return tuple(best if best is not None else [])
-
-
-def _rows_to_bytes(rows: tuple) -> bytes:
-    parts = []
-    for row in rows:
-        tokens = []
-        for tok in row:
-            if isinstance(tok, tuple):
-                tokens.append(tok[0] + ".".join(str(t) for t in tok[1:]))
-            else:
-                tokens.append(str(tok))
-        parts.append(",".join(tokens))
-    return ("|".join(parts)).encode("ascii")
+    sides, loc, partner = table
+    placed = {root: (0, h, v)}
+    order = [root]
+    rows = []
+    for sid in order:  # grows while the walk places strips
+        _, h_here, v_here = placed[sid]
+        oriented = sides[sid][::-1] if v_here else sides[sid]
+        row = [len(oriented[0]), len(oriented[1])]
+        for side_idx, ids in enumerate(oriented):
+            for iid in ids[::-1] if h_here else ids:
+                if iid not in partner:
+                    row.append(-1)
+                    continue
+                other, rev = partner[iid]
+                o_sid, o_side, o_slot = loc[other]
+                if o_sid not in placed:
+                    placed[o_sid] = (len(order), h_here ^ rev, o_side ^ side_idx ^ 1)
+                    order.append(o_sid)
+                q, o_h, o_v = placed[o_sid]
+                if o_h:
+                    o_slot = len(sides[o_sid][o_side]) - 1 - o_slot
+                row += (q, o_side ^ o_v, o_slot, rev ^ h_here ^ o_h)
+        rows.append(row)
+    return rows
 
 
 def canonical_code(surface: StripedSurface) -> CanonicalCode:
-    """Lexicographically minimal serialization over relabelings and flips.
+    """Least rooted-traversal code over all roots, per piece; pieces sorted.
 
-    Branch-and-bound over strip placement order with per-strip horizontal and
-    vertical flips; two surfaces get equal codes exactly when some sequence
-    of admissible moves carries one onto the other.
+    A root is a strip with its two flips, and the walk from it fixes every
+    other strip's position and flips, so the least code over roots is
+    invariant under admissible moves and tells non-isomorphic surfaces
+    apart.  A root's first row opens with its side lengths, so only roots
+    with the least lengths are walked.
     """
-    return CanonicalCode(_rows_to_bytes(_canonical_rows(surface)))
-
-
-def _profile(surface: StripedSurface):
-    return (
-        len(surface.strips),
-        len(surface.gluings),
-        sorted(
-            tuple(sorted((len(s.lower), len(s.upper)))) for s in surface.strips
-        ),
-    )
+    codes = []
+    for piece in components(surface):
+        table = _slot_table(piece)
+        sides = table[0]
+        lengths = {
+            (sid, v): (len(sides[sid][v]), len(sides[sid][1 - v])) for sid in sides for v in (0, 1)
+        }
+        least = min(lengths.values())
+        roots = [(sid, h, v) for (sid, v), n in lengths.items() if n == least for h in (0, 1)]
+        rows = min(_rooted_rows(table, *root) for root in roots)
+        codes.append("|".join(",".join(map(str, row)) for row in rows).encode("ascii"))
+    return CanonicalCode(b"/".join(sorted(codes)))
 
 
 def is_isomorphic(a: StripedSurface, b: StripedSurface) -> bool:
@@ -595,8 +542,4 @@ def is_isomorphic(a: StripedSurface, b: StripedSurface) -> bool:
     Both are canonicalized (chains merged); equality of canonical codes then
     decides equivalence under relabelings and strip flips.
     """
-    ca = canonicalize(a)
-    cb = canonicalize(b)
-    if _profile(ca) != _profile(cb):
-        return False
-    return canonical_code(ca) == canonical_code(cb)
+    return canonical_code(canonicalize(a)) == canonical_code(canonicalize(b))

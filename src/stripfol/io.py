@@ -46,7 +46,10 @@ def _num(value, path: str) -> float:
     if value == "+inf" or value == "inf":
         return float("inf")
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise ParseError("number out of the float range", path=path) from None
     raise ParseError(f"expected a number or -inf/+inf, got {value!r}", path=path)
 
 
@@ -74,6 +77,8 @@ def parse(text: str) -> StripedSurface:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(e.msg, e.lineno, e.colno) from None
+    except (ValueError, RecursionError) as e:  # integer digit limit, deep nesting
+        raise ParseError(str(e)) from None
     if not isinstance(doc, dict):
         raise ParseError("document must be a JSON object")
 

@@ -1,4 +1,5 @@
-"""Independent oracles: orientation propagation and exhaustive isomorphism."""
+"""Independent oracles: orientation propagation, exhaustive isomorphism and the
+branch-and-bound canonical code."""
 
 from __future__ import annotations
 
@@ -158,3 +159,132 @@ def leafspace_invariants(ls):
         (t.value, tuple(sorted(c.end_points))) for c, t in arc_component_types(ls)
     )
     return (closures, types)
+
+
+# ---------------------------------------------------------------------------
+# branch-and-bound canonical code: a differential reference for the rooted
+# traversal of ``stripfol.decomposition.canonical_code``.  Two surfaces get
+# equal codes exactly when some relabeling and per-strip flips carry one onto
+# the other; the search is exponential in the strip count, so keep inputs
+# small.
+
+
+def _slot_table(surface: StripedSurface):
+    """Per strip: (lower ids, upper ids); plus interval -> (strip, side, slot)."""
+    sides = {}
+    loc = {}
+    for s in surface.strips:
+        lo = tuple(iv.id for iv in s.lower)
+        up = tuple(iv.id for iv in s.upper)
+        sides[s.id] = (lo, up)
+        for side_idx, ids in enumerate((lo, up)):
+            for k, iid in enumerate(ids):
+                loc[iid] = (s.id, side_idx, k)
+    return sides, loc
+
+
+def _assignment_row(surface, sides, loc, placed_pos, placement, p):
+    """Encode strip row at position p given the partial placement.
+
+    placement[p] = (strip_id, h, v).  Gluings are written as back references
+    from their later endpoint in scan order; earlier endpoints emit a forward
+    marker, boundary slots a 'b'.
+    """
+    sid, h, v = placement[p]
+    lo, up = sides[sid]
+    row_sides = (lo, up) if not v else (up, lo)
+    row: list = [len(row_sides[0]), len(row_sides[1])]
+
+    def scan_pos(strip_pos, strip_key, side_idx_natural, slot_natural):
+        s_id, s_h, s_v = placement[strip_pos]
+        side_idx = side_idx_natural ^ (1 if s_v else 0)
+        n = len(sides[s_id][side_idx_natural])
+        slot = (n - 1 - slot_natural) if s_h else slot_natural
+        return (strip_pos, side_idx, slot)
+
+    # tokens are tuples throughout so rows compare lexicographically; back
+    # references ("g") sort below boundary ("i") and forward ("z") markers so
+    # the minimal code keeps gluings as early as possible, which is what lets
+    # the search prune on symmetric surfaces
+    for side_idx, ids in enumerate(row_sides):
+        ordered = tuple(reversed(ids)) if h else ids
+        for slot, iid in enumerate(ordered):
+            g = surface.gluing_of(iid)
+            if g is None:
+                row.append(("i",))
+                continue
+            other = g.other(iid)
+            o_sid, o_side_nat, o_slot_nat = loc[other]
+            if o_sid not in placed_pos:
+                row.append(("z",))
+                continue
+            q = placed_pos[o_sid]
+            here = (p, side_idx, slot)
+            there = scan_pos(q, o_sid, o_side_nat, o_slot_nat)
+            if there >= here:
+                row.append(("z",))
+                continue
+            _, o_h, _ = placement[q]
+            flag = (g.orientation is Orientation.REVERSING) ^ h ^ o_h
+            row.append(("g", there[0], there[1], there[2], 1 if flag else 0))
+    return tuple(row)
+
+
+def _canonical_rows(surface: StripedSurface) -> tuple:
+    sides, loc = _slot_table(surface)
+    n = len(surface.strips)
+    strip_ids = surface.strip_ids()
+    best: list[tuple] | None = None
+
+    def rec(placement: list, placed_pos: dict, rows: list):
+        nonlocal best
+        p = len(placement)
+        if p == n:
+            rows_t = tuple(rows)
+            if best is None or rows_t < tuple(best):
+                best = list(rows)
+            return
+        candidates = []
+        for sid in strip_ids:
+            if sid in placed_pos:
+                continue
+            for h in (False, True):
+                for v in (False, True):
+                    placement.append((sid, h, v))
+                    placed_pos[sid] = p
+                    row = _assignment_row(surface, sides, loc, placed_pos, placement, p)
+                    placement.pop()
+                    del placed_pos[sid]
+                    candidates.append((row, sid, h, v))
+        candidates.sort(key=lambda c: c[0])
+        for row, sid, h, v in candidates:
+            if best is not None and tuple(rows + [row]) > tuple(best[: p + 1]):
+                continue
+            placement.append((sid, h, v))
+            placed_pos[sid] = p
+            rows.append(row)
+            rec(placement, placed_pos, rows)
+            rows.pop()
+            placement.pop()
+            del placed_pos[sid]
+
+    rec([], {}, [])
+    return tuple(best if best is not None else [])
+
+
+def _rows_to_bytes(rows: tuple) -> bytes:
+    parts = []
+    for row in rows:
+        tokens = []
+        for tok in row:
+            if isinstance(tok, tuple):
+                tokens.append(tok[0] + ".".join(str(t) for t in tok[1:]))
+            else:
+                tokens.append(str(tok))
+        parts.append(",".join(tokens))
+    return ("|".join(parts)).encode("ascii")
+
+
+def branch_and_bound_code(surface: StripedSurface) -> bytes:
+    """Lexicographically minimal code over strip placement orders and flips."""
+    return _rows_to_bytes(_canonical_rows(surface))

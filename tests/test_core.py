@@ -64,6 +64,17 @@ def test_duplicate_ids_rejected():
         build_surface([strip("A"), strip("A")], [])
     with pytest.raises(DuplicateIdError):
         build_surface([strip("A", upper=["x"]), strip("B", upper=["x"])], [])
+    # strip, interval and gluing ids share one namespace: a gluing named like
+    # an unglued interval, a strip named like an earlier interval, a gluing
+    # named like a strip
+    with pytest.raises(DuplicateIdError):
+        build_surface(
+            [strip("A", upper=["x", "y"]), strip("B", lower=["z"])], [glue("y", "x", "z")]
+        )
+    with pytest.raises(DuplicateIdError):
+        build_surface([strip("A", upper=["B"]), strip("B", lower=["q"])], [])
+    with pytest.raises(DuplicateIdError):
+        build_surface([strip("A", upper=["x"]), strip("B", lower=["z"])], [glue("A", "x", "z")])
 
 
 def test_bad_endpoints_rejected():

@@ -31,7 +31,12 @@ from stripfol.fixtures import (
 from stripfol.leafspace import ArcType, arc_component_types, build_leaf_space
 
 from _gen import enumerate_cycle_surfaces, random_moves, random_surface
-from _oracles import exhaustive_isomorphic, leafspace_invariants, orientability_by_propagation
+from _oracles import (
+    branch_and_bound_code,
+    exhaustive_isomorphic,
+    leafspace_invariants,
+    orientability_by_propagation,
+)
 
 
 def test_kaplan5_decomposes_into_five_open_strips():
@@ -255,6 +260,20 @@ def test_canonicalize_merges_chain():
     assert merged.gluings == ()
 
 
+def test_canonicalize_merged_id_avoids_existing_ids():
+    # the chain P, Q merges into a strip named "P+Q" unless that id is taken
+    for taken_by in ("interval", "gluing"):
+        upper = ["P+Q" if taken_by == "interval" else "Q.u0", "Q.u1"]
+        gid = "P+Q" if taken_by == "gluing" else "seam"
+        s = build_surface(
+            [strip("P", upper=["P.u0"]), strip("Q", ["Q.l0"], upper), strip("R", ["R.l0"])],
+            [glue(gid, "P.u0", "Q.l0"), glue("top", upper[0], "R.l0")],
+        )
+        merged = canonicalize(s)
+        assert merged.strip_ids() == ("P+Q+", "R")
+        assert is_isomorphic(s, merged)
+
+
 def test_canonicalize_identity_on_canonical_surfaces():
     k = kaplan5()
     assert canonicalize(k) == k
@@ -452,13 +471,55 @@ def test_flag_gauge_freedom():
 def test_symmetric_chains_and_cycles_code_quickly():
     import time
 
-    n = 10
-    strips = [strip(f"s{i}", [f"s{i}.l"], [f"s{i}.u"]) for i in range(n)]
-    gl = [glue(f"g{i}", f"s{i}.u", f"s{i+1}.l") for i in range(n - 1)]
-    cycle = build_surface(strips, gl + [glue("gw", f"s{n-1}.u", "s0.l")])
-    t0 = time.time()
-    canonical_code(cycle)
-    assert time.time() - t0 < 5.0
+    for n in (10, 200):
+        strips = [strip(f"s{i}", [f"s{i}.l"], [f"s{i}.u"]) for i in range(n)]
+        gl = [glue(f"g{i}", f"s{i}.u", f"s{i+1}.l") for i in range(n - 1)]
+        cycle = build_surface(strips, gl + [glue("gw", f"s{n-1}.u", "s0.l")])
+        t0 = time.time()
+        canonical_code(cycle)
+        assert time.time() - t0 < 5.0, n
+
+
+def _flip_one_seam(rng, s):
+    gl = list(s.gluings)
+    k = rng.randrange(len(gl))
+    gl[k] = glue(gl[k].id, gl[k].first, gl[k].second, gl[k].orientation.flipped)
+    return build_surface(s.strips, gl)
+
+
+def test_code_equality_agrees_with_branch_and_bound_search():
+    # the rooted traversal decides the same classes as the exponential
+    # search it replaced, on pairs, moved copies and one-seam near misses
+    rng = random.Random(44)
+    checks = 0
+    for _ in range(120):
+        a = canonicalize(random_surface(rng, max_strips=5, max_intervals=3))
+        b = canonicalize(random_surface(rng, max_strips=5, max_intervals=3))
+        others = [b, canonicalize(random_moves(rng, a, 6))]
+        if a.gluings:
+            others.append(_flip_one_seam(rng, a))
+        for other in others:
+            same = canonical_code(a) == canonical_code(other)
+            assert same == (branch_and_bound_code(a) == branch_and_bound_code(other))
+            checks += 1
+    assert checks > 300
+
+
+def test_disjoint_union_code_ignores_piece_order():
+    x = build_surface(
+        [strip("A", upper=["a0", "a1"]), strip("B", lower=["b0"])],
+        [glue("x", "a0", "b0", Orientation.REVERSING)],
+    )
+    y = build_surface([strip("C", ["c.l"], ["c.u"])], [glue("y", "c.l", "c.u")])
+    xy = build_surface(x.strips + y.strips, x.gluings + y.gluings)
+    yx = build_surface(y.strips + x.strips, y.gluings + x.gluings)
+    assert canonical_code(xy) == canonical_code(yx)
+    assert canonical_code(xy) != canonical_code(x)
+    rng = random.Random(45)
+    for _ in range(20):
+        s = random_surface(rng, max_strips=6, connected=False)
+        flipped = build_surface(tuple(reversed(s.strips)), tuple(reversed(s.gluings)))
+        assert canonical_code(random_moves(rng, flipped, 4)) == canonical_code(s)
 
 
 def test_is_isomorphic_agrees_with_exhaustive_search():

@@ -2,9 +2,11 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stripfol.cli import main
-from stripfol.core import SameSideGluingError
+from stripfol.core import SameSideGluingError, SurfaceError
 from stripfol.fixtures import all_fixtures, cylinder, kaplan5
 from stripfol.io import ParseError, leafspace_json, parse, render, render_dot, render_svg, serialize
 from stripfol.leafspace import build_leaf_space
@@ -67,6 +69,61 @@ def test_parse_rejects_non_list_sections(text, path):
     with pytest.raises(ParseError) as e:
         parse(text)
     assert e.value.path == path
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[" * 100000 + "]" * 100000,  # nesting past the recursion limit
+        "1" * 5000,  # an integer past the digit limit of int()
+        '{"strips": [{"id": "A", "upper": [{"id": "u", "endpoints": [1%s, 2]}]}]}' % ("0" * 400),
+    ],
+    ids=["deep-nesting", "long-integer", "endpoint-overflow"],
+)
+def test_parse_refuses_oversized_values(text):
+    with pytest.raises(ParseError):
+        parse(text)
+
+
+# Arbitrary JSON, and documents shaped like surfaces whose every field may be
+# arbitrary JSON instead, so that the property reaches build_surface too.
+_WORDS = ["-inf", "+inf", "A", "B", "x", "y", "z", "preserving", "reversing"]
+_KEYS = ["id", "a", "b", "lower", "upper", "endpoints", "orientation"]
+_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.sampled_from(_WORDS)
+_values = st.recursive(
+    _scalars,
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.sampled_from(_KEYS), kids, max_size=3),
+    max_leaves=8,
+)
+_ids = st.sampled_from(_WORDS[2:7]) | _values
+_intervals = _ids | st.fixed_dictionaries(
+    {"id": _ids}, optional={"endpoints": st.lists(_scalars, max_size=3) | _values}
+)
+_strips = st.fixed_dictionaries(
+    {"id": _ids},
+    optional={"lower": st.lists(_intervals, max_size=3), "upper": st.lists(_intervals, max_size=3)},
+)
+_gluings = st.fixed_dictionaries(
+    {"a": _ids, "b": _ids}, optional={"id": _ids, "orientation": _values}
+)
+_documents = _values | st.fixed_dictionaries(
+    {},
+    optional={
+        "strips": st.lists(_strips | _values, max_size=3) | _values,
+        "gluings": st.lists(_gluings | _values, max_size=3) | _values,
+    },
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_documents)
+def test_parse_raises_only_parse_or_surface_errors(doc):
+    # any JSON document is either a surface or refused with a named error
+    try:
+        parse(json.dumps(doc))
+    except (ParseError, SurfaceError):
+        pass
 
 
 def test_same_side_gluing_surfaces_with_ids():
@@ -207,12 +264,40 @@ def test_cli_non_utf8_file_is_a_parse_error(tmp_path, capsys):
 
 
 def test_cli_usage_error_exit_code(capsys):
-    try:
-        main(["frobnicate"])
-        code = 0
-    except SystemExit as e:
-        code = e.code
+    code, out = run_cli(capsys, "frobnicate")
     assert code == 3
+    [line] = out.splitlines()
+    assert json.loads(line)["error"] == "usage"
+
+
+def test_cli_help_is_not_an_error(capsys):
+    code, out = run_cli(capsys, "--help")
+    assert code == 0
+    assert out.startswith("usage: stripfol")
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        # a gluing named like an unglued interval
+        {
+            "strips": [{"id": "A", "upper": ["x", "y"]}, {"id": "B", "lower": ["z"]}],
+            "gluings": [{"id": "y", "a": "x", "b": "z"}],
+        },
+        # a strip named like an earlier interval
+        {"strips": [{"id": "A", "upper": ["B"]}, {"id": "B", "lower": ["q"]}]},
+    ],
+    ids=["gluing-as-interval", "strip-as-interval"],
+)
+@pytest.mark.parametrize("command", ["validate", "leafspace"])
+def test_cli_refuses_colliding_ids(tmp_path, capsys, doc, command):
+    path = tmp_path / "collide.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, command, str(path))
+    assert code == 1
+    [line] = out.splitlines()
+    rep = json.loads(line)
+    assert (rep["error"], rep["rule"]) == ("validation", "DuplicateId")
 
 
 def test_cli_decompose_kaplan5(fixture_dir, capsys):
@@ -307,6 +392,8 @@ def test_cli_realize_csv(fixture_dir, capsys):
         ("kaplan5", ["--component", "B", "--side", "upper", "--samples", "0"]),
         ("kaplan5", ["--component", "B", "--side", "upper", "--samples", "-3"]),
         ("kaplan5", ["--component", "nowhere"]),
+        ("kaplan5", ["--component", "B", "--samples", "abc"]),
+        ("kaplan5", ["--side", "upper"]),
     ],
 )
 def test_cli_realize_refuses_bad_requests(fixture_dir, capsys, fixture, flags):
