@@ -8,6 +8,7 @@ validation failure (or not isomorphic), 2 parse error, 3 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -23,7 +24,7 @@ from .decomposition import (
     decompose,
     is_isomorphic,
 )
-from .homeo import realize_half_strip
+from .homeo import HomeoError, realize_half_strip
 from .io import ParseError, leafspace_json, parse, render, serialize
 from .leafspace import build_leaf_space
 
@@ -199,8 +200,19 @@ def _cmd_realize(args) -> int:
         return _usage(f"the component of strip {args.component!r} is a {comp.shape.value}; realize needs a chain")
     lower, upper, _ = component_closures(comp)
     closure = lower if args.side == "lower" else upper
-    chart, eta = realize_half_strip(surface, comp, closure, depth=args.depth, samples=args.samples)
+    try:
+        rows = _realize_rows(args, surface, comp, closure)
+    except HomeoError as e:
+        # e.g. a --depth so deep that the dyadic sub-segments of the
+        # trapezoid collapse in floating point
+        return _usage(f"{type(e).__name__}: {e}")
+    sys.stdout.write("\n".join(rows) + "\n")
+    return EXIT_OK
 
+
+def _realize_rows(args, surface, comp, closure) -> list[str]:
+    """The CSV rows of ``realize``: an interior grid, then the base leaves."""
+    chart, eta = realize_half_strip(surface, comp, closure, depth=args.depth, samples=args.samples)
     n = args.samples
     rows = ["x_in,y_in,x_out,y_out,leaf_id"]
 
@@ -233,8 +245,7 @@ def _cmd_realize(args) -> int:
             x = a + (b - a) * i / n
             X, Y = eta.apply(x, -1.0)
             rows.append(f"{x:.9g},-1,{X:.9g},{Y:.9g},{leaf_id(X, Y)}")
-    sys.stdout.write("\n".join(rows) + "\n")
-    return EXIT_OK
+    return rows
 
 
 def _cmd_render(args) -> int:
@@ -243,7 +254,9 @@ def _cmd_render(args) -> int:
     return EXIT_OK
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> _Parser:
+    """The argument parser, built on the first call and reused by every later one."""
     parser = _Parser(prog="stripfol", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -282,8 +295,11 @@ def main(argv=None) -> int:
     p.add_argument("file")
     p.add_argument("--format", choices=("svg", "dot"), default="svg")
     p.set_defaults(fn=_cmd_render)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     return args.fn(args)
 
 

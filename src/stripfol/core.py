@@ -12,12 +12,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Sequence
 
 
 class Side(Enum):
     LOWER = "lower"
     UPPER = "upper"
+
+    # members are singletons, so identity hashing is sound; it runs in C,
+    # Enum.__hash__ in Python, and every (strip, Side) dict key pays for it
+    __hash__ = object.__hash__
 
     @property
     def other(self) -> "Side":
@@ -27,6 +32,8 @@ class Side(Enum):
 class Orientation(Enum):
     PRESERVING = "preserving"
     REVERSING = "reversing"
+
+    __hash__ = object.__hash__  # as for Side
 
     @property
     def sign(self) -> int:
@@ -198,6 +205,32 @@ class StripedSurface:
         object.__setattr__(self, "_gluing_by_interval", gluing_by_interval)
         object.__setattr__(self, "_gluing_by_id", {g.id: g for g in self.gluings})
 
+    @cached_property
+    def _partition(self) -> tuple[tuple[str, ...], ...]:
+        """Strip ids of each connected piece, pieces in order of first strip.
+
+        Computed on first use and kept in the instance ``__dict__``, which
+        leaves the frozen fields, equality and hash as they are.
+        """
+        parent = {s.id: s.id for s in self.strips}
+
+        def find(x: str) -> str:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for g in self.gluings:
+            a = find(self._interval_loc[g.first][0])
+            b = find(self._interval_loc[g.second][0])
+            if a != b:
+                parent[a] = b
+        groups: dict[str, list[str]] = {}
+        for s in self.strips:
+            groups.setdefault(find(s.id), []).append(s.id)
+        # dicts keep insertion order, so groups already follow first appearance
+        return tuple(tuple(grp) for grp in groups.values())
+
     def strip(self, strip_id: str) -> ModelStripSpec:
         return self._strip_by_id[strip_id]
 
@@ -331,28 +364,6 @@ class ValidationReport:
     warnings: tuple[str, ...]
 
 
-def _strip_partition(surface: StripedSurface) -> list[list[str]]:
-    parent = {s.id: s.id for s in surface.strips}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for g in surface.gluings:
-        a = find(surface.side_end_of(g.first)[0])
-        b = find(surface.side_end_of(g.second)[0])
-        if a != b:
-            parent[a] = b
-    groups: dict[str, list[str]] = {}
-    for s in surface.strips:
-        groups.setdefault(find(s.id), []).append(s.id)
-    # deterministic: order groups by first strip appearance
-    order = {s.id: i for i, s in enumerate(surface.strips)}
-    return sorted(groups.values(), key=lambda grp: min(order[x] for x in grp))
-
-
 def validate_class_f(surface: StripedSurface) -> ValidationReport:
     """Report collar sides of every glued leaf and surface connectivity.
 
@@ -364,14 +375,14 @@ def validate_class_f(surface: StripedSurface) -> ValidationReport:
     for g in surface.gluings:
         sides = (surface.side_end_of(g.first), surface.side_end_of(g.second))
         records.append(GluedLeafRecord(g.id, sides, sides[0] != sides[1]))
-    parts = _strip_partition(surface)
+    parts = surface._partition
     warnings = []
     if len(parts) > 1:
         warnings.append(f"Disconnected: {len(parts)} components")
     return ValidationReport(
         ok=all(r.distinct for r in records),
         glued_leaves=tuple(records),
-        components=tuple(tuple(p) for p in parts),
+        components=parts,
         connected=len(parts) <= 1,
         warnings=tuple(warnings),
     )
@@ -379,7 +390,9 @@ def validate_class_f(surface: StripedSurface) -> ValidationReport:
 
 def components(surface: StripedSurface) -> list[StripedSurface]:
     """Split a surface into its connected pieces (gluings restricted)."""
-    parts = _strip_partition(surface)
+    parts = surface._partition
+    if len(parts) == 1:
+        return [surface]
     out = []
     for part in parts:
         members = set(part)
@@ -392,4 +405,4 @@ def components(surface: StripedSurface) -> list[StripedSurface]:
 
 
 def is_connected(surface: StripedSurface) -> bool:
-    return len(_strip_partition(surface)) <= 1
+    return len(surface._partition) <= 1

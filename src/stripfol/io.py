@@ -27,7 +27,7 @@ from .core import (
     build_surface,
     GluingSpec,
 )
-from .leafspace import LeafSpace, build_leaf_space, hausdorff_closure
+from .leafspace import LeafSpace, build_leaf_space, closure_ids
 
 
 class ParseError(ValueError):
@@ -167,10 +167,12 @@ def render_dot(ls: LeafSpace | StripedSurface) -> str:
             lines.append(f'  "strip:{sid}" -- "pt:{p.id}" [label="{side.value}"];')
     seen = set()
     for p in ls.points:
-        for q in sorted(hausdorff_closure(ls, p), key=lambda z: z.id):
-            if q.id == p.id:
+        if not p.special:  # its closure is the point alone
+            continue
+        for qid in sorted(closure_ids(ls, p)):
+            if qid == p.id:
                 continue
-            key = tuple(sorted((p.id, q.id)))
+            key = tuple(sorted((p.id, qid)))
             if key in seen:
                 continue
             seen.add(key)
@@ -297,7 +299,7 @@ def leafspace_json(ls: LeafSpace) -> str:
                 "members": list(p.members),
                 "kind": p.kind.value,
                 "special": p.special,
-                "hausdorff_closure": sorted(q.id for q in hausdorff_closure(ls, p)),
+                "hausdorff_closure": sorted(closure_ids(ls, p)),
             }
             for p in ls.points
         ],

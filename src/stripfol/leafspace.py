@@ -20,6 +20,8 @@ class PointKind(Enum):
     NON_SPECIAL_GLUED = "non-special-glued"
     BOUNDARY_LEAF = "boundary-leaf"
 
+    __hash__ = object.__hash__  # as for core.Side
+
 
 @dataclass(frozen=True)
 class LeafPoint:
@@ -101,16 +103,20 @@ def build_leaf_space(surface: StripedSurface) -> LeafSpace:
     return LeafSpace(surface, surface.strip_ids(), tuple(points), incidence)
 
 
-def hausdorff_closure(ls: LeafSpace, point: LeafPoint | str) -> frozenset[LeafPoint]:
-    """All points no neighborhood of which is disjoint from some neighborhood of `point`.
+def closure_ids(ls: LeafSpace, point: LeafPoint | str) -> set[str]:
+    """Ids of the Hausdorff closure of `point`.
 
     Combinatorially: the point itself plus every other point sharing one of
     its incident side-ends.  Verified against the brute-force finite-basis
     computation in :mod:`stripfol.oracle`.
     """
-    p = ls.point(point) if isinstance(point, str) else point
-    ids = {p.id}.union(*(ls.incidence[ls.surface.side_end_of(m)] for m in p.members))
-    return frozenset(ls.point(i) for i in ids)
+    pid = point if isinstance(point, str) else point.id
+    return {pid}.union(*(ls.incidence[end] for end in ls.ends_of(pid)))
+
+
+def hausdorff_closure(ls: LeafSpace, point: LeafPoint | str) -> frozenset[LeafPoint]:
+    """All points no neighborhood of which is disjoint from some neighborhood of `point`."""
+    return frozenset(ls.point(i) for i in closure_ids(ls, point))
 
 
 def is_special(ls: LeafSpace, point: LeafPoint | str) -> bool:

@@ -14,12 +14,13 @@ from stripfol.core import (
     build_surface,
     components,
     glue,
+    is_connected,
     strip,
     validate_class_f,
 )
 from stripfol.fixtures import kaplan5, cylinder, open_strip
 
-from _gen import random_surface
+from _gen import random_moves, random_surface
 
 
 def test_kaplan5_builds():
@@ -164,3 +165,53 @@ def test_nonspecial_gluing_degree_bound():
                 for e in (e1, e2):
                     per_side[e] = per_side.get(e, 0) + 1
         assert all(v == 1 for v in per_side.values())
+
+
+def _bfs_pieces(surface):
+    """Connected pieces by breadth-first search over the gluings, as sets of strip ids."""
+    neighbours = {sid: set() for sid in surface.strip_ids()}
+    for g in surface.gluings:
+        a, b = surface.side_end_of(g.first)[0], surface.side_end_of(g.second)[0]
+        neighbours[a].add(b)
+        neighbours[b].add(a)
+    pieces, seen = [], set()
+    for start in surface.strip_ids():
+        if start in seen:
+            continue
+        piece, queue = {start}, [start]
+        while queue:
+            for nxt in neighbours[queue.pop()] - piece:
+                piece.add(nxt)
+                queue.append(nxt)
+        seen |= piece
+        pieces.append(piece)
+    return pieces
+
+
+def _check_partition(s):
+    want = _bfs_pieces(s)
+    assert is_connected(s) == (len(want) <= 1)
+    assert [set(p.strip_ids()) for p in components(s)] == want
+    assert [set(c) for c in validate_class_f(s).components] == want
+
+
+def test_partition_agrees_with_bfs_and_leaves_identity_alone():
+    from stripfol.decomposition import canonicalize, h_flip, relabel_strips, v_flip
+
+    rng = random.Random(41)
+    for i in range(80):
+        s = random_surface(rng, max_strips=8, p_glue=0.3 + 0.6 * rng.random(), connected=i % 2 == 0)
+        twin = build_surface(s.strips, s.gluings)
+        before = (hash(s), repr(s))
+        _check_partition(s)
+        # the partition is computed now; equality and hash read only the fields
+        assert (hash(s), repr(s)) == before
+        assert s == twin and hash(s) == hash(twin)
+        sid = rng.choice(s.strip_ids())
+        renamed = relabel_strips(s, {x: f"r{x}" for x in s.strip_ids()})
+        for t in (h_flip(s, sid), v_flip(s, sid), renamed, random_moves(rng, s, 3)):
+            _check_partition(t)
+        if is_connected(s):
+            _check_partition(canonicalize(s))
+            [piece] = components(s)
+            assert piece is s  # a connected surface is its own only piece

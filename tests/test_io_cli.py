@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import random
 
@@ -414,3 +416,127 @@ def test_cli_deterministic_outputs(fixture_dir, capsys):
         _, out1 = run_cli(capsys, *cmd)
         _, out2 = run_cli(capsys, *cmd)
         assert out1 == out2
+
+
+def test_cli_realize_refuses_a_depth_past_float_resolution(fixture_dir, capsys):
+    # the dyadic sub-segments of the trapezoid collapse in floating point
+    path = str(fixture_dir / "kaplan5.json")
+    code, out = run_cli(capsys, "realize", path, "--component", "B", "--side", "upper", "--depth", "50")
+    assert code == 3
+    [line] = out.splitlines()
+    rep = json.loads(line)
+    assert rep["error"] == "usage"
+    assert "NonPositiveClearanceError" in rep["message"]
+    code, out = run_cli(capsys, "realize", path, "--component", "B", "--side", "upper", "--depth", "45")
+    assert code == 0
+    assert out.startswith("x_in,y_in,x_out,y_out,leaf_id\n")
+
+
+def test_cli_parser_reused_across_calls(fixture_dir, capsys):
+    from stripfol import cli
+
+    path = str(fixture_dir / "kaplan5.json")
+    calls = [
+        ["realize", path, "--component", "B", "--samples", "abc"],
+        ["--help"],
+        ["leafspace", path, "--format", "dot"],
+        ["leafspace", path],
+    ]
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    cli._parser.cache_clear()
+    reused = [run_cli(capsys, *argv) for argv in calls]
+    assert cli._parser.cache_info().misses == 1
+    assert reused == fresh
+    # no subcommand default leaks from the dot call into the next one
+    code, out = reused[-1]
+    assert code == 0 and json.loads(out)["arcs"] == ["A", "B", "C", "D", "E"]
+
+
+# Mutations of the fixture documents: a value anywhere replaced by arbitrary
+# JSON or by another value of the document, a key or list element dropped, a
+# list element doubled, an id copied onto another, or the text cut.
+_FIXTURE_DOCS = {name: json.loads(serialize(s)) for name, s in all_fixtures().items()}
+_CONTRACT_COMMANDS = (
+    ["validate"],
+    ["leafspace"],
+    ["decompose"],
+    ["canon"],
+    ["iso"],
+    ["realize", "--samples", "3", "--depth", "2"],
+    ["render"],
+    ["render", "--format", "dot"],
+)
+
+
+def _nodes(doc):
+    """Every (container, key) slot of a JSON document, in document order."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield doc, key
+        yield from _nodes(value)
+
+
+@st.composite
+def _mutants(draw):
+    name = draw(st.sampled_from(sorted(_FIXTURE_DOCS)))
+    doc = json.loads(json.dumps(_FIXTURE_DOCS[name]))
+    for _ in range(draw(st.integers(1, 3))):
+        slots = list(_nodes(doc))
+        if not slots:
+            break
+        container, key = draw(st.sampled_from(slots))
+        kind = draw(st.sampled_from(["replace", "transplant", "drop", "double", "copy-id"]))
+        if kind == "replace":
+            container[key] = draw(_values)
+        elif kind == "transplant":
+            c, k = draw(st.sampled_from(slots))
+            container[key] = json.loads(json.dumps(c[k]))
+        elif kind == "drop":
+            del container[key]
+        elif kind == "double" and isinstance(container, list):
+            container.insert(key, json.loads(json.dumps(container[key])))
+        elif kind == "copy-id":
+            ids = [c[k] for c, k in slots if k == "id"]
+            container[key] = draw(st.sampled_from(ids)) if ids else None
+    text = json.dumps(doc)
+    if draw(st.integers(0, 7)) == 0:
+        text = text[: draw(st.integers(0, len(text)))]
+    return name, text
+
+
+def _main_out(argv) -> tuple[int, str]:
+    """``run_cli`` without capsys, which hypothesis cannot reset between examples."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mutants())
+def test_cli_contract_on_mutated_fixture_documents(fixture_dir, tmp_path_factory, mutant):
+    name, text = mutant
+    path = tmp_path_factory.getbasetemp() / "mutant.json"
+    path.write_text(text)
+    component = _FIXTURE_DOCS[name]["strips"][0]["id"]
+    for command in _CONTRACT_COMMANDS:
+        argv = [command[0], str(path)] + command[1:]
+        if command[0] == "iso":
+            argv.append(str(fixture_dir / f"{name}.json"))
+        elif command[0] == "realize":
+            argv += ["--component", component]
+        code, out = _main_out(argv)
+        assert code in (0, 1, 2, 3), (argv, code)
+        if code == 0 or (command[0] == "iso" and out == '{"isomorphic": false}\n'):
+            continue
+        # a refusal: exactly one JSON error object
+        lines = out.splitlines()
+        assert len(lines) == 1, (argv, out[:200])
+        rep = json.loads(lines[0])
+        assert isinstance(rep, dict) and "error" in rep, (argv, rep)
