@@ -25,7 +25,7 @@ from .decomposition import (
     is_isomorphic,
 )
 from .homeo import HomeoError, realize_half_strip
-from .io import ParseError, leafspace_json, parse, render, serialize
+from .io import ParseError, _dumps, leafspace_json, parse, render, serialize
 from .leafspace import build_leaf_space
 
 EXIT_OK = 0
@@ -78,27 +78,21 @@ def _cmd_validate(args) -> int:
     from .core import validate_class_f
 
     report = validate_class_f(surface)
-    print(
-        json.dumps(
+    out = {
+        "ok": report.ok,
+        "connected": report.connected,
+        "components": [list(c) for c in report.components],
+        "glued_leaves": [
             {
-                "ok": report.ok,
-                "connected": report.connected,
-                "components": [list(c) for c in report.components],
-                "glued_leaves": [
-                    {
-                        "id": r.gluing_id,
-                        "collars": [
-                            {"strip": s, "side": side.value} for s, side in r.collar_sides
-                        ],
-                        "distinct": r.distinct,
-                    }
-                    for r in report.glued_leaves
-                ],
-                "warnings": list(report.warnings),
-            },
-            indent=2,
-        )
-    )
+                "id": r.gluing_id,
+                "collars": [{"strip": s, "side": side.value} for s, side in r.collar_sides],
+                "distinct": r.distinct,
+            }
+            for r in report.glued_leaves
+        ],
+        "warnings": list(report.warnings),
+    }
+    print(_dumps(out))
     return EXIT_OK if report.ok else EXIT_INVALID
 
 
@@ -150,7 +144,7 @@ def _cmd_decompose(args) -> int:
         else:
             rec["monodromy"] = comp.monodromy
         out["components"].append(rec)
-    print(json.dumps(out, indent=2))
+    print(_dumps(out))
     return EXIT_OK
 
 

@@ -179,31 +179,16 @@ class StripedSurface:
 
     Immutable; construct through :func:`build_surface`, which enforces all
     invariants (unique ids, fixed-point-free partial involution of gluings,
-    no same-side gluings, legal endpoint order).
+    no same-side gluings, legal endpoint order) and builds the id indexes.
     """
 
     strips: tuple[ModelStripSpec, ...]
     gluings: tuple[GluingSpec, ...]
-    _strip_by_id: dict = field(init=False, repr=False, compare=False, hash=False)
-    _interval_loc: dict = field(init=False, repr=False, compare=False, hash=False)
-    _gluing_by_interval: dict = field(init=False, repr=False, compare=False, hash=False)
-    _gluing_by_id: dict = field(init=False, repr=False, compare=False, hash=False)
-
-    def __post_init__(self) -> None:
-        strip_by_id = {s.id: s for s in self.strips}
-        interval_loc: dict[str, tuple[str, Side, int]] = {}
-        for s in self.strips:
-            for side in (Side.LOWER, Side.UPPER):
-                for iv in s.side_intervals(side):
-                    interval_loc[iv.id] = (s.id, side, iv.index)
-        gluing_by_interval: dict[str, GluingSpec] = {}
-        for g in self.gluings:
-            gluing_by_interval[g.first] = g
-            gluing_by_interval[g.second] = g
-        object.__setattr__(self, "_strip_by_id", strip_by_id)
-        object.__setattr__(self, "_interval_loc", interval_loc)
-        object.__setattr__(self, "_gluing_by_interval", gluing_by_interval)
-        object.__setattr__(self, "_gluing_by_id", {g.id: g for g in self.gluings})
+    # id indexes, built by build_surface in its validation pass
+    _strip_by_id: dict[str, ModelStripSpec] = field(repr=False, compare=False, hash=False)
+    _interval_loc: dict[str, tuple[str, Side, int]] = field(repr=False, compare=False, hash=False)
+    _gluing_by_interval: dict[str, GluingSpec] = field(repr=False, compare=False, hash=False)
+    _gluing_by_id: dict[str, GluingSpec] = field(repr=False, compare=False, hash=False)
 
     @cached_property
     def _partition(self) -> tuple[tuple[str, ...], ...]:
@@ -235,7 +220,10 @@ class StripedSurface:
         return self._strip_by_id[strip_id]
 
     def strip_ids(self) -> tuple[str, ...]:
-        return tuple(s.id for s in self.strips)
+        # from a list, not a generator: tuple() allocates a generator's
+        # items in a 10-slot tuple and shrinks it, and the shrunk tuples pile
+        # up in CPython's free lists until the next full collection
+        return tuple([s.id for s in self.strips])
 
     def interval(self, interval_id: str) -> Interval:
         strip_id, side, index = self._interval_loc[interval_id]
@@ -273,14 +261,13 @@ def _check_side(strip_id: str, side: Side, intervals: tuple[Interval, ...]) -> N
                 f"interval {iv.id!r} on ({strip_id}, {side.value}) must carry "
                 f"side={side.value}, index={k}"
             )
-    for iv in intervals:
-        if iv.endpoints is not None:
-            x0, x1 = iv.endpoints
-            if math.isnan(x0) or math.isnan(x1) or not x0 < x1:
-                raise BadEndpointsError(
-                    f"interval {iv.id!r} endpoints must satisfy x0 < x1, got ({x0}, {x1})"
-                )
     explicit = [iv for iv in intervals if iv.endpoints is not None]
+    for iv in explicit:
+        x0, x1 = iv.endpoints
+        if math.isnan(x0) or math.isnan(x1) or not x0 < x1:
+            raise BadEndpointsError(
+                f"interval {iv.id!r} endpoints must satisfy x0 < x1, got ({x0}, {x1})"
+            )
     if explicit and len(explicit) == len(intervals):
         for prev, nxt in zip(intervals, intervals[1:]):
             if not prev.endpoints[1] <= nxt.endpoints[0]:
@@ -316,34 +303,38 @@ def build_surface(
             raise DuplicateIdError(f"{kind} id {id_!r} appears twice")
         seen_ids.add(id_)
 
-    seen_intervals: dict[str, SideEnd] = {}
+    strip_by_id: dict[str, ModelStripSpec] = {}
+    interval_loc: dict[str, tuple[str, Side, int]] = {}
     for s in strips:
         claim("strip", s.id)
-        for side in (Side.LOWER, Side.UPPER):
-            _check_side(s.id, side, s.side_intervals(side))
-            for iv in s.side_intervals(side):
+        strip_by_id[s.id] = s
+        for side, ivs in ((Side.LOWER, s.lower), (Side.UPPER, s.upper)):
+            _check_side(s.id, side, ivs)
+            for iv in ivs:
                 claim("interval", iv.id)
-                seen_intervals[iv.id] = (s.id, side)
+                interval_loc[iv.id] = (s.id, side, iv.index)
 
-    glued: set[str] = set()
+    gluing_by_id: dict[str, GluingSpec] = {}
+    gluing_by_interval: dict[str, GluingSpec] = {}
     for g in gluings:
         claim("gluing", g.id)
+        gluing_by_id[g.id] = g
         if g.first == g.second:
             raise SelfGluingError(f"gluing {g.id!r} pairs interval {g.first!r} with itself")
         for iid in g.members():
-            if iid not in seen_intervals:
+            if iid not in interval_loc:
                 raise UnknownIntervalRefError(f"gluing {g.id!r} references unknown interval {iid!r}")
-            if iid in glued:
+            if iid in gluing_by_interval:
                 raise DoubleGluingError(f"interval {iid!r} appears in more than one gluing")
-            glued.add(iid)
-        if seen_intervals[g.first] == seen_intervals[g.second]:
-            strip_id, side = seen_intervals[g.first]
+            gluing_by_interval[iid] = g
+        strip_id, side, _ = interval_loc[g.first]
+        if interval_loc[g.second][:2] == (strip_id, side):
             raise SameSideGluingError(
                 f"gluing {g.id!r} pairs intervals {g.first!r} and {g.second!r} "
                 f"on the same side ({strip_id}, {side.value})"
             )
 
-    return StripedSurface(strips, gluings)
+    return StripedSurface(strips, gluings, strip_by_id, interval_loc, gluing_by_interval, gluing_by_id)
 
 
 @dataclass(frozen=True)
@@ -396,11 +387,9 @@ def components(surface: StripedSurface) -> list[StripedSurface]:
     out = []
     for part in parts:
         members = set(part)
-        strips = tuple(s for s in surface.strips if s.id in members)
-        gluings = tuple(
-            g for g in surface.gluings if surface.side_end_of(g.first)[0] in members
-        )
-        out.append(StripedSurface(strips, gluings))
+        strips = [s for s in surface.strips if s.id in members]
+        gluings = [g for g in surface.gluings if surface.side_end_of(g.first)[0] in members]
+        out.append(build_surface(strips, gluings))
     return out
 
 

@@ -40,11 +40,22 @@ class ParseError(ValueError):
         self.path = path
 
 
-def _num(value, path: str) -> float:
+_ORIENTATIONS = {o.value: o for o in Orientation}
+
+
+def _interval_path(i: int, side: Side, k: int) -> str:
+    return f"strips[{i}].{side.value}[{k}]"
+
+
+def _num(value, i: int, side: Side, k: int, j: int) -> float:
+    """Endpoint ``j`` of interval ``k`` on ``side`` of strip record ``i``."""
+    if type(value) is float:
+        return value
     if value == "-inf":
         return float("-inf")
     if value == "+inf" or value == "inf":
         return float("inf")
+    path = f"{_interval_path(i, side, k)}.endpoints[{j}]"
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
             return float(value)
@@ -53,22 +64,19 @@ def _num(value, path: str) -> float:
     raise ParseError(f"expected a number or -inf/+inf, got {value!r}", path=path)
 
 
-def _interval(rec, side: Side, index: int, path: str) -> Interval:
+def _interval(rec, i: int, side: Side, k: int) -> Interval:
+    """Interval ``k`` on ``side`` of strip record ``i``; its path is spelled
+    out only when the record is refused."""
     if isinstance(rec, str):
-        return Interval(rec, side, index)
+        return Interval(rec, side, k)
     if not isinstance(rec, dict) or "id" not in rec:
-        raise ParseError("interval record needs an 'id'", path=path)
+        raise ParseError("interval record needs an 'id'", path=_interval_path(i, side, k))
     ends = rec.get("endpoints")
     if ends is None:
-        return Interval(str(rec["id"]), side, index)
+        return Interval(str(rec["id"]), side, k)
     if not isinstance(ends, list) or len(ends) != 2:
-        raise ParseError("endpoints must be a [x0, x1] pair", path=path)
-    return Interval(
-        str(rec["id"]),
-        side,
-        index,
-        (_num(ends[0], path + ".endpoints[0]"), _num(ends[1], path + ".endpoints[1]")),
-    )
+        raise ParseError("endpoints must be a [x0, x1] pair", path=_interval_path(i, side, k))
+    return Interval(str(rec["id"]), side, k, (_num(ends[0], i, side, k, 0), _num(ends[1], i, side, k, 1)))
 
 
 def parse(text: str) -> StripedSurface:
@@ -88,36 +96,104 @@ def parse(text: str) -> StripedSurface:
 
     strips = []
     for i, srec in enumerate(doc.get("strips", [])):
-        path = f"strips[{i}]"
         if not isinstance(srec, dict) or "id" not in srec:
-            raise ParseError("strip record needs an 'id'", path=path)
-        sides = {}
+            raise ParseError("strip record needs an 'id'", path=f"strips[{i}]")
+        sides = []
         for side_name, side in (("lower", Side.LOWER), ("upper", Side.UPPER)):
             recs = srec.get(side_name, [])
             if not isinstance(recs, list):
-                raise ParseError(f"'{side_name}' must be a list", path=path)
-            sides[side_name] = tuple(
-                _interval(rec, side, k, f"{path}.{side_name}[{k}]")
-                for k, rec in enumerate(recs)
-            )
-        strips.append(ModelStripSpec(str(srec["id"]), sides["lower"], sides["upper"]))
+                raise ParseError(f"'{side_name}' must be a list", path=f"strips[{i}]")
+            sides.append(tuple([_interval(rec, i, side, k) for k, rec in enumerate(recs)]))
+        strips.append(ModelStripSpec(str(srec["id"]), *sides))
 
     gluings = []
     for i, grec in enumerate(doc.get("gluings", [])):
-        path = f"gluings[{i}]"
         if not isinstance(grec, dict) or "a" not in grec or "b" not in grec:
-            raise ParseError("gluing record needs 'a' and 'b'", path=path)
+            raise ParseError("gluing record needs 'a' and 'b'", path=f"gluings[{i}]")
         flag = grec.get("orientation", "preserving")
         try:
-            orientation = Orientation(flag)
-        except ValueError:
+            orientation = _ORIENTATIONS[flag]
+        except (KeyError, TypeError):  # TypeError: an unhashable flag
             raise ParseError(
-                f"orientation must be 'preserving' or 'reversing', got {flag!r}", path=path
+                f"orientation must be 'preserving' or 'reversing', got {flag!r}", path=f"gluings[{i}]"
             ) from None
-        gid = str(grec.get("id", f"g{i}"))
+        gid = str(grec["id"]) if "id" in grec else f"g{i}"
         gluings.append(GluingSpec(gid, str(grec["a"]), str(grec["b"]), orientation))
 
     return build_surface(strips, gluings)
+
+
+_encode_str = json.encoder.encode_basestring_ascii  # the C encoder's string writer
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key_text(key) -> str:
+    """A dict key that is not a string, quoted as ``json.dumps`` quotes it."""
+    if isinstance(key, float):
+        return f'"{_float_text(key)}"'
+    if key is True:
+        return '"true"'
+    if key is False:
+        return '"false"'
+    if key is None:
+        return '"null"'
+    if isinstance(key, int):
+        return f'"{int.__repr__(key)}"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _dumps(obj, _nl: str = "\n") -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte.
+
+    CPython runs its C encoder only when ``indent`` is None, and its
+    pure-Python one is several times slower.  This writer hands every
+    string to the C string encoder and writes a list of strings in one
+    ``join``.  ``_nl`` is the line break and indent of ``obj``'s own level.
+    Unlike ``json.dumps``, it does not look for reference cycles.
+    """
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    inner = _nl + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [
+            (_encode_str(k) if isinstance(k, str) else _key_text(k))
+            + ": "
+            + (_encode_str(v) if isinstance(v, str) else _dumps(v, inner))
+            for k, v in obj.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + _nl + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if isinstance(obj[0], str):
+            try:
+                return "[" + inner + ("," + inner).join(map(_encode_str, obj)) + _nl + "]"
+            except TypeError:  # not all strings
+                pass
+        items = [_encode_str(x) if isinstance(x, str) else _dumps(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + _nl + "]"
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _float_text(obj)
+    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
 
 
 def _endpoint_token(x: float):
@@ -144,11 +220,21 @@ def serialize(surface: StripedSurface) -> str:
         doc["gluings"].append(
             {"id": g.id, "a": g.first, "b": g.second, "orientation": g.orientation.value}
         )
-    return json.dumps(doc, indent=2) + "\n"
+    return _dumps(doc) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # diagrams
+
+
+def _dot_quoted(id_: str) -> str:
+    """An id made safe inside a DOT double-quoted string."""
+    return id_.replace("\\", "\\\\").replace('"', '\\"')
+
+
+def _xml_text(id_: str) -> str:
+    """An id made safe as SVG text content."""
+    return id_.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def render_dot(ls: LeafSpace | StripedSurface) -> str:
@@ -156,15 +242,19 @@ def render_dot(ls: LeafSpace | StripedSurface) -> str:
     dashed edges between non-separated point pairs."""
     if isinstance(ls, StripedSurface):
         ls = build_leaf_space(ls)
+    quoted: dict[str, str] = {}
     lines = ["graph leafspace {"]
     for sid in ls.arcs:
-        lines.append(f'  "strip:{sid}" [shape=box, label="{sid}"];')
+        q = quoted[sid] = _dot_quoted(sid)
+        lines.append(f'  "strip:{q}" [shape=box, label="{q}"];')
+    edges = []
     for p in ls.points:
+        q = quoted[p.id] = _dot_quoted(p.id)
         shape = "doublecircle" if p.special else "circle"
-        lines.append(f'  "pt:{p.id}" [shape={shape}, label="{p.id}"];')
-    for p in ls.points:
+        lines.append(f'  "pt:{q}" [shape={shape}, label="{q}"];')
         for sid, side in ls.ends_of(p):
-            lines.append(f'  "strip:{sid}" -- "pt:{p.id}" [label="{side.value}"];')
+            edges.append(f'  "strip:{quoted[sid]}" -- "pt:{q}" [label="{side.value}"];')
+    lines += edges
     seen = set()
     for p in ls.points:
         if not p.special:  # its closure is the point alone
@@ -172,17 +262,13 @@ def render_dot(ls: LeafSpace | StripedSurface) -> str:
         for qid in sorted(closure_ids(ls, p)):
             if qid == p.id:
                 continue
-            key = tuple(sorted((p.id, qid)))
+            key = (p.id, qid) if p.id < qid else (qid, p.id)
             if key in seen:
                 continue
             seen.add(key)
-            lines.append(f'  "pt:{key[0]}" -- "pt:{key[1]}" [style=dashed];')
+            lines.append(f'  "pt:{quoted[key[0]]}" -- "pt:{quoted[key[1]]}" [style=dashed];')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.2f}"
 
 
 _BAND_H = 60.0
@@ -204,7 +290,11 @@ def _draw_range(surface: StripedSurface) -> tuple[float, float]:
 
 
 def render_svg(surface: StripedSurface) -> str:
-    """Strip diagram: stacked rectangles, bold boundary intervals, gluing arcs."""
+    """Strip diagram: stacked rectangles, bold boundary intervals, gluing arcs.
+
+    Coordinates print with two decimals; x maps to the page by
+    ``_MARGIN + (x clamped to [lo, hi] - lo) * _X_SCALE``.
+    """
     from .decomposition import Mode, decompose
     from .core import is_connected, components as split
 
@@ -220,62 +310,51 @@ def render_svg(surface: StripedSurface) -> str:
     lo, hi = max(lo, -_X_CLAMP), min(hi, _X_CLAMP + 1)
     width = (hi - lo) * _X_SCALE + 2 * _MARGIN
     height = len(rows) * (_BAND_H + _BAND_GAP) + 2 * _MARGIN
+    x_lo = _MARGIN  # the page x of lo
+    x_hi = _MARGIN + (hi - lo) * _X_SCALE
 
-    def X(x: float) -> float:
-        return _MARGIN + (min(max(x, lo), hi) - lo) * _X_SCALE
-
-    band_y: dict[str, float] = {}
     body = []
     for i, (sid, spec) in enumerate(rows):
         y0 = _MARGIN + i * (_BAND_H + _BAND_GAP)
-        band_y[sid] = y0
         body.append(
-            f'<rect x="{_fmt(X(lo))}" y="{_fmt(y0)}" width="{_fmt(X(hi) - X(lo))}" '
-            f'height="{_fmt(_BAND_H)}" fill="#eef" stroke="#336"/>'
+            f'<rect x="{x_lo:.2f}" y="{y0:.2f}" width="{x_hi - x_lo:.2f}" '
+            f'height="{_BAND_H:.2f}" fill="#eef" stroke="#336"/>'
         )
-        body.append(
-            f'<text x="{_fmt(X(lo) + 4)}" y="{_fmt(y0 + 16)}" font-size="12">{sid}</text>'
-        )
+        body.append(f'<text x="{x_lo + 4:.2f}" y="{y0 + 16:.2f}" font-size="12">{_xml_text(sid)}</text>')
 
     seg_pos: dict[str, tuple[float, float]] = {}
-    for sid, spec in rows:
-        y0 = band_y[sid]
-        for side, yy in ((Side.UPPER, y0), (Side.LOWER, y0 + _BAND_H)):
-            for iv in spec.side_intervals(side):
+    for i, (sid, spec) in enumerate(rows):
+        y0 = _MARGIN + i * (_BAND_H + _BAND_GAP)
+        for ivs, yy in ((spec.upper, y0), (spec.lower, y0 + _BAND_H)):
+            for iv in ivs:
                 x0, x1 = iv.effective_endpoints()
-                unbounded_l, unbounded_r = not math.isfinite(x0), not math.isfinite(x1)
-                gx0, gx1 = X(max(x0, lo)), X(min(x1, hi))
+                gx0 = _MARGIN + (min(max(x0, lo), hi) - lo) * _X_SCALE
+                gx1 = _MARGIN + (min(max(x1, lo), hi) - lo) * _X_SCALE
                 body.append(
-                    f'<line x1="{_fmt(gx0)}" y1="{_fmt(yy)}" x2="{_fmt(gx1)}" '
-                    f'y2="{_fmt(yy)}" stroke="#000" stroke-width="4"/>'
+                    f'<line x1="{gx0:.2f}" y1="{yy:.2f}" x2="{gx1:.2f}" '
+                    f'y2="{yy:.2f}" stroke="#000" stroke-width="4"/>'
                 )
-                if unbounded_l:
-                    body.append(
-                        f'<text x="{_fmt(gx0 - 12)}" y="{_fmt(yy + 4)}" font-size="12">&#8592;</text>'
-                    )
-                if unbounded_r:
-                    body.append(
-                        f'<text x="{_fmt(gx1 + 2)}" y="{_fmt(yy + 4)}" font-size="12">&#8594;</text>'
-                    )
+                if not math.isfinite(x0):
+                    body.append(f'<text x="{gx0 - 12:.2f}" y="{yy + 4:.2f}" font-size="12">&#8592;</text>')
+                if not math.isfinite(x1):
+                    body.append(f'<text x="{gx1 + 2:.2f}" y="{yy + 4:.2f}" font-size="12">&#8594;</text>')
                 seg_pos[iv.id] = ((gx0 + gx1) / 2.0, yy)
 
     for g in surface.gluings:
         (xa, ya), (xb, yb) = seg_pos[g.first], seg_pos[g.second]
         dash = "" if g.orientation is Orientation.PRESERVING else ' stroke-dasharray="6 3"'
+        midx = (xa + xb) / 2.0
         midy = (ya + yb) / 2.0 - 20.0
         body.append(
-            f'<path d="M {_fmt(xa)} {_fmt(ya)} Q {_fmt((xa + xb) / 2.0)} {_fmt(midy)} '
-            f'{_fmt(xb)} {_fmt(yb)}" fill="none" stroke="#c33" stroke-width="1.5"{dash}/>'
+            f'<path d="M {xa:.2f} {ya:.2f} Q {midx:.2f} {midy:.2f} '
+            f'{xb:.2f} {yb:.2f}" fill="none" stroke="#c33" stroke-width="1.5"{dash}/>'
         )
-        body.append(
-            f'<text x="{_fmt((xa + xb) / 2.0)}" y="{_fmt(midy + 10)}" '
-            f'font-size="11" fill="#c33">{g.id}</text>'
-        )
+        body.append(f'<text x="{midx:.2f}" y="{midy + 10:.2f}" font-size="11" fill="#c33">{_xml_text(g.id)}</text>')
 
     head = (
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{_fmt(width)}" height="{_fmt(height)}" '
-        f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">'
+        f'width="{width:.2f}" height="{height:.2f}" '
+        f'viewBox="0 0 {width:.2f} {height:.2f}">'
     )
     return "\n".join([head] + body + ["</svg>"]) + "\n"
 
@@ -309,4 +388,4 @@ def leafspace_json(ls: LeafSpace) -> str:
             for side in (Side.LOWER, Side.UPPER)
         ],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return _dumps(doc) + "\n"

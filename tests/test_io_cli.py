@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import random
+import re
+from xml.dom import minidom
 
 import pytest
 from hypothesis import given, settings
@@ -190,6 +192,35 @@ def test_single_strip_svg_has_one_rectangle_no_bold_segments():
 def test_svg_marks_unbounded_intervals():
     svg = render_svg(cylinder())
     assert "&#8592;" in svg and "&#8594;" in svg
+
+
+_ODD_IDS_DOC = {
+    "strips": [
+        {"id": 'A<&"B', "lower": [], "upper": ['u"0', 'v"1']},
+        {"id": "C\\D", "lower": ["l>0"], "upper": []},
+    ],
+    "gluings": [{"id": "g<1>", "a": 'u"0', "b": "l>0", "orientation": "reversing"}],
+}
+_DOT_QUOTED = re.compile(r'"((?:[^"\\]|\\.)*)"')
+
+
+def test_cli_render_escapes_ids(tmp_path, capsys):
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps(_ODD_IDS_DOC))
+
+    code, svg = run_cli(capsys, "render", str(path))
+    assert code == 0
+    texts = [t.firstChild.data for t in minidom.parseString(svg).getElementsByTagName("text")]
+    assert {'A<&"B', "C\\D", "g<1>"} <= set(texts)
+
+    code, dot = run_cli(capsys, "render", str(path), "--format", "dot")
+    assert code == 0
+    names = set()
+    for line in dot.splitlines()[1:-1]:
+        # every quote opens or closes a DOT quoted string, so none is left over
+        assert '"' not in _DOT_QUOTED.sub("", line), line
+        names.update(re.sub(r"\\(.)", r"\1", q) for q in _DOT_QUOTED.findall(line))
+    assert {'strip:A<&"B', "strip:C\\D", "pt:g<1>", 'pt:v"1', 'A<&"B', "C\\D", "g<1>", 'v"1'} <= names
 
 
 def test_render_deterministic():
