@@ -9,6 +9,7 @@ maps.
 
 from .core import (
     BadEndpointsError,
+    BadIdError,
     DisconnectedSurfaceError,
     DoubleGluingError,
     DuplicateIdError,
@@ -42,7 +43,6 @@ from .leafspace import (
     special_points,
 )
 from .decomposition import (
-    CanonicalCode,
     ClosureStrip,
     Component,
     Mode,
@@ -76,14 +76,6 @@ from .homeo import (
     trapezoid_under_clearance,
     uk_eval,
     uk_inverse,
-)
-from .oracle import (
-    AxiomReport,
-    FiniteBasisSpace,
-    bnd_bruteforce,
-    check_axioms,
-    closure_of,
-    discretize,
 )
 from .io import ParseError, leafspace_json, parse, render, render_dot, render_svg, serialize
 

@@ -12,7 +12,7 @@ import functools
 import json
 import sys
 
-from .core import Side, SurfaceError, is_connected
+from .core import Side, SurfaceError, is_connected, validate_class_f
 from .decomposition import (
     Mode,
     Shape,
@@ -74,26 +74,8 @@ def _point_order(ls):
 
 
 def _cmd_validate(args) -> int:
-    surface = _load(args.file)
-    from .core import validate_class_f
-
-    report = validate_class_f(surface)
-    out = {
-        "ok": report.ok,
-        "connected": report.connected,
-        "components": [list(c) for c in report.components],
-        "glued_leaves": [
-            {
-                "id": r.gluing_id,
-                "collars": [{"strip": s, "side": side.value} for s, side in r.collar_sides],
-                "distinct": r.distinct,
-            }
-            for r in report.glued_leaves
-        ],
-        "warnings": list(report.warnings),
-    }
-    print(_dumps(out))
-    return EXIT_OK if report.ok else EXIT_INVALID
+    print(_dumps(validate_class_f(_load(args.file))))
+    return EXIT_OK
 
 
 def _cmd_leafspace(args) -> int:
@@ -212,15 +194,8 @@ def _realize_rows(args, surface, comp, closure) -> list[str]:
 
     def leaf_id(x_out: float, y_out: float) -> str:
         if y_out <= -1.0 + 1e-12:
-            # base leaves are identified by which leaf interval contains x_out
-            for p in closure.base_points:
-                member = next(
-                    m
-                    for m in p.members
-                    if surface.side_end_of(m)
-                    == (comp.outer_lower if args.side == "lower" else comp.outer_upper)
-                )
-                lo, hi = surface.interval(member).effective_endpoints()
+            # a base point carries the id of the leaf whose span holds x_out
+            for p, (lo, hi) in zip(closure.base_points, chart.leaf_spans):
                 if lo < x_out < hi:
                     return p.id
             return "base"

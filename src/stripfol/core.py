@@ -10,6 +10,7 @@ homeomorphism engine) consumes the validated :class:`StripedSurface`.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -86,6 +87,15 @@ class BadIndexError(SurfaceError):
 
 class DisconnectedSurfaceError(SurfaceError):
     rule = "DisconnectedSurface"
+
+
+class BadIdError(SurfaceError):
+    rule = "BadId"
+
+
+# characters a JSON string can carry but XML 1.0 text (the SVG of render)
+# or strict UTF-8 (lone surrogates) cannot
+_BAD_ID_CHAR = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 @dataclass(frozen=True)
@@ -242,9 +252,6 @@ class StripedSurface:
     def gluing_of(self, interval_id: str) -> GluingSpec | None:
         return self._gluing_by_interval.get(interval_id)
 
-    def side_ends(self) -> list[SideEnd]:
-        return [(s.id, side) for s in self.strips for side in (Side.LOWER, Side.UPPER)]
-
     def intervals(self) -> list[Interval]:
         return [
             iv
@@ -289,7 +296,7 @@ def build_surface(
 
     Raises a :class:`SurfaceError` subclass naming the violated rule:
     DuplicateId, UnknownIntervalRef, DoubleGluing, SelfGluing, SameSideGluing,
-    BadEndpoints or BadIndex.
+    BadEndpoints, BadIndex or BadId.
     """
     strips = tuple(strips)
     gluings = tuple(gluings)
@@ -334,49 +341,35 @@ def build_surface(
                 f"on the same side ({strip_id}, {side.value})"
             )
 
+    if _BAD_ID_CHAR.search("".join(seen_ids)):
+        bad = next(i for i in (*strip_by_id, *interval_loc, *gluing_by_id) if _BAD_ID_CHAR.search(i))
+        char = ord(_BAD_ID_CHAR.search(bad).group())
+        raise BadIdError(f"id {bad!r} holds U+{char:04X}, which SVG or UTF-8 output cannot carry")
+
     return StripedSurface(strips, gluings, strip_by_id, interval_loc, gluing_by_interval, gluing_by_id)
 
 
-@dataclass(frozen=True)
-class GluedLeafRecord:
-    gluing_id: str
-    collar_sides: tuple[SideEnd, SideEnd]
-    distinct: bool
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Per-gluing collar summary plus connectivity of the gluing graph."""
-
-    ok: bool
-    glued_leaves: tuple[GluedLeafRecord, ...]
-    components: tuple[tuple[str, ...], ...]
-    connected: bool
-    warnings: tuple[str, ...]
-
-
-def validate_class_f(surface: StripedSurface) -> ValidationReport:
-    """Report collar sides of every glued leaf and surface connectivity.
-
-    Structural violations are already rejected by :func:`build_surface`; this
-    confirms each glued leaf has collars from two distinct (strip, side) pairs
-    and flags disconnected input.
-    """
-    records = []
-    for g in surface.gluings:
-        sides = (surface.side_end_of(g.first), surface.side_end_of(g.second))
-        records.append(GluedLeafRecord(g.id, sides, sides[0] != sides[1]))
+def validate_class_f(surface: StripedSurface) -> dict:
+    """The JSON report of ``stripfol validate``: the collar sides of every
+    glued leaf and the connected pieces of the surface."""
     parts = surface._partition
-    warnings = []
-    if len(parts) > 1:
-        warnings.append(f"Disconnected: {len(parts)} components")
-    return ValidationReport(
-        ok=all(r.distinct for r in records),
-        glued_leaves=tuple(records),
-        components=parts,
-        connected=len(parts) <= 1,
-        warnings=tuple(warnings),
-    )
+    return {
+        # build_surface refuses a gluing of two intervals of one side
+        # (SameSideGluing), so every surface it accepts is ok and every glued
+        # leaf has its two collars on distinct side-ends
+        "ok": True,
+        "connected": len(parts) <= 1,
+        "components": [list(c) for c in parts],
+        "glued_leaves": [
+            {
+                "id": g.id,
+                "collars": [{"strip": s, "side": side.value} for s, side in map(surface.side_end_of, g.members())],
+                "distinct": True,
+            }
+            for g in surface.gluings
+        ],
+        "warnings": [f"Disconnected: {len(parts)} components"] if len(parts) > 1 else [],
+    }
 
 
 def components(surface: StripedSurface) -> list[StripedSurface]:

@@ -88,45 +88,16 @@ class ClosureStrip:
     side_parity: Side
 
 
-@dataclass(frozen=True)
-class CanonicalCode:
-    """Minimal serialization of a surface over relabelings and strip flips."""
-
-    code: bytes
-
-    def hex(self) -> str:
-        return self.code.hex()
-
-
-def _merge_edges(ls: LeafSpace) -> dict[SideEnd, GluingSpec]:
-    """Map each side-end consumed by a non-special gluing to that gluing."""
-    out: dict[SideEnd, GluingSpec] = {}
+def _merge_edges(ls: LeafSpace) -> dict[SideEnd, tuple[GluingSpec, SideEnd]]:
+    """Map each side-end consumed by a non-special gluing to (gluing, partner side-end)."""
+    out: dict[SideEnd, tuple[GluingSpec, SideEnd]] = {}
     for p in ls.points:
-        if p.kind is not PointKind.NON_SPECIAL_GLUED:
-            continue
-        g = ls.surface.gluing(p.id)
-        for member in p.members:
-            out[ls.surface.side_end_of(member)] = g
+        if p.kind is PointKind.NON_SPECIAL_GLUED:
+            g = ls.surface.gluing(p.id)
+            a, b = ls.ends_of(p)
+            out[a] = (g, b)
+            out[b] = (g, a)
     return out
-
-
-def _epsilon_y(surface: StripedSurface, g: GluingSpec) -> int:
-    sides = {surface.side_end_of(g.first)[1], surface.side_end_of(g.second)[1]}
-    return 1 if sides == {Side.LOWER, Side.UPPER} else -1
-
-
-def _gluing_sign(surface: StripedSurface, g: GluingSpec) -> int:
-    return g.orientation.sign * _epsilon_y(surface, g)
-
-
-def _cut_points(ls: LeafSpace, mode: Mode) -> frozenset[LeafPoint]:
-    cut = set()
-    for p in ls.points:
-        if p.special:
-            cut.add(p)
-        elif mode is Mode.WITH_BOUNDARY and p.kind is PointKind.BOUNDARY_LEAF:
-            cut.add(p)
-    return frozenset(cut)
 
 
 def _outer_data(ls: LeafSpace, end: SideEnd, cut_ids: set[str], mode: Mode):
@@ -153,7 +124,8 @@ def decompose(
         raise DisconnectedSurfaceError("decompose requires a connected surface")
     if ls is None:
         ls = build_leaf_space(surface)
-    cut = _cut_points(ls, mode)
+    boundary_cut = mode is Mode.WITH_BOUNDARY
+    cut = frozenset([p for p in ls.points if p.special or (boundary_cut and p.kind is PointKind.BOUNDARY_LEAF)])
     cut_ids = {p.id for p in cut}
     edges = _merge_edges(ls)
 
@@ -167,61 +139,42 @@ def decompose(
     return comps, cut
 
 
-def _edge_at(edges: dict[SideEnd, GluingSpec], sid: str, side: Side) -> GluingSpec | None:
-    return edges.get((sid, side))
-
-
-def _partner_end(surface: StripedSurface, g: GluingSpec, end: SideEnd) -> SideEnd:
-    e1 = surface.side_end_of(g.first)
-    e2 = surface.side_end_of(g.second)
-    return e2 if end == e1 else e1
-
-
 def _trace_component(
     ls: LeafSpace,
     start: str,
-    edges: dict[SideEnd, GluingSpec],
+    edges: dict[SideEnd, tuple[GluingSpec, SideEnd]],
     cut_ids: set[str],
     mode: Mode,
     seen: set[str],
     order: dict[str, int],
 ) -> Component:
-    surface = ls.surface
-
     # collect the member strips first to find the extremes
     members = {start}
     frontier = [start]
     while frontier:
         sid = frontier.pop()
         for side in (Side.LOWER, Side.UPPER):
-            g = _edge_at(edges, sid, side)
-            if g is None:
-                continue
-            nxt = _partner_end(surface, g, (sid, side))[0]
-            if nxt not in members:
-                members.add(nxt)
-                frontier.append(nxt)
+            if (sid, side) in edges:
+                nxt = edges[(sid, side)][1][0]
+                if nxt not in members:
+                    members.add(nxt)
+                    frontier.append(nxt)
     seen.update(members)
 
     def degree(sid: str) -> int:
-        return sum(1 for side in (Side.LOWER, Side.UPPER) if _edge_at(edges, sid, side))
+        return ((sid, Side.LOWER) in edges) + ((sid, Side.UPPER) in edges)
 
     extremes = sorted((s for s in members if degree(s) < 2), key=lambda s: order[s])
 
     if extremes:
         first = extremes[0]
-        exposed = next(
-            side for side in (Side.LOWER, Side.UPPER) if _edge_at(edges, first, side) is None
-        )
+        exposed = Side.LOWER if (first, Side.LOWER) not in edges else Side.UPPER
         strips: list[tuple[str, bool]] = [(first, exposed is Side.UPPER)]
         interfaces: list[str] = []
         cur, cur_exit = first, exposed.other
-        while True:
-            g = _edge_at(edges, cur, cur_exit)
-            if g is None:
-                break
+        while (cur, cur_exit) in edges:
+            g, (nxt, entered) = edges[(cur, cur_exit)]
             interfaces.append(g.id)
-            nxt, entered = _partner_end(surface, g, (cur, cur_exit))
             strips.append((nxt, entered is Side.UPPER))
             cur, cur_exit = nxt, entered.other
         outer_lower = (first, exposed)
@@ -248,10 +201,10 @@ def _trace_component(
     sign = 1
     cur, cur_exit = first, Side.UPPER
     while True:
-        g = _edge_at(edges, cur, cur_exit)
+        g, (nxt, entered) = edges[(cur, cur_exit)]
         interfaces.append(g.id)
-        sign *= _gluing_sign(surface, g)
-        nxt, entered = _partner_end(surface, g, (cur, cur_exit))
+        # a seam joining a lower to an upper side keeps the y direction
+        sign *= g.orientation.sign if entered is not cur_exit else -g.orientation.sign
         if nxt == first and len(interfaces) == len(members):
             break
         strips.append((nxt, entered is Side.UPPER))
@@ -331,13 +284,12 @@ def relabel_strips(surface: StripedSurface, mapping: dict[str, str]) -> StripedS
 
 
 def _toggle_incident(
-    gluings: tuple[GluingSpec, ...], surface: StripedSurface, strip_id: str
+    gluings: list[GluingSpec], surface: StripedSurface, strip_ids: set[str]
 ) -> tuple[GluingSpec, ...]:
+    """Toggle the orientation of each gluing with one end on an h-flipped strip."""
     out = []
     for g in gluings:
-        toggles = sum(
-            1 for iid in g.members() if surface.side_end_of(iid)[0] == strip_id
-        )
+        toggles = sum(1 for iid in g.members() if surface.side_end_of(iid)[0] in strip_ids)
         out.append(replace(g, orientation=g.orientation.flipped) if toggles % 2 else g)
     return tuple(out)
 
@@ -363,7 +315,7 @@ def h_flip(surface: StripedSurface, strip_id: str) -> StripedSurface:
         if s.id == strip_id:
             s = ModelStripSpec(s.id, _reverse_side(s.lower), _reverse_side(s.upper))
         strips.append(s)
-    return build_surface(strips, _toggle_incident(surface.gluings, surface, strip_id))
+    return build_surface(strips, _toggle_incident(surface.gluings, surface, {strip_id}))
 
 
 def v_flip(surface: StripedSurface, strip_id: str) -> StripedSurface:
@@ -444,15 +396,8 @@ def canonicalize(surface: StripedSurface) -> StripedSurface:
     new_strips = [s for _, s in merged]
 
     consumed = {gid for comp in comps for gid in comp.interfaces}
-    gluings = []
-    for g in surface.gluings:
-        if g.id in consumed:
-            continue
-        toggles = sum(
-            1 for iid in g.members() if surface.side_end_of(iid)[0] in h_flipped
-        )
-        gluings.append(replace(g, orientation=g.orientation.flipped) if toggles % 2 else g)
-    return build_surface(new_strips, gluings)
+    gluings = [g for g in surface.gluings if g.id not in consumed]
+    return build_surface(new_strips, _toggle_incident(gluings, surface, h_flipped))
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +458,7 @@ def _rooted_rows(table, root: str, h: int, v: int) -> list[list[int]]:
     return rows
 
 
-def canonical_code(surface: StripedSurface) -> CanonicalCode:
+def canonical_code(surface: StripedSurface) -> bytes:
     """Least rooted-traversal code over all roots, per piece; pieces sorted.
 
     A root is a strip with its two flips, and the walk from it fixes every
@@ -533,7 +478,7 @@ def canonical_code(surface: StripedSurface) -> CanonicalCode:
         roots = [(sid, h, v) for (sid, v), n in lengths.items() if n == least for h in (0, 1)]
         rows = min(_rooted_rows(table, *root) for root in roots)
         codes.append("|".join(",".join(map(str, row)) for row in rows).encode("ascii"))
-    return CanonicalCode(b"/".join(sorted(codes)))
+    return b"/".join(sorted(codes))
 
 
 def is_isomorphic(a: StripedSurface, b: StripedSurface) -> bool:

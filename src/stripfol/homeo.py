@@ -530,11 +530,13 @@ class HalfStripChart:
     """Half model strip: the band R x (-1, 0] plus marked base intervals.
 
     One half-open rectangle [a_i, b_i] x (-1, d_i] per base leaf, with its
-    open base interval J_i at level -1.
+    open base interval J_i at level -1, and the span on the leaf's boundary
+    line that eta carries J_i onto.
     """
 
     rectangles: tuple[tuple[float, float, float], ...]
     base_intervals: tuple[tuple[float, float], ...]
+    leaf_spans: tuple[tuple[float, float], ...]
     level_range: tuple[float, float] = (-1.0, 0.0)
 
     def __post_init__(self) -> None:
@@ -546,14 +548,6 @@ class HalfStripChart:
         for a, b, di in self.rectangles:
             if not (a < b and c < di < d):
                 raise BadIntervalError("rectangle tops must lie strictly inside the level range")
-
-    def contains(self, x: float, y: float) -> bool:
-        c, d = self.level_range
-        if c < y <= d:
-            return True
-        if y == c:
-            return any(a < x < b for a, b in self.base_intervals)
-        return False
 
 
 def realize_half_strip(
@@ -578,16 +572,19 @@ def realize_half_strip(
     end = comp.outer_lower if closure.side_parity is Side.LOWER else comp.outer_upper
     k = len(closure.base_points)
     if k == 0:
-        return HalfStripChart((), ()), LevelMap.identity()
+        return HalfStripChart((), (), ()), LevelMap.identity()
 
-    # leaf coordinate intervals on the outer side-end, in interval order
+    # leaf coordinate intervals on the outer side-end, in interval order; an
+    # unbounded leaf gets a unit span at its finite end, which keeps it
+    # disjoint from its neighbours on the side
     leaf_spans: list[tuple[float, float]] = []
     for p in closure.base_points:
         member = next(m for m in p.members if surface.side_end_of(m) == end)
-        iv = surface.interval(member)
-        lo, hi = iv.effective_endpoints()
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            lo, hi = 2.0 * iv.index, 2.0 * iv.index + 1.0
+        lo, hi = surface.interval(member).effective_endpoints()
+        if not math.isfinite(lo):
+            lo = hi - 1.0 if math.isfinite(hi) else 0.0
+        if not math.isfinite(hi):
+            hi = lo + 1.0
         leaf_spans.append((lo, hi))
 
     gap = 0.5 / (k + 1)
@@ -638,6 +635,7 @@ def realize_half_strip(
     chart = HalfStripChart(
         tuple((a, b, d) for (a, b), d in zip(rect_spans, d_levels)),
         tuple(rect_spans),
+        tuple(leaf_spans),
     )
 
     pieces: list[Piece] = []

@@ -46,16 +46,9 @@ class LeafSpace:
     arcs: tuple[str, ...]
     points: tuple[LeafPoint, ...]
     incidence: dict  # SideEnd -> tuple of point ids, in interval-index order
-    _point_by_id: dict = field(init=False, repr=False, compare=False)
-    _ends_by_point: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        by_id = {p.id: p for p in self.points}
-        ends: dict[str, tuple[SideEnd, ...]] = {}
-        for p in self.points:
-            ends[p.id] = tuple(self.surface.side_end_of(m) for m in p.members)
-        object.__setattr__(self, "_point_by_id", by_id)
-        object.__setattr__(self, "_ends_by_point", ends)
+    # indexes, built by build_leaf_space
+    _point_by_id: dict = field(repr=False, compare=False)
+    _ends_by_point: dict = field(repr=False, compare=False)  # point id -> its side-ends
 
     def point(self, point_id: str) -> LeafPoint:
         return self._point_by_id[point_id]
@@ -75,11 +68,14 @@ def build_leaf_space(surface: StripedSurface) -> LeafSpace:
     boundary leaves); incidence lists follow the interval order of each side.
     """
     incidence: dict[SideEnd, tuple[str, ...]] = {}
+    unglued: list[tuple[str, SideEnd]] = []
     for s in surface.strips:
         for side in (Side.LOWER, Side.UPPER):
             ids = []
             for iv in s.side_intervals(side):
                 g = surface.gluing_of(iv.id)
+                if g is None:
+                    unglued.append((iv.id, (s.id, side)))
                 ids.append(g.id if g is not None else iv.id)
             incidence[(s.id, side)] = tuple(ids)
 
@@ -87,28 +83,28 @@ def build_leaf_space(surface: StripedSurface) -> LeafSpace:
     # side-ends, so it is more than the point exactly when one of those
     # side-ends carries another interval: build_surface rejects same-side
     # gluings, so the intervals of one side-end are distinct points.
-    def special(members: tuple[str, ...]) -> bool:
-        return any(len(incidence[surface.side_end_of(m)]) > 1 for m in members)
-
     points = []
+    ends_by_point: dict[str, tuple[SideEnd, ...]] = {}
     for g in surface.gluings:
-        members = g.members()
-        sp = special(members)
+        ends = ends_by_point[g.id] = (surface.side_end_of(g.first), surface.side_end_of(g.second))
+        sp = len(incidence[ends[0]]) > 1 or len(incidence[ends[1]]) > 1
         kind = PointKind.SPECIAL if sp else PointKind.NON_SPECIAL_GLUED
-        points.append(LeafPoint(g.id, members, kind, sp))
-    for iv in surface.intervals():
-        if surface.gluing_of(iv.id) is None:
-            points.append(LeafPoint(iv.id, (iv.id,), PointKind.BOUNDARY_LEAF, special((iv.id,))))
+        points.append(LeafPoint(g.id, (g.first, g.second), kind, sp))
+    for iid, end in unglued:
+        ends_by_point[iid] = (end,)
+        points.append(LeafPoint(iid, (iid,), PointKind.BOUNDARY_LEAF, len(incidence[end]) > 1))
 
-    return LeafSpace(surface, surface.strip_ids(), tuple(points), incidence)
+    return LeafSpace(
+        surface, surface.strip_ids(), tuple(points), incidence, {p.id: p for p in points}, ends_by_point
+    )
 
 
 def closure_ids(ls: LeafSpace, point: LeafPoint | str) -> set[str]:
     """Ids of the Hausdorff closure of `point`.
 
     Combinatorially: the point itself plus every other point sharing one of
-    its incident side-ends.  Verified against the brute-force finite-basis
-    computation in :mod:`stripfol.oracle`.
+    its incident side-ends.  The tests check it against a brute-force
+    finite-basis computation.
     """
     pid = point if isinstance(point, str) else point.id
     return {pid}.union(*(ls.incidence[end] for end in ls.ends_of(pid)))
@@ -158,9 +154,8 @@ def _end_status(ls: LeafSpace, end: ArcEnd):
     if p.kind is PointKind.BOUNDARY_LEAF:
         return ("closed", p.id)
     # sole non-special gluing: the arc continues into the partner interval's strip
-    ends = [ls.surface.side_end_of(m) for m in p.members]
-    other_end = ends[1] if ends[0] == end else ends[0]
-    return ("continue", other_end, p.id)
+    a, b = ls.ends_of(p)
+    return ("continue", b if a == end else a, p.id)
 
 
 def _walk(ls: LeafSpace, end: ArcEnd, seen: set[str], arcs: list[str], joints: list[str]):

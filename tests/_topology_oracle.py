@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import Side
-from .leafspace import LeafSpace
+from stripfol.core import Side
+from stripfol.leafspace import LeafSpace
 
 Point = tuple  # ("arc", strip_id, index) | ("pt", point_id)
 

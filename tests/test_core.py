@@ -98,26 +98,26 @@ def test_full_line_interval_and_defaults():
 
 def test_validate_class_f_kaplan5():
     rep = validate_class_f(kaplan5())
-    assert rep.ok and rep.connected
-    assert len(rep.glued_leaves) == 4
-    assert all(r.distinct for r in rep.glued_leaves)
-    assert rep.components == (("A", "B", "C", "D", "E"),)
+    assert rep["ok"] and rep["connected"]
+    assert len(rep["glued_leaves"]) == 4
+    assert all(r["distinct"] for r in rep["glued_leaves"])
+    assert rep["components"] == [["A", "B", "C", "D", "E"]]
 
 
 def test_validate_class_f_cylinder_candidate():
     rep = validate_class_f(cylinder())
-    assert rep.ok and rep.connected
-    (rec,) = rep.glued_leaves
-    assert rec.distinct
-    assert set(rec.collar_sides) == {("A", Side.LOWER), ("A", Side.UPPER)}
+    assert rep["ok"] and rep["connected"]
+    (rec,) = rep["glued_leaves"]
+    assert rec["distinct"]
+    assert rec["collars"] == [{"strip": "A", "side": "lower"}, {"strip": "A", "side": "upper"}]
 
 
 def test_validate_flags_disconnected():
     s = build_surface([strip("A"), strip("B")], [])
     rep = validate_class_f(s)
-    assert not rep.connected
-    assert any("Disconnected" in w for w in rep.warnings)
-    assert len(rep.components) == 2
+    assert not rep["connected"]
+    assert any("Disconnected" in w for w in rep["warnings"])
+    assert len(rep["components"]) == 2
 
 
 def test_components_partition():
@@ -192,7 +192,7 @@ def _check_partition(s):
     want = _bfs_pieces(s)
     assert is_connected(s) == (len(want) <= 1)
     assert [set(p.strip_ids()) for p in components(s)] == want
-    assert [set(c) for c in validate_class_f(s).components] == want
+    assert [set(c) for c in validate_class_f(s)["components"]] == want
 
 
 def test_partition_agrees_with_bfs_and_leaves_identity_alone():

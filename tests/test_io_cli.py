@@ -3,6 +3,7 @@ import io
 import json
 import random
 import re
+import sys
 from xml.dom import minidom
 
 import pytest
@@ -223,6 +224,28 @@ def test_cli_render_escapes_ids(tmp_path, capsys):
     assert {'strip:A<&"B', "strip:C\\D", "pt:g<1>", 'pt:v"1', 'A<&"B', "C\\D", "g<1>", 'v"1'} <= names
 
 
+@pytest.mark.parametrize("bad_id", ["A\u0001", "A\ud800"])
+@pytest.mark.parametrize(
+    "argv",
+    [["render"], ["render", "--format", "dot"], ["leafspace", "--format", "dot"], ["realize", "--component", "S"]],
+)
+def test_cli_refuses_ids_that_cannot_be_written(tmp_path, monkeypatch, bad_id, argv):
+    """Through a strict UTF-8 stdout, as on a terminal or a pipe, an id that
+    SVG or UTF-8 cannot carry ends in one BadId line, not a traceback."""
+    path = tmp_path / "bad_id.json"
+    path.write_text(json.dumps({"strips": [{"id": "S", "upper": [bad_id]}]}))
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    try:
+        code = main([argv[0], str(path), *argv[1:]])
+    except SystemExit as e:
+        code = e.code
+    stdout.flush()
+    [line] = stdout.buffer.getvalue().decode("utf-8").splitlines()
+    assert code == 1
+    assert json.loads(line)["rule"] == "BadId"
+
+
 def test_render_deterministic():
     for obj in (kaplan5(), cylinder()):
         assert render(obj, "svg") == render(obj, "svg")
@@ -414,6 +437,28 @@ def test_cli_realize_csv(fixture_dir, capsys):
         x_in, y_in, x_out, y_out, leaf = row.split(",")
         assert leaf.startswith("level:")
         assert abs(float(y_in) - float(y_out)) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "upper, spans",
+    [
+        ([["-inf", 0], [1, "+inf"]], [(-1.0, 0.0), (1.0, 2.0)]),
+        ([["-inf", 0], [0.5, 3]], [(-1.0, 0.0), (0.5, 3.0)]),
+        ([["-inf", "+inf"]], [(0.0, 1.0)]),
+    ],
+)
+def test_cli_realize_spans_of_unbounded_leaves(tmp_path, capsys, upper, spans):
+    """(-inf, b) is realized on (b-1, b), (a, +inf) on (a, a+1), the full line on (0, 1)."""
+    doc = {"strips": [{"id": "S", "upper": [{"id": f"u{k}", "endpoints": e} for k, e in enumerate(upper)]}]}
+    path = tmp_path / "unbounded.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "realize", str(path), "--component", "S", "--side", "upper", "--samples", "4")
+    assert code == 0
+    base = [row.split(",") for row in out.splitlines()[1:] if row.split(",")[1] == "-1"]
+    assert [leaf for *_, leaf in base] == [f"u{k}" for k in range(len(upper)) for _ in range(3)]
+    for _, _, x_out, _, leaf in base:
+        lo, hi = spans[int(leaf[1:])]
+        assert lo < float(x_out) < hi
 
 
 @pytest.mark.parametrize(

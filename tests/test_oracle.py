@@ -4,7 +4,7 @@ import pytest
 
 from stripfol.fixtures import cylinder, kaplan5, open_strip
 from stripfol.leafspace import build_leaf_space, hausdorff_closure
-from stripfol.oracle import (
+from _topology_oracle import (
     FiniteBasisSpace,
     bnd_bruteforce,
     check_axioms,

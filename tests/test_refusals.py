@@ -105,6 +105,16 @@ SURFACE_REFUSALS = [
      'BadEndpoints', 'BadEndpoints: (A, lower): either all or no intervals of a side may carry explicit endpoints'),
     ('duplicate-gluing-before-unknown', _A('{"strips":[%s],"gluings":[{"id":"a0","a":"zz","b":"a1"}]}'),
      'DuplicateId', "DuplicateId: gluing id 'a0' appears twice"),
+    ('control-character-strip-id', '{"strips":[{"id":"A\\u0001"}]}',
+     'BadId', "BadId: id 'A\\x01' holds U+0001, which SVG or UTF-8 output cannot carry"),
+    ('lone-surrogate-interval-id', '{"strips":[{"id":"A","lower":["a0","a\\ud800"]}]}',
+     'BadId', "BadId: id 'a\\ud800' holds U+D800, which SVG or UTF-8 output cannot carry"),
+    ('noncharacter-gluing-id', _A('{"strips":[%s,{"id":"B","lower":["b0"]}],"gluings":[{"id":"g\\uffff","a":"a1","b":"b0"}]}'),
+     'BadId', "BadId: id 'g\\uffff' holds U+FFFF, which SVG or UTF-8 output cannot carry"),
+    ('strip-ids-before-interval-ids', '{"strips":[{"id":"A","lower":["a\\u001f"]},{"id":"B\\u000b\\ufffe"}]}',
+     'BadId', "BadId: id 'B\\x0b\\ufffe' holds U+000B, which SVG or UTF-8 output cannot carry"),
+    ('same-side-before-bad-id', '{"strips":[{"id":"A\\u0001","lower":["p","q"]}],"gluings":[{"id":"g","a":"p","b":"q"}]}',
+     'SameSideGluing', "SameSideGluing: gluing 'g' pairs intervals 'p' and 'q' on the same side (A\x01, lower)"),
 ]
 
 
@@ -122,3 +132,9 @@ def test_build_surface_refusal_is_pinned(case, text, rule, message):
         parse(text)
     assert e.value.rule == rule
     assert str(e.value) == message
+
+
+def test_bad_id_rule_spares_tab_newline_and_astral_characters():
+    s = parse('{"strips":[{"id":"A\\t\\n\\r","upper":["\\ud83d\\ude00","\\u00e9\\ufffd"]}]}')
+    assert s.strip_ids() == ("A\t\n\r",)
+    assert [iv.id for iv in s.strips[0].upper] == ["\U0001f600", "\u00e9\ufffd"]
