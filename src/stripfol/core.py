@@ -224,7 +224,7 @@ class StripedSurface:
         for s in self.strips:
             groups.setdefault(find(s.id), []).append(s.id)
         # dicts keep insertion order, so groups already follow first appearance
-        return tuple(tuple(grp) for grp in groups.values())
+        return tuple([tuple(grp) for grp in groups.values()])
 
     def strip(self, strip_id: str) -> ModelStripSpec:
         return self._strip_by_id[strip_id]

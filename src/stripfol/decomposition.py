@@ -77,7 +77,7 @@ class Component:
     monodromy: int | None = None
 
     def strip_ids(self) -> tuple[str, ...]:
-        return tuple(s for s, _ in self.strips)
+        return tuple([s for s, _ in self.strips])
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,7 @@ def _merge_edges(ls: LeafSpace) -> dict[SideEnd, tuple[GluingSpec, SideEnd]]:
 def _outer_data(ls: LeafSpace, end: SideEnd, cut_ids: set[str], mode: Mode):
     """Base points (cut leaves, interval order) and retained boundary leaf of an extreme."""
     pids = ls.points_on(end)
-    base = tuple(ls.point(pid) for pid in pids if pid in cut_ids)
+    base = tuple([ls.point(pid) for pid in pids if pid in cut_ids])
     retained = None
     if mode is Mode.INTERIOR and len(pids) == 1:
         p = ls.point(pids[0])
@@ -345,13 +345,18 @@ def mirror(surface: StripedSurface) -> StripedSurface:
 def canonicalize(surface: StripedSurface) -> StripedSurface:
     """Merge every chain across its non-special gluings into a single strip.
 
-    Cycle components are terminal and returned unchanged.  Idempotent, and
-    the leaf space of the output is isomorphic to that of the input (point
-    ids are preserved verbatim).
+    A surface with nothing to merge, or with a cycle component (which is
+    terminal), is returned as it is.  Idempotent, and the leaf space of the
+    output is isomorphic to that of the input (point ids are preserved
+    verbatim).
     """
     if not is_connected(surface):
         raise DisconnectedSurfaceError("canonicalize requires a connected surface")
     ls = build_leaf_space(surface)
+    # only a non-special seam merges: without one, every interior-mode
+    # component is a single strip and the surface is already canonical
+    if not any(p.kind is PointKind.NON_SPECIAL_GLUED for p in ls.points):
+        return surface
     comps, _ = decompose(surface, Mode.INTERIOR, ls)
     if any(c.shape is Shape.CYCLE for c in comps):
         return surface
@@ -380,9 +385,7 @@ def canonicalize(surface: StripedSurface) -> StripedSurface:
             ivs = surface.strip(sid).side_intervals(side)
             if h[sid]:
                 ivs = _reverse_side(ivs)
-            return tuple(
-                Interval(iv.id, new_side, k, iv.endpoints) for k, iv in enumerate(ivs)
-            )
+            return tuple([Interval(iv.id, new_side, k, iv.endpoints) for k, iv in enumerate(ivs)])
 
         merged_id = "+".join(ids)
         while merged_id in taken:
@@ -410,7 +413,7 @@ def _slot_table(surface: StripedSurface):
     sides = {}
     loc = {}
     for s in surface.strips:
-        sides[s.id] = (tuple(iv.id for iv in s.lower), tuple(iv.id for iv in s.upper))
+        sides[s.id] = (tuple([iv.id for iv in s.lower]), tuple([iv.id for iv in s.upper]))
         for side_idx, ids in enumerate(sides[s.id]):
             for k, iid in enumerate(ids):
                 loc[iid] = (s.id, side_idx, k)
@@ -422,8 +425,8 @@ def _slot_table(surface: StripedSurface):
     return sides, loc, partner
 
 
-def _rooted_rows(table, root: str, h: int, v: int) -> list[list[int]]:
-    """Rows of the walk from ``root`` with flips ``h``, ``v``.
+def _rooted_rows(table, root: str, h: int, v: int, best: list[list[int]] | None):
+    """Rows of the walk from ``root`` with flips ``h``, ``v``, with its placement.
 
     Strips are scanned in placement order, oriented side 0 then 1, each
     side's slots in oriented order.  A gluing that reaches an unplaced strip
@@ -431,6 +434,11 @@ def _rooted_rows(table, root: str, h: int, v: int) -> list[list[int]]:
     entered on the oriented side opposite the one it was reached from.  A
     row holds the two side lengths, then per slot -1 (boundary) or the
     partner's (position, side, slot, seam flag).
+
+    Each finished row is compared with the row of ``best`` at its index: the
+    walk returns None at the first larger row and stops comparing after the
+    first smaller one.  Otherwise it returns (rows, order, placed), where
+    ``placed`` maps each strip to its (position, h, v).
     """
     sides, loc, partner = table
     placed = {root: (0, h, v)}
@@ -454,8 +462,52 @@ def _rooted_rows(table, root: str, h: int, v: int) -> list[list[int]]:
                 if o_h:
                     o_slot = len(sides[o_sid][o_side]) - 1 - o_slot
                 row += (q, o_side ^ o_v, o_slot, rev ^ h_here ^ o_h)
+        if best is not None:
+            best_row = best[len(rows)]
+            if row != best_row:
+                if row > best_row:
+                    return None
+                best = None
         rows.append(row)
-    return rows
+    return rows, order, placed
+
+
+def _least_rows(table, roots: list[tuple[str, int, int]]) -> list[list[int]]:
+    """Least walk over ``roots``, walking one root per orbit found so far.
+
+    A walk that ties the best walk gives an automorphism of the piece: the
+    strip at each position of one walk goes to the strip at that position of
+    the other, flips composed.  Roots joined by automorphisms have equal
+    walks, so a root in the orbit of a walked root under the automorphisms
+    found is skipped (McKay's orbit pruning).
+    """
+    autos = []  # per tie: the tied walk's placement, the best walk's order and placement
+    known = set()  # the orbits of the walked roots under ``autos``
+    new = []  # known roots whose images are not known yet
+    best = None
+    for root in roots:
+        while autos and new:
+            sid, h, v = new.pop()
+            for placed, best_order, best_placed in autos:
+                pos, h1, v1 = placed[sid]
+                t = best_order[pos]
+                _, h2, v2 = best_placed[t]
+                image = (t, h ^ h1 ^ h2, v ^ v1 ^ v2)
+                if image not in known:
+                    known.add(image)
+                    new.append(image)
+        if root in known:
+            continue
+        known.add(root)
+        walk = _rooted_rows(table, *root, None if best is None else best[0])
+        if walk is not None and best is not None and walk[0] == best[0]:
+            autos.append((walk[2], best[1], best[2]))
+            new = list(known)  # the new automorphism moves every known root
+        else:
+            if walk is not None:
+                best = walk  # smaller: the walk never returns a larger one
+            new.append(root)
+    return best[0]
 
 
 def canonical_code(surface: StripedSurface) -> bytes:
@@ -465,7 +517,8 @@ def canonical_code(surface: StripedSurface) -> bytes:
     other strip's position and flips, so the least code over roots is
     invariant under admissible moves and tells non-isomorphic surfaces
     apart.  A root's first row opens with its side lengths, so only roots
-    with the least lengths are walked.
+    with the least lengths are walked, and only one per orbit of the
+    automorphisms that ties reveal.
     """
     codes = []
     for piece in components(surface):
@@ -476,7 +529,7 @@ def canonical_code(surface: StripedSurface) -> bytes:
         }
         least = min(lengths.values())
         roots = [(sid, h, v) for (sid, v), n in lengths.items() if n == least for h in (0, 1)]
-        rows = min(_rooted_rows(table, *root) for root in roots)
+        rows = _least_rows(table, roots)
         codes.append("|".join(",".join(map(str, row)) for row in rows).encode("ascii"))
     return b"/".join(sorted(codes))
 

@@ -95,6 +95,46 @@ def enumerate_cycle_surfaces(max_strips: int = 3) -> list[StripedSurface]:
     return out
 
 
+def ring_surface(
+    n: int, flags=(Orientation.PRESERVING,), width: int = 1, prefix: str = "r"
+) -> StripedSurface:
+    """``n`` strips of ``width`` intervals a side; each upper side is glued slot
+    by slot to the next strip's lower side, seam ``i`` with ``flags[i % len(flags)]``."""
+    strips = [
+        strip(f"{prefix}{i}", [f"{prefix}{i}.l{k}" for k in range(width)], [f"{prefix}{i}.u{k}" for k in range(width)])
+        for i in range(n)
+    ]
+    gluings = [
+        glue(f"{prefix}g{i}.{k}", f"{prefix}{i}.u{k}", f"{prefix}{(i + 1) % n}.l{k}", flags[i % len(flags)])
+        for i in range(n)
+        for k in range(width)
+    ]
+    return build_surface(strips, gluings)
+
+
+def disjoint_union(*surfaces: StripedSurface) -> StripedSurface:
+    return build_surface(
+        [s for x in surfaces for s in x.strips], [g for x in surfaces for g in x.gluings]
+    )
+
+
+def cyclic_cover(rng: random.Random, surface: StripedSurface, m: int) -> StripedSurface:
+    """``m`` copies of ``surface``; each gluing joins copy j to copy j + k for a
+    random shift k, so shifting every copy by one is an automorphism."""
+    strips = [
+        strip(f"{s.id}#{j}", [f"{iv.id}#{j}" for iv in s.lower], [f"{iv.id}#{j}" for iv in s.upper])
+        for j in range(m)
+        for s in surface.strips
+    ]
+    shift = {g.id: rng.randrange(m) for g in surface.gluings}
+    gluings = [
+        glue(f"{g.id}#{j}", f"{g.first}#{j}", f"{g.second}#{(j + shift[g.id]) % m}", g.orientation)
+        for j in range(m)
+        for g in surface.gluings
+    ]
+    return build_surface(strips, gluings)
+
+
 def random_moves(rng: random.Random, surface: StripedSurface, count: int) -> StripedSurface:
     """Apply a random sequence of admissible moves (relabel, h-flip, v-flip)."""
     from stripfol.decomposition import h_flip, relabel_strips, v_flip

@@ -1,11 +1,12 @@
-"""Independent oracles: orientation propagation, exhaustive isomorphism and the
-branch-and-bound canonical code."""
+"""Independent oracles: orientation propagation, exhaustive isomorphism and
+automorphism counts, the branch-and-bound canonical code and the unpruned
+rooted traversal."""
 
 from __future__ import annotations
 
 from itertools import permutations, product
 
-from stripfol.core import Orientation, Side, StripedSurface
+from stripfol.core import Orientation, Side, StripedSurface, components
 
 
 def _det2(m) -> float:
@@ -103,14 +104,14 @@ def _interval_map(a: StripedSurface, b: StripedSurface, perm: dict, flips: dict)
     return mapping
 
 
-def exhaustive_isomorphic(a: StripedSurface, b: StripedSurface) -> bool:
-    """Try every strip bijection and flip assignment; structural comparison.
+def _isomorphisms(a: StripedSurface, b: StripedSurface):
+    """Yield every strip bijection with flips that carries ``a`` onto ``b``.
 
-    Intended for small canonicalized surfaces; completely independent of the
-    canonical-code search.
+    Structural comparison over every bijection and flip assignment, so keep
+    the surfaces small; completely independent of the canonical-code search.
     """
     if len(a.strips) != len(b.strips) or len(a.gluings) != len(b.gluings):
-        return False
+        return
     a_ids = a.strip_ids()
     b_ids = b.strip_ids()
     for target in permutations(b_ids):
@@ -139,8 +140,17 @@ def exhaustive_isomorphic(a: StripedSurface, b: StripedSurface) -> bool:
                     ok = False
                     break
             if ok:
-                return True
-    return False
+                yield perm, flips
+
+
+def exhaustive_isomorphic(a: StripedSurface, b: StripedSurface) -> bool:
+    """Intended for small canonicalized surfaces."""
+    return next(_isomorphisms(a, b), None) is not None
+
+
+def automorphism_count(surface: StripedSurface) -> int:
+    """Strip permutations with h/v flips that keep every gluing and seam flag."""
+    return sum(1 for _ in _isomorphisms(surface, surface))
 
 
 def leafspace_invariants(ls):
@@ -288,3 +298,64 @@ def _rows_to_bytes(rows: tuple) -> bytes:
 def branch_and_bound_code(surface: StripedSurface) -> bytes:
     """Lexicographically minimal code over strip placement orders and flips."""
     return _rows_to_bytes(_canonical_rows(surface))
+
+
+# ---------------------------------------------------------------------------
+# unpruned rooted traversal: the walk of ``canonical_code`` from every root
+# with the least side lengths, each to its end, with no early abandon and no
+# orbit pruning.  The least of these walks is the code the library must print.
+
+
+def _rooted_rows(sides, loc, partner, root: str, h: int, v: int) -> list[list[int]]:
+    placed = {root: (0, h, v)}
+    order = [root]
+    rows = []
+    for sid in order:  # grows while the walk places strips
+        _, h_here, v_here = placed[sid]
+        oriented = sides[sid][::-1] if v_here else sides[sid]
+        row = [len(oriented[0]), len(oriented[1])]
+        for side_idx, ids in enumerate(oriented):
+            for iid in ids[::-1] if h_here else ids:
+                if iid not in partner:
+                    row.append(-1)
+                    continue
+                other, rev = partner[iid]
+                o_sid, o_side, o_slot = loc[other]
+                if o_sid not in placed:
+                    placed[o_sid] = (len(order), h_here ^ rev, o_side ^ side_idx ^ 1)
+                    order.append(o_sid)
+                q, o_h, o_v = placed[o_sid]
+                if o_h:
+                    o_slot = len(sides[o_sid][o_side]) - 1 - o_slot
+                row += (q, o_side ^ o_v, o_slot, rev ^ h_here ^ o_h)
+        rows.append(row)
+    return rows
+
+
+def least_root_walks(piece: StripedSurface) -> dict:
+    """Rows of the walk from every least-length root (strip, h, v) of a connected piece."""
+    sides, loc = _slot_table(piece)
+    partner = {}
+    for g in piece.gluings:
+        rev = int(g.orientation is Orientation.REVERSING)
+        partner[g.first] = (g.second, rev)
+        partner[g.second] = (g.first, rev)
+    lengths = {
+        (sid, v): (len(sides[sid][v]), len(sides[sid][1 - v])) for sid in sides for v in (0, 1)
+    }
+    least = min(lengths.values())
+    return {
+        (sid, h, v): _rooted_rows(sides, loc, partner, sid, h, v)
+        for (sid, v), n in lengths.items()
+        if n == least
+        for h in (0, 1)
+    }
+
+
+def unpruned_rooted_code(surface: StripedSurface) -> bytes:
+    """Least walk over all least-length roots, per piece; pieces sorted."""
+    codes = []
+    for piece in components(surface):
+        rows = min(least_root_walks(piece).values())
+        codes.append("|".join(",".join(map(str, row)) for row in rows).encode("ascii"))
+    return b"/".join(sorted(codes))

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from stripfol.core import Orientation, build_surface, glue, strip
+from stripfol.core import Orientation, build_surface, components, glue, strip
 from stripfol.decomposition import (
     Mode,
     NotAChainError,
@@ -30,13 +30,25 @@ from stripfol.fixtures import (
 )
 from stripfol.leafspace import ArcType, arc_component_types, build_leaf_space
 
-from _gen import enumerate_cycle_surfaces, random_moves, random_surface
+from _gen import (
+    cyclic_cover,
+    disjoint_union,
+    enumerate_cycle_surfaces,
+    random_moves,
+    random_surface,
+    ring_surface,
+)
 from _oracles import (
+    automorphism_count,
     branch_and_bound_code,
     exhaustive_isomorphic,
     leafspace_invariants,
+    least_root_walks,
     orientability_by_propagation,
+    unpruned_rooted_code,
 )
+
+P, R = Orientation.PRESERVING, Orientation.REVERSING
 
 
 def test_kaplan5_decomposes_into_five_open_strips():
@@ -478,6 +490,88 @@ def test_symmetric_chains_and_cycles_code_quickly():
         t0 = time.time()
         canonical_code(cycle)
         assert time.time() - t0 < 5.0, n
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ring_surface(5000),
+        lambda: ring_surface(5000, (P, R)),
+        lambda: ring_surface(1000, width=2),
+        lambda: disjoint_union(*(ring_surface(500, prefix=f"c{j}.") for j in range(10))),
+    ],
+    ids=["ring5000", "alternating-ring5000", "double-ring1000", "ten-rings500"],
+)
+def test_symmetric_surfaces_code_in_under_two_seconds(build):
+    import time
+
+    s = build()
+    t0 = time.perf_counter()
+    canonical_code(s)
+    assert time.perf_counter() - t0 < 2.0
+
+
+def _defect_ring(n, period, flags=(P,)):
+    """A ring with an extra boundary interval on every ``period``-th lower side."""
+    ring = ring_surface(n, flags)
+    strips = [
+        strip(s.id, [f"{s.id}.l0", f"{s.id}.x"], [f"{s.id}.u0"]) if i % period == 0 else s
+        for i, s in enumerate(ring.strips)
+    ]
+    return build_surface(strips, ring.gluings)
+
+
+def _ring_family(rng):
+    """Rings with mixed seam flags, periodic defects, moved copies and unions."""
+    out = []
+    for n in (1, 2, 3, 4, 5, 6, 8, 12):
+        for flags in ((P,), (R,), (P, R), (R, R, P)):
+            for width in (1, 2):
+                out.append(ring_surface(n, flags, width))
+            out += [_defect_ring(n, period, flags) for period in (2, 3, 4, n) if n % period == 0]
+    out += [random_moves(rng, s, 6) for s in out[::3]]
+    out.append(disjoint_union(ring_surface(6), ring_surface(6, prefix="q"), ring_surface(6, (R,), prefix="z")))
+    out.append(disjoint_union(ring_surface(4, width=2), ring_surface(5, (P, R), 2, "q")))
+    out.append(disjoint_union(*(ring_surface(7, prefix=f"c{j}.") for j in range(4))))
+    return out
+
+
+def test_pruned_code_equals_unpruned_walk():
+    # early abandon and orbit pruning skip only walks that cannot be least,
+    # so the bytes equal the least walk over every least-length root
+    rng = random.Random(46)
+    surfaces = [
+        random_surface(rng, max_strips=8, max_intervals=rng.choice((1, 2, 3)), connected=i % 2 == 0)
+        for i in range(1000)
+    ]
+    surfaces += _ring_family(rng)
+    surfaces += [
+        random_moves(rng, cyclic_cover(rng, random_surface(rng, max_strips=4), rng.choice((2, 3, 4))), 4)
+        for _ in range(200)
+    ]
+    for s in surfaces:
+        assert canonical_code(s) == unpruned_rooted_code(s)
+    assert sum(len(s._partition) > 1 for s in surfaces) > 200
+
+
+def test_tied_roots_count_automorphisms():
+    # an automorphism of a connected piece is fixed by where it sends one
+    # root, so the roots whose walk ties the least walk are the images of
+    # the best root, one per automorphism, flips included
+    rng = random.Random(47)
+    pieces = enumerate_cycle_surfaces(3)
+    pieces += [ring_surface(n, flags, 2) for n in (1, 2, 3, 4) for flags in ((P,), (R,), (P, R))]
+    pieces += [random_surface(rng, max_strips=4, max_intervals=2) for _ in range(80)]
+    covers = [cyclic_cover(rng, random_surface(rng, max_strips=2, max_intervals=2), 2) for _ in range(12)]
+    pieces += [piece for cover in covers for piece in components(cover)]
+    counts = []
+    for piece in pieces:
+        walks = least_root_walks(piece)
+        least = min(walks.values())
+        tied = sum(rows == least for rows in walks.values())
+        counts.append(automorphism_count(piece))
+        assert tied == counts[-1]
+    assert len(set(counts)) > 3
 
 
 def _flip_one_seam(rng, s):
