@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 class Side(Enum):
@@ -98,8 +98,7 @@ class BadIdError(SurfaceError):
 _BAD_ID_CHAR = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(NamedTuple):
     """One open boundary interval of a strip, ordered left-to-right by index.
 
     ``endpoints`` are optional extended reals (``-inf``/``+inf`` allowed); when
@@ -108,7 +107,7 @@ class Interval:
 
     id: str
     side: Side
-    index: int
+    index: int  # shadows tuple.index
     endpoints: tuple[float, float] | None = None
 
     def effective_endpoints(self) -> tuple[float, float]:
@@ -117,8 +116,7 @@ class Interval:
         return (2.0 * self.index, 2.0 * self.index + 1.0)
 
 
-@dataclass(frozen=True)
-class ModelStripSpec:
+class ModelStripSpec(NamedTuple):
     """A model strip: band interior plus the interval lists of its two sides."""
 
     id: str
@@ -129,8 +127,7 @@ class ModelStripSpec:
         return self.lower if side is Side.LOWER else self.upper
 
 
-@dataclass(frozen=True)
-class GluingSpec:
+class GluingSpec(NamedTuple):
     """Identification of two boundary intervals, preserving or reversing x."""
 
     id: str
@@ -261,32 +258,26 @@ class StripedSurface:
         ]
 
 
-def _check_side(strip_id: str, side: Side, intervals: tuple[Interval, ...]) -> None:
-    for k, iv in enumerate(intervals):
-        if iv.side is not side or iv.index != k:
-            raise BadIndexError(
-                f"interval {iv.id!r} on ({strip_id}, {side.value}) must carry "
-                f"side={side.value}, index={k}"
-            )
-    explicit = [iv for iv in intervals if iv.endpoints is not None]
-    for iv in explicit:
-        x0, x1 = iv.endpoints
-        if math.isnan(x0) or math.isnan(x1) or not x0 < x1:
-            raise BadEndpointsError(
-                f"interval {iv.id!r} endpoints must satisfy x0 < x1, got ({x0}, {x1})"
-            )
-    if explicit and len(explicit) == len(intervals):
-        for prev, nxt in zip(intervals, intervals[1:]):
-            if not prev.endpoints[1] <= nxt.endpoints[0]:
+def _check_endpoints(strip_id: str, side: Side, intervals: tuple[Interval, ...], explicit: int) -> None:
+    """Endpoint rules of one side, ``explicit`` of whose intervals carry endpoints."""
+    for iv in intervals:
+        if iv.endpoints is not None:
+            x0, x1 = iv.endpoints
+            if math.isnan(x0) or math.isnan(x1) or not x0 < x1:
                 raise BadEndpointsError(
-                    f"intervals {prev.id!r} and {nxt.id!r} on ({strip_id}, {side.value}) "
-                    "overlap or are out of index order"
+                    f"interval {iv.id!r} endpoints must satisfy x0 < x1, got ({x0}, {x1})"
                 )
-    elif explicit and len(intervals) > 1:
+    if explicit < len(intervals):  # so a mixed side has at least two intervals
         raise BadEndpointsError(
             f"({strip_id}, {side.value}): either all or no intervals of a side "
             "may carry explicit endpoints"
         )
+    for prev, nxt in zip(intervals, intervals[1:]):
+        if not prev.endpoints[1] <= nxt.endpoints[0]:
+            raise BadEndpointsError(
+                f"intervals {prev.id!r} and {nxt.id!r} on ({strip_id}, {side.value}) "
+                "overlap or are out of index order"
+            )
 
 
 def build_surface(
@@ -304,40 +295,55 @@ def build_surface(
     # strip, interval and gluing ids share one namespace: leaf points are
     # named by gluing ids and unglued interval ids alike
     seen_ids: set[str] = set()
-
-    def claim(kind: str, id_: str) -> None:
-        if id_ in seen_ids:
-            raise DuplicateIdError(f"{kind} id {id_!r} appears twice")
-        seen_ids.add(id_)
-
     strip_by_id: dict[str, ModelStripSpec] = {}
     interval_loc: dict[str, tuple[str, Side, int]] = {}
     for s in strips:
-        claim("strip", s.id)
-        strip_by_id[s.id] = s
+        sid = s.id
+        if sid in seen_ids:
+            raise DuplicateIdError(f"strip id {sid!r} appears twice")
+        seen_ids.add(sid)
+        strip_by_id[sid] = s
         for side, ivs in ((Side.LOWER, s.lower), (Side.UPPER, s.upper)):
-            _check_side(s.id, side, ivs)
-            for iv in ivs:
-                claim("interval", iv.id)
-                interval_loc[iv.id] = (s.id, side, iv.index)
+            # a side's index and endpoint faults come before its repeated ids
+            dup = None
+            explicit = 0
+            for k, (iid, iv_side, index, ends) in enumerate(ivs):
+                if iv_side is not side or index != k:
+                    raise BadIndexError(
+                        f"interval {iid!r} on ({sid}, {side.value}) must carry "
+                        f"side={side.value}, index={k}"
+                    )
+                if iid in seen_ids and dup is None:
+                    dup = iid
+                seen_ids.add(iid)
+                interval_loc[iid] = (sid, side, k)
+                if ends is not None:
+                    explicit += 1
+            if explicit:
+                _check_endpoints(sid, side, ivs, explicit)
+            if dup is not None:
+                raise DuplicateIdError(f"interval id {dup!r} appears twice")
 
     gluing_by_id: dict[str, GluingSpec] = {}
     gluing_by_interval: dict[str, GluingSpec] = {}
     for g in gluings:
-        claim("gluing", g.id)
-        gluing_by_id[g.id] = g
-        if g.first == g.second:
-            raise SelfGluingError(f"gluing {g.id!r} pairs interval {g.first!r} with itself")
-        for iid in g.members():
+        gid, first, second, _ = g
+        if gid in seen_ids:
+            raise DuplicateIdError(f"gluing id {gid!r} appears twice")
+        seen_ids.add(gid)
+        gluing_by_id[gid] = g
+        if first == second:
+            raise SelfGluingError(f"gluing {gid!r} pairs interval {first!r} with itself")
+        for iid in (first, second):
             if iid not in interval_loc:
-                raise UnknownIntervalRefError(f"gluing {g.id!r} references unknown interval {iid!r}")
+                raise UnknownIntervalRefError(f"gluing {gid!r} references unknown interval {iid!r}")
             if iid in gluing_by_interval:
                 raise DoubleGluingError(f"interval {iid!r} appears in more than one gluing")
             gluing_by_interval[iid] = g
-        strip_id, side, _ = interval_loc[g.first]
-        if interval_loc[g.second][:2] == (strip_id, side):
+        strip_id, side, _ = interval_loc[first]
+        if interval_loc[second][:2] == (strip_id, side):
             raise SameSideGluingError(
-                f"gluing {g.id!r} pairs intervals {g.first!r} and {g.second!r} "
+                f"gluing {gid!r} pairs intervals {first!r} and {second!r} "
                 f"on the same side ({strip_id}, {side.value})"
             )
 
@@ -377,13 +383,15 @@ def components(surface: StripedSurface) -> list[StripedSurface]:
     parts = surface._partition
     if len(parts) == 1:
         return [surface]
-    out = []
-    for part in parts:
-        members = set(part)
-        strips = [s for s in surface.strips if s.id in members]
-        gluings = [g for g in surface.gluings if surface.side_end_of(g.first)[0] in members]
-        out.append(build_surface(strips, gluings))
-    return out
+    piece_of = {sid: i for i, part in enumerate(parts) for sid in part}
+    strips: list[list[ModelStripSpec]] = [[] for _ in parts]
+    gluings: list[list[GluingSpec]] = [[] for _ in parts]
+    for s in surface.strips:
+        strips[piece_of[s.id]].append(s)
+    loc = surface._interval_loc
+    for g in surface.gluings:
+        gluings[piece_of[loc[g.first][0]]].append(g)
+    return [build_surface(ss, gs) for ss, gs in zip(strips, gluings)]
 
 
 def is_connected(surface: StripedSurface) -> bool:

@@ -11,8 +11,9 @@ their flips decides foliated-homeomorphism equivalence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .core import (
     DisconnectedSurfaceError,
@@ -52,8 +53,7 @@ class NotAChainError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(NamedTuple):
     """One connected piece of the cut surface.
 
     ``strips`` pairs each member strip with its vertical-flip flag in the
@@ -80,8 +80,7 @@ class Component:
         return tuple([s for s, _ in self.strips])
 
 
-@dataclass(frozen=True)
-class ClosureStrip:
+class ClosureStrip(NamedTuple):
     """Model-strip description of one half-closure of a chain component."""
 
     base_points: tuple[LeafPoint, ...]
@@ -90,11 +89,13 @@ class ClosureStrip:
 
 def _merge_edges(ls: LeafSpace) -> dict[SideEnd, tuple[GluingSpec, SideEnd]]:
     """Map each side-end consumed by a non-special gluing to (gluing, partner side-end)."""
+    gluing_by_id = ls.surface._gluing_by_id
+    ends_of = ls._ends_by_point
     out: dict[SideEnd, tuple[GluingSpec, SideEnd]] = {}
     for p in ls.points:
         if p.kind is PointKind.NON_SPECIAL_GLUED:
-            g = ls.surface.gluing(p.id)
-            a, b = ls.ends_of(p)
+            g = gluing_by_id[p.id]
+            a, b = ends_of[p.id]
             out[a] = (g, b)
             out[b] = (g, a)
     return out
@@ -279,7 +280,7 @@ def component_closures(
 
 def relabel_strips(surface: StripedSurface, mapping: dict[str, str]) -> StripedSurface:
     """Rename strips (interval and gluing ids untouched)."""
-    strips = tuple(replace(s, id=mapping.get(s.id, s.id)) for s in surface.strips)
+    strips = [s._replace(id=mapping.get(s.id, s.id)) for s in surface.strips]
     return build_surface(strips, surface.gluings)
 
 
@@ -287,10 +288,12 @@ def _toggle_incident(
     gluings: list[GluingSpec], surface: StripedSurface, strip_ids: set[str]
 ) -> tuple[GluingSpec, ...]:
     """Toggle the orientation of each gluing with one end on an h-flipped strip."""
+    loc = surface._interval_loc
     out = []
     for g in gluings:
-        toggles = sum(1 for iid in g.members() if surface.side_end_of(iid)[0] in strip_ids)
-        out.append(replace(g, orientation=g.orientation.flipped) if toggles % 2 else g)
+        if (loc[g.first][0] in strip_ids) != (loc[g.second][0] in strip_ids):
+            g = g._replace(orientation=g.orientation.flipped)
+        out.append(g)
     return tuple(out)
 
 
@@ -323,8 +326,8 @@ def v_flip(surface: StripedSurface, strip_id: str) -> StripedSurface:
     strips = []
     for s in surface.strips:
         if s.id == strip_id:
-            lower = tuple(replace(iv, side=Side.LOWER) for iv in s.upper)
-            upper = tuple(replace(iv, side=Side.UPPER) for iv in s.lower)
+            lower = tuple([iv._replace(side=Side.LOWER) for iv in s.upper])
+            upper = tuple([iv._replace(side=Side.UPPER) for iv in s.lower])
             s = ModelStripSpec(s.id, lower, upper)
         strips.append(s)
     return build_surface(strips, surface.gluings)

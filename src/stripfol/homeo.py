@@ -83,7 +83,7 @@ class PLFunction:
     @classmethod
     def from_points(cls, points: Sequence[tuple[float, float]], **kw) -> "PLFunction":
         pts = sorted(points)
-        return cls(tuple(p[0] for p in pts), tuple(p[1] for p in pts), **kw)
+        return cls(tuple([p[0] for p in pts]), tuple([p[1] for p in pts]), **kw)
 
     @classmethod
     def constant(cls, value: float, at: float = 0.0) -> "PLFunction":
@@ -609,11 +609,8 @@ def realize_half_strip(
         stretch = (d_i + 1.0) / trap.top
 
         def to_chart(curve: PLFunction) -> PLFunction:
-            bps = tuple(-1.0 + t * stretch for t in curve.breakpoints)
-            vals = tuple(
-                v + shear * (t / trap.top)
-                for t, v in zip(curve.breakpoints, curve.values)
-            )
+            bps = tuple([-1.0 + t * stretch for t in curve.breakpoints])
+            vals = tuple([v + shear * (t / trap.top) for t, v in zip(curve.breakpoints, curve.values)])
             return PLFunction(bps, vals, Tail.CONSTANT, Tail.CONSTANT)
 
         crumpled.append((to_chart(trap.alpha), to_chart(trap.beta)))
@@ -633,7 +630,7 @@ def realize_half_strip(
         b_i = straighten.apply(b_curve(d_i), d_i)[0]
         rect_spans.append((a_i, b_i))
     chart = HalfStripChart(
-        tuple((a, b, d) for (a, b), d in zip(rect_spans, d_levels)),
+        tuple([(a, b, d) for (a, b), d in zip(rect_spans, d_levels)]),
         tuple(rect_spans),
         tuple(leaf_spans),
     )

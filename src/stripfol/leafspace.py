@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .core import Side, SideEnd, StripedSurface
 
@@ -23,8 +24,7 @@ class PointKind(Enum):
     __hash__ = object.__hash__  # as for core.Side
 
 
-@dataclass(frozen=True)
-class LeafPoint:
+class LeafPoint(NamedTuple):
     """A leaf-class point: one gluing (two member intervals) or one unglued interval.
 
     ``special`` holds exactly when the Hausdorff closure has more than one
@@ -67,17 +67,22 @@ def build_leaf_space(surface: StripedSurface) -> LeafSpace:
     Point ids are the gluing ids (glued leaves) and interval ids (unglued
     boundary leaves); incidence lists follow the interval order of each side.
     """
+    gluing_of = surface._gluing_by_interval.get
+    loc = surface._interval_loc
     incidence: dict[SideEnd, tuple[str, ...]] = {}
     unglued: list[tuple[str, SideEnd]] = []
     for s in surface.strips:
-        for side in (Side.LOWER, Side.UPPER):
+        for side, ivs in ((Side.LOWER, s.lower), (Side.UPPER, s.upper)):
+            end = (s.id, side)
             ids = []
-            for iv in s.side_intervals(side):
-                g = surface.gluing_of(iv.id)
+            for iv in ivs:
+                g = gluing_of(iv.id)
                 if g is None:
-                    unglued.append((iv.id, (s.id, side)))
-                ids.append(g.id if g is not None else iv.id)
-            incidence[(s.id, side)] = tuple(ids)
+                    unglued.append((iv.id, end))
+                    ids.append(iv.id)
+                else:
+                    ids.append(g.id)
+            incidence[end] = tuple(ids)
 
     # The closure of a point is the point plus every point sharing one of its
     # side-ends, so it is more than the point exactly when one of those
@@ -86,7 +91,7 @@ def build_leaf_space(surface: StripedSurface) -> LeafSpace:
     points = []
     ends_by_point: dict[str, tuple[SideEnd, ...]] = {}
     for g in surface.gluings:
-        ends = ends_by_point[g.id] = (surface.side_end_of(g.first), surface.side_end_of(g.second))
+        ends = ends_by_point[g.id] = (loc[g.first][:2], loc[g.second][:2])
         sp = len(incidence[ends[0]]) > 1 or len(incidence[ends[1]]) > 1
         kind = PointKind.SPECIAL if sp else PointKind.NON_SPECIAL_GLUED
         points.append(LeafPoint(g.id, (g.first, g.second), kind, sp))
@@ -196,7 +201,7 @@ def arc_component_types(ls: LeafSpace) -> list[tuple[ArcComponent, ArcType]]:
         else:
             # a chain that is not a circle cannot reach the strips walked above
             down = _walk(ls, (start, Side.LOWER), seen, backward, joints)
-            end_points = tuple(st[1] for st in (up, down) if st[0] == "closed")
+            end_points = tuple([st[1] for st in (up, down) if st[0] == "closed"])
             kind = (ArcType.OPEN_INTERVAL, ArcType.HALF_CLOSED, ArcType.CLOSED)[len(end_points)]
         arcs = tuple(reversed(backward)) + tuple(forward)
         out.append((ArcComponent(arcs, tuple(joints), end_points), kind))

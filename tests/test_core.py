@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 
@@ -195,6 +196,34 @@ def _check_partition(s):
     assert [set(c) for c in validate_class_f(s)["components"]] == want
 
 
+def _filtered_pieces(surface):
+    """The pieces built by scanning every strip and gluing once per piece."""
+    out = []
+    for part in surface._partition:
+        members = set(part)
+        strips = [s for s in surface.strips if s.id in members]
+        gluings = [g for g in surface.gluings if surface.side_end_of(g.first)[0] in members]
+        out.append(build_surface(strips, gluings))
+    return out
+
+
+def test_components_of_many_pieces_in_linear_time():
+    from stripfol.decomposition import canonical_code
+
+    n = 20_000
+    strips = [strip(f"s{i}", [f"s{i}.l"], [f"s{i}.u"]) for i in range(n)]
+    # odd strips close up into cylinders and Moebius bands, even ones stay open
+    gluings = [glue(f"g{i}", f"s{i}.l", f"s{i}.u", ("preserving", "reversing")[i % 4 == 1]) for i in range(1, n, 2)]
+    s = build_surface(strips, gluings)
+    start = time.perf_counter()
+    parts = components(s)
+    code = canonical_code(s)
+    elapsed = time.perf_counter() - start
+    assert [p.strip_ids() for p in parts] == [(f"s{i}",) for i in range(n)]
+    assert code.count(b"/") == n - 1
+    assert elapsed < 2.0, f"{n} one-strip pieces took {elapsed:.2f} s"
+
+
 def test_partition_agrees_with_bfs_and_leaves_identity_alone():
     from stripfol.decomposition import canonicalize, h_flip, relabel_strips, v_flip
 
@@ -204,6 +233,8 @@ def test_partition_agrees_with_bfs_and_leaves_identity_alone():
         twin = build_surface(s.strips, s.gluings)
         before = (hash(s), repr(s))
         _check_partition(s)
+        if not is_connected(s):
+            assert components(s) == _filtered_pieces(s)
         # the partition is computed now; equality and hash read only the fields
         assert (hash(s), repr(s)) == before
         assert s == twin and hash(s) == hash(twin)
