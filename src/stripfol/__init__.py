@@ -31,12 +31,9 @@ from .core import (
     validate_class_f,
 )
 from .leafspace import (
-    ArcComponent,
-    ArcType,
     LeafPoint,
     LeafSpace,
     PointKind,
-    arc_component_types,
     build_leaf_space,
     hausdorff_closure,
     is_special,

@@ -60,6 +60,17 @@ def _load(path: str):
         raise SystemExit(EXIT_INVALID)
 
 
+def _refuse_disconnected(surface, **which) -> bool:
+    """Print the DisconnectedSurface refusal unless ``surface`` is connected.
+
+    ``which`` names the refused file for a command that reads two.
+    """
+    if is_connected(surface):
+        return False
+    print(json.dumps({"error": "validation", "rule": "DisconnectedSurface", **which}))
+    return True
+
+
 def _point_order(ls):
     """Points in first-incidence order: by strip position, side, interval index."""
     order = {}
@@ -90,8 +101,7 @@ def _cmd_leafspace(args) -> int:
 
 def _cmd_decompose(args) -> int:
     surface = _load(args.file)
-    if not is_connected(surface):
-        print(json.dumps({"error": "validation", "rule": "DisconnectedSurface"}))
+    if _refuse_disconnected(surface):
         return EXIT_INVALID
     mode = Mode.INTERIOR if args.mode == "interior" else Mode.WITH_BOUNDARY
     ls = build_leaf_space(surface)
@@ -132,8 +142,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_canon(args) -> int:
     surface = _load(args.file)
-    if not is_connected(surface):
-        print(json.dumps({"error": "validation", "rule": "DisconnectedSurface"}))
+    if _refuse_disconnected(surface):
         return EXIT_INVALID
     canon = canonicalize(surface)
     sys.stdout.write(serialize(canon))
@@ -145,8 +154,7 @@ def _cmd_iso(args) -> int:
     a = _load(args.file1)
     b = _load(args.file2)
     for name, s in (("file1", a), ("file2", b)):
-        if not is_connected(s):
-            print(json.dumps({"error": "validation", "rule": "DisconnectedSurface", "which": name}))
+        if _refuse_disconnected(s, which=name):
             return EXIT_INVALID
     same = is_isomorphic(a, b)
     print(json.dumps({"isomorphic": same}))
@@ -164,8 +172,7 @@ def _cmd_realize(args) -> int:
     if args.samples < 1:
         return _usage("--samples must be at least 1")
     surface = _load(args.file)
-    if not is_connected(surface):
-        print(json.dumps({"error": "validation", "rule": "DisconnectedSurface"}))
+    if _refuse_disconnected(surface):
         return EXIT_INVALID
     ls = build_leaf_space(surface)
     comps, _ = decompose(surface, Mode.WITH_BOUNDARY, ls)

@@ -1,8 +1,8 @@
 """Canonical decomposition and combinatorial classification of striped surfaces.
 
-Cutting a connected striped surface along its special (and optionally
-boundary) leaves splits it into chain and cycle components of the merge graph
-whose edges are the non-special gluings.  Chains are open / half-closed /
+Cutting a striped surface along its special (and optionally boundary)
+leaves splits it into chain and cycle components of the merge graph whose
+edges are the non-special gluings.  Chains are open / half-closed /
 closed strips; cycles are a cylinder or a Moebius band depending on the
 orientation monodromy around the cycle.  Merging chains yields a canonical
 representative, and the least rooted-traversal code over root strips and
@@ -25,7 +25,6 @@ from .core import (
     SideEnd,
     StripedSurface,
     build_surface,
-    components,
     is_connected,
 )
 from .leafspace import LeafPoint, LeafSpace, PointKind, build_leaf_space
@@ -119,10 +118,12 @@ def decompose(
     """Cut along special (and, per mode, boundary) leaves.
 
     Returns the components of the merge graph, each strip in exactly one, and
-    the set of cut points.  Raises DisconnectedSurface on disconnected input.
+    the set of cut points.  The components come in order of their first strip
+    in the surface.  A disconnected surface is accepted: each component lies
+    in one connected piece, so the result is the union of the pieces'
+    decompositions.  With ``Mode.INTERIOR`` the components are those of the
+    leaf space minus its special points.
     """
-    if not is_connected(surface):
-        raise DisconnectedSurfaceError("decompose requires a connected surface")
     if ls is None:
         ls = build_leaf_space(surface)
     boundary_cut = mode is Mode.WITH_BOUNDARY
@@ -521,14 +522,15 @@ def canonical_code(surface: StripedSurface) -> bytes:
     invariant under admissible moves and tells non-isomorphic surfaces
     apart.  A root's first row opens with its side lengths, so only roots
     with the least lengths are walked, and only one per orbit of the
-    automorphisms that ties reveal.
+    automorphisms that ties reveal.  One slot table serves every piece: a
+    walk never leaves the piece of its root.
     """
+    table = _slot_table(surface)
+    sides = table[0]
     codes = []
-    for piece in components(surface):
-        table = _slot_table(piece)
-        sides = table[0]
+    for piece in surface._partition:
         lengths = {
-            (sid, v): (len(sides[sid][v]), len(sides[sid][1 - v])) for sid in sides for v in (0, 1)
+            (sid, v): (len(sides[sid][v]), len(sides[sid][1 - v])) for sid in piece for v in (0, 1)
         }
         least = min(lengths.values())
         roots = [(sid, h, v) for (sid, v), n in lengths.items() if n == least for h in (0, 1)]

@@ -453,29 +453,23 @@ def trapezoid_under_clearance(
             return clearance.min_on(lo, hi)
         return min(clearance(lo + (hi - lo) * i / 1024) for i in range(1025))
 
-    w = b - a
-    a_seq = [a + w * 2.0 ** (-i - 2) for i in range(depth + 1)]
-    b_seq = [b - w * 2.0 ** (-i - 2) for i in range(depth + 1)]
-    r_seq = []
-    for i in range(depth + 1):
-        m = 0.5 * min_on(a_seq[i], b_seq[i])
-        if m <= 0:
-            raise NonPositiveClearanceError(
-                f"clearance is not strictly positive on [{a_seq[i]}, {b_seq[i]}]"
-            )
-        r_seq.append(m)
-
     # anchor the side curves at height r_{i+1} over a_i / b_i, keeping only
-    # strictly decreasing heights so x is a function of the level
-    kept: list[tuple[float, int]] = []
-    for i in range(depth):
-        r = r_seq[i + 1]
-        if not kept or r < kept[-1][0]:
-            kept.append((r, i))
-
-    alpha_pts = [(0.0, a)] + [(r, a_seq[i]) for r, i in kept]
-    beta_pts = [(0.0, b)] + [(r, b_seq[i]) for r, i in kept]
-    top = kept[0][0]
+    # strictly decreasing heights so x is a function of the level.  One pass
+    # makes and checks each segment, so a depth past float resolution stops
+    # at its first collapsed segment whatever the depth.
+    w = b - a
+    alpha_pts, beta_pts = [(0.0, a)], [(0.0, b)]
+    for i in range(depth + 1):
+        a_i = a + w * 2.0 ** (-i - 2)
+        b_i = b - w * 2.0 ** (-i - 2)
+        r = 0.5 * min_on(a_i, b_i)
+        if r <= 0:
+            raise NonPositiveClearanceError(f"clearance is not strictly positive on [{a_i}, {b_i}]")
+        if i and (len(alpha_pts) == 1 or r < alpha_pts[-1][0]):
+            alpha_pts.append((r, a_prev))
+            beta_pts.append((r, b_prev))
+        a_prev, b_prev = a_i, b_i
+    top = alpha_pts[1][0]
     alpha = PLFunction.from_points(alpha_pts, lower_tail=Tail.CONSTANT, upper_tail=Tail.CONSTANT)
     beta = PLFunction.from_points(beta_pts, lower_tail=Tail.CONSTANT, upper_tail=Tail.CONSTANT)
     return Trapezoid(alpha, beta, (0.0, top), base=(a, b))

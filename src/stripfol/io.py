@@ -296,15 +296,12 @@ def render_svg(surface: StripedSurface) -> str:
     ``_MARGIN + (x clamped to [lo, hi] - lo) * _X_SCALE``.
     """
     from .decomposition import Mode, decompose
-    from .core import is_connected, components as split
 
-    pieces = [surface] if is_connected(surface) else split(surface)
-    rows: list[tuple[str, ModelStripSpec]] = []
-    for piece in pieces:
-        comps, _ = decompose(piece, Mode.INTERIOR)
-        for comp in comps:
-            for sid, _flipped in comp.strips:
-                rows.append((sid, surface.strip(sid)))
+    # rows go piece by piece, each piece's components in order of first strip
+    piece_of = {sid: i for i, part in enumerate(surface._partition) for sid in part}
+    comps, _ = decompose(surface, Mode.INTERIOR)
+    comps.sort(key=lambda c: piece_of[c.strips[0][0]])
+    rows = [(sid, surface.strip(sid)) for comp in comps for sid, _flipped in comp.strips]
 
     lo, hi = _draw_range(surface)
     lo, hi = max(lo, -_X_CLAMP), min(hi, _X_CLAMP + 1)

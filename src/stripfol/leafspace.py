@@ -3,8 +3,9 @@
 The space of leaves of a striped surface is a (possibly non-Hausdorff)
 one-manifold: one open arc per strip (parametrizing its interior leaves) and
 one point per glued or unglued boundary interval class.  This module builds
-that skeleton, computes Hausdorff closures of points, finds the special
-points, and classifies the arc components of the non-special part.
+that skeleton, computes Hausdorff closures of points and finds the special
+points.  The components of the non-special part are the interior-mode
+components of :func:`stripfol.decomposition.decompose`.
 """
 
 from __future__ import annotations
@@ -127,82 +128,3 @@ def is_special(ls: LeafSpace, point: LeafPoint | str) -> bool:
 def special_points(ls: LeafSpace) -> frozenset[LeafPoint]:
     """Points whose Hausdorff closure is not a singleton."""
     return frozenset(p for p in ls.points if p.special)
-
-
-class ArcType(Enum):
-    OPEN_INTERVAL = "open-interval"
-    HALF_CLOSED = "half-closed"
-    CLOSED = "closed"
-    CIRCLE = "circle"
-
-
-@dataclass(frozen=True)
-class ArcComponent:
-    """A connected component of the leaf space minus its special points."""
-
-    arcs: tuple[str, ...]
-    joints: tuple[str, ...]      # non-special glued points traversed
-    end_points: tuple[str, ...]  # retained boundary points at closed ends
-
-
-ArcEnd = tuple[str, Side]
-
-
-def _end_status(ls: LeafSpace, end: ArcEnd):
-    """Classify an arc end: ('continue', next_end, joint_id) | ('closed', pid) | ('open',)."""
-    pids = ls.points_on(end)
-    if len(pids) != 1:
-        return ("open",)
-    p = ls.point(pids[0])
-    if p.special:
-        return ("open",)
-    if p.kind is PointKind.BOUNDARY_LEAF:
-        return ("closed", p.id)
-    # sole non-special gluing: the arc continues into the partner interval's strip
-    a, b = ls.ends_of(p)
-    return ("continue", b if a == end else a, p.id)
-
-
-def _walk(ls: LeafSpace, end: ArcEnd, seen: set[str], arcs: list[str], joints: list[str]):
-    """Follow non-special gluings from an arc end, appending the strips and joints met.
-
-    Returns the status of the last end: ('open',), ('closed', pid), or
-    ('circle',) when the walk reaches a strip already seen.
-    """
-    while True:
-        status = _end_status(ls, end)
-        if status[0] != "continue":
-            return status
-        _, (strip_id, entered), joint = status
-        joints.append(joint)
-        if strip_id in seen:
-            return ("circle",)
-        seen.add(strip_id)
-        arcs.append(strip_id)
-        end = (strip_id, entered.other)
-
-
-def arc_component_types(ls: LeafSpace) -> list[tuple[ArcComponent, ArcType]]:
-    """Connected components of the non-special part, each with its topological type.
-
-    Arcs are joined across non-special glued points; a sole non-special
-    boundary leaf closes its end; a chain meeting itself is a circle.
-    """
-    seen: set[str] = set()
-    out: list[tuple[ArcComponent, ArcType]] = []
-    for start in ls.arcs:
-        if start in seen:
-            continue
-        seen.add(start)
-        forward, backward, joints = [start], [], []
-        up = _walk(ls, (start, Side.UPPER), seen, forward, joints)
-        if up[0] == "circle":
-            kind, end_points = ArcType.CIRCLE, ()
-        else:
-            # a chain that is not a circle cannot reach the strips walked above
-            down = _walk(ls, (start, Side.LOWER), seen, backward, joints)
-            end_points = tuple([st[1] for st in (up, down) if st[0] == "closed"])
-            kind = (ArcType.OPEN_INTERVAL, ArcType.HALF_CLOSED, ArcType.CLOSED)[len(end_points)]
-        arcs = tuple(reversed(backward)) + tuple(forward)
-        out.append((ArcComponent(arcs, tuple(joints), end_points), kind))
-    return out

@@ -1,12 +1,15 @@
 """Independent oracles: orientation propagation, exhaustive isomorphism and
-automorphism counts, the branch-and-bound canonical code and the unpruned
-rooted traversal."""
+automorphism counts, the leaf-space arc walker, the branch-and-bound
+canonical code and the unpruned rooted traversal."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from enum import Enum
 from itertools import permutations, product
 
 from stripfol.core import Orientation, Side, StripedSurface, components
+from stripfol.leafspace import LeafSpace, PointKind, hausdorff_closure, is_special
 
 
 def _det2(m) -> float:
@@ -153,14 +156,98 @@ def automorphism_count(surface: StripedSurface) -> int:
     return sum(1 for _ in _isomorphisms(surface, surface))
 
 
+# ---------------------------------------------------------------------------
+# leaf-space arc walker: the components of the leaf space minus its special
+# points, found by walking arcs across non-special points.  An independent
+# reference for the interior-mode components of
+# ``stripfol.decomposition.decompose``.
+
+
+class ArcType(Enum):
+    OPEN_INTERVAL = "open-interval"
+    HALF_CLOSED = "half-closed"
+    CLOSED = "closed"
+    CIRCLE = "circle"
+
+
+@dataclass(frozen=True)
+class ArcComponent:
+    """A connected component of the leaf space minus its special points."""
+
+    arcs: tuple[str, ...]
+    joints: tuple[str, ...]      # non-special glued points traversed
+    end_points: tuple[str, ...]  # retained boundary points at closed ends
+
+
+ArcEnd = tuple[str, Side]
+
+
+def _end_status(ls: LeafSpace, end: ArcEnd):
+    """Classify an arc end: ('continue', next_end, joint_id) | ('closed', pid) | ('open',)."""
+    pids = ls.points_on(end)
+    if len(pids) != 1:
+        return ("open",)
+    p = ls.point(pids[0])
+    if p.special:
+        return ("open",)
+    if p.kind is PointKind.BOUNDARY_LEAF:
+        return ("closed", p.id)
+    # sole non-special gluing: the arc continues into the partner interval's strip
+    a, b = ls.ends_of(p)
+    return ("continue", b if a == end else a, p.id)
+
+
+def _walk(ls: LeafSpace, end: ArcEnd, seen: set[str], arcs: list[str], joints: list[str]):
+    """Follow non-special gluings from an arc end, appending the strips and joints met.
+
+    Returns the status of the last end: ('open',), ('closed', pid), or
+    ('circle',) when the walk reaches a strip already seen.
+    """
+    while True:
+        status = _end_status(ls, end)
+        if status[0] != "continue":
+            return status
+        _, (strip_id, entered), joint = status
+        joints.append(joint)
+        if strip_id in seen:
+            return ("circle",)
+        seen.add(strip_id)
+        arcs.append(strip_id)
+        end = (strip_id, entered.other)
+
+
+def arc_component_types(ls: LeafSpace) -> list[tuple[ArcComponent, ArcType]]:
+    """Connected components of the non-special part, each with its topological type.
+
+    Arcs are joined across non-special glued points; a sole non-special
+    boundary leaf closes its end; a chain meeting itself is a circle.
+    """
+    seen: set[str] = set()
+    out: list[tuple[ArcComponent, ArcType]] = []
+    for start in ls.arcs:
+        if start in seen:
+            continue
+        seen.add(start)
+        forward, backward, joints = [start], [], []
+        up = _walk(ls, (start, Side.UPPER), seen, forward, joints)
+        if up[0] == "circle":
+            kind, end_points = ArcType.CIRCLE, ()
+        else:
+            # a chain that is not a circle cannot reach the strips walked above
+            down = _walk(ls, (start, Side.LOWER), seen, backward, joints)
+            end_points = tuple([st[1] for st in (up, down) if st[0] == "closed"])
+            kind = (ArcType.OPEN_INTERVAL, ArcType.HALF_CLOSED, ArcType.CLOSED)[len(end_points)]
+        arcs = tuple(reversed(backward)) + tuple(forward)
+        out.append((ArcComponent(arcs, tuple(joints), end_points), kind))
+    return out
+
+
 def leafspace_invariants(ls):
     """Merge-invariant description: cut-point closures and component types.
 
     Non-special glued points disappear when chains merge; everything here is
     phrased in terms of the surviving point ids only.
     """
-    from stripfol.leafspace import PointKind, arc_component_types, hausdorff_closure, is_special
-
     closures = {}
     for p in ls.points:
         if is_special(ls, p) or p.kind is PointKind.BOUNDARY_LEAF:

@@ -28,7 +28,7 @@ from stripfol.fixtures import (
     open_strip,
     two_strip_chain,
 )
-from stripfol.leafspace import ArcType, arc_component_types, build_leaf_space
+from stripfol.leafspace import build_leaf_space
 
 from _gen import (
     cyclic_cover,
@@ -39,6 +39,8 @@ from _gen import (
     ring_surface,
 )
 from _oracles import (
+    ArcType,
+    arc_component_types,
     automorphism_count,
     branch_and_bound_code,
     exhaustive_isomorphic,
@@ -155,12 +157,25 @@ def test_horseshoe_overlap():
     assert {p.id for p in overlap} == {"z"}
 
 
-def test_decompose_rejects_disconnected():
-    from stripfol.core import DisconnectedSurfaceError
-
-    s = build_surface([strip("A"), strip("B")], [])
-    with pytest.raises(DisconnectedSurfaceError):
-        decompose(s, Mode.INTERIOR)
+def test_decompose_is_union_of_piece_decompositions():
+    rng = random.Random(25)
+    split = 0
+    for _ in range(150):
+        s = random_surface(rng, max_strips=8, max_intervals=3, p_glue=0.5, connected=False)
+        pieces = components(s)
+        split += len(pieces) > 1
+        order = {sid: i for i, sid in enumerate(s.strip_ids())}
+        for mode in Mode:
+            comps, cut = decompose(s, mode)
+            per_piece = [decompose(piece, mode) for piece in pieces]
+            # the components of all pieces, in order of their first strip
+            want = sorted(
+                (c for piece_comps, _ in per_piece for c in piece_comps),
+                key=lambda c: min(order[sid] for sid in c.strip_ids()),
+            )
+            assert comps == want
+            assert cut == frozenset().union(*(piece_cut for _, piece_cut in per_piece))
+    assert split > 50
 
 
 def test_closures_reject_cycles():
@@ -219,6 +234,7 @@ def test_mode_restricts_classification():
 
 
 def test_interior_decompose_matches_arc_component_types():
+    # the oracle walks the leaf space minus its special points arc by arc
     rng = random.Random(23)
     type_of = {
         StripClass.OPEN_STRIP: ArcType.OPEN_INTERVAL,
@@ -227,19 +243,30 @@ def test_interior_decompose_matches_arc_component_types():
         StripClass.CYLINDER: ArcType.CIRCLE,
         StripClass.MOEBIUS: ArcType.CIRCLE,
     }
-    for _ in range(100):
-        s = random_surface(rng, max_strips=5, max_intervals=3)
+    split = 0
+    for i in range(300):
+        if i % 2:
+            s = random_surface(rng, max_strips=8, max_intervals=3, p_glue=0.4, connected=False)
+            split += len(s._partition) > 1
+        else:
+            s = random_surface(rng, max_strips=6, max_intervals=3)
         ls = build_leaf_space(s)
         comps, _ = decompose(s, Mode.INTERIOR, ls)
         got = sorted(
-            (tuple(sorted(c.strip_ids())), type_of[classify_component(c)].value)
+            (
+                sorted(c.strip_ids()),
+                sorted(c.interfaces),
+                sorted(r for r in (c.retained_lower, c.retained_upper) if r is not None),
+                type_of[classify_component(c)].value,
+            )
             for c in comps
         )
         want = sorted(
-            (tuple(sorted(comp.arcs)), kind.value)
+            (sorted(comp.arcs), sorted(comp.joints), sorted(comp.end_points), kind.value)
             for comp, kind in arc_component_types(ls)
         )
         assert got == want
+    assert split > 60
 
 
 def test_cycle_never_coexists():

@@ -1,9 +1,11 @@
 import contextlib
+import hashlib
 import io
 import json
 import random
 import re
 import sys
+import time
 from xml.dom import minidom
 
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stripfol.cli import main
-from stripfol.core import SameSideGluingError, SurfaceError
+from stripfol.core import SameSideGluingError, SurfaceError, build_surface, glue, strip
 from stripfol.fixtures import all_fixtures, cylinder, kaplan5
 from stripfol.io import ParseError, leafspace_json, parse, render, render_dot, render_svg, serialize
 from stripfol.leafspace import build_leaf_space
@@ -193,6 +195,26 @@ def test_single_strip_svg_has_one_rectangle_no_bold_segments():
 def test_svg_marks_unbounded_intervals():
     svg = render_svg(cylinder())
     assert "&#8592;" in svg and "&#8594;" in svg
+
+
+def test_svg_rows_go_piece_by_piece():
+    # two pieces interleaved in strip order; the first splits at the special
+    # points a, b into the components A, D+C (a chain listed from D) and B
+    s = build_surface(
+        [
+            strip("A", upper=["A.u0", "A.u1"]),
+            strip("X", upper=["X.u0"]),
+            strip("D", lower=["D.l0"]),
+            strip("B", lower=["B.l0"]),
+            strip("C", lower=["C.l0"], upper=["C.u0"]),
+            strip("Y", lower=["Y.l0"]),
+        ],
+        [glue("a", "A.u0", "B.l0"), glue("b", "A.u1", "C.l0"), glue("c", "C.u0", "D.l0"), glue("x", "X.u0", "Y.l0")],
+    )
+    svg = render_svg(s)
+    texts = [t.firstChild.data for t in minidom.parseString(svg).getElementsByTagName("text")]
+    assert texts == ["A", "D", "C", "B", "X", "Y", "a", "b", "c", "x"]
+    assert hashlib.sha256(svg.encode()).hexdigest() == "fc661c0b4986cb3324d1653c5db9b4b42ee1fb1f56cb197adbfd8f58e8a15b0c"
 
 
 _ODD_IDS_DOC = {
@@ -506,6 +528,21 @@ def test_cli_realize_refuses_a_depth_past_float_resolution(fixture_dir, capsys):
     code, out = run_cli(capsys, "realize", path, "--component", "B", "--side", "upper", "--depth", "45")
     assert code == 0
     assert out.startswith("x_in,y_in,x_out,y_out,leaf_id\n")
+
+
+def test_cli_realize_refuses_a_huge_depth_at_once(fixture_dir, capsys):
+    # the refusal comes at the first collapsed sub-segment, before any work
+    # that grows with the depth
+    path = str(fixture_dir / "kaplan5.json")
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "realize", path, "--component", "B", "--side", "upper", "--depth", str(10**9))
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert json.loads(out) == {
+        "error": "usage",
+        "message": "NonPositiveClearanceError: clearance is not strictly positive on [5.551115123125783e-17, 1.0]",
+    }
+    assert run_cli(capsys, "realize", path, "--component", "B", "--side", "upper", "--depth", "100") == (code, out)
 
 
 def test_cli_parser_reused_across_calls(fixture_dir, capsys):

@@ -1,11 +1,10 @@
 import random
 
 from stripfol.core import Side, build_surface, glue, strip
+from stripfol.decomposition import Mode, Shape, StripClass, classify_component, decompose
 from stripfol.fixtures import cylinder, kaplan5, open_strip
 from stripfol.leafspace import (
-    ArcType,
     PointKind,
-    arc_component_types,
     build_leaf_space,
     hausdorff_closure,
     is_special,
@@ -17,6 +16,16 @@ from _gen import random_surface
 
 def closure_ids(ls, pid):
     return sorted(p.id for p in hausdorff_closure(ls, pid))
+
+
+def arc_components(surface):
+    """The components of the leaf space minus its special points."""
+    comps, _ = decompose(surface, Mode.INTERIOR)
+    return comps
+
+
+def retained(comp):
+    return sorted(r for r in (comp.retained_lower, comp.retained_upper) if r is not None)
 
 
 def test_kaplan5_leaf_space_structure():
@@ -66,11 +75,11 @@ def test_cylinder_leaf_space_is_circle():
     assert p.kind is PointKind.NON_SPECIAL_GLUED
     assert ls.ends_of(p) == (("A", Side.LOWER), ("A", Side.UPPER))
     assert special_points(ls) == frozenset()
-    [(comp, kind)] = arc_component_types(ls)
-    assert kind is ArcType.CIRCLE
-    assert comp.arcs == ("A",)
-    assert comp.joints == ("seam",)
-    assert comp.end_points == ()
+    [comp] = arc_components(cylinder())
+    assert comp.shape is Shape.CYCLE
+    assert comp.strip_ids() == ("A",)
+    assert comp.interfaces == ("seam",)
+    assert retained(comp) == []
 
 
 def test_boundary_leaf_kept_even_when_special():
@@ -86,22 +95,20 @@ def test_boundary_leaf_kept_even_when_special():
     assert closure_ids(ls, "A.u1") == ["A.u1", "g"]
 
 
-def test_arc_component_types_examples():
-    assert [k for _, k in arc_component_types(build_leaf_space(kaplan5()))] == [
-        ArcType.OPEN_INTERVAL
-    ] * 5
+def test_interior_component_class_examples():
+    assert [classify_component(c) for c in arc_components(kaplan5())] == [StripClass.OPEN_STRIP] * 5
 
     both_closed = build_surface([strip("A", lower=["A.l0"], upper=["A.u0"])], [])
-    [(comp, kind)] = arc_component_types(build_leaf_space(both_closed))
-    assert kind is ArcType.CLOSED
-    assert sorted(comp.end_points) == ["A.l0", "A.u0"]
+    [comp] = arc_components(both_closed)
+    assert classify_component(comp) is StripClass.CLOSED_STRIP
+    assert retained(comp) == ["A.l0", "A.u0"]
 
     half = build_surface([strip("A", upper=["A.u0"])], [])
-    [(_, kind)] = arc_component_types(build_leaf_space(half))
-    assert kind is ArcType.HALF_CLOSED
+    [comp] = arc_components(half)
+    assert classify_component(comp) is StripClass.HALF_CLOSED_STRIP
 
-    [(_, kind)] = arc_component_types(build_leaf_space(open_strip()))
-    assert kind is ArcType.OPEN_INTERVAL
+    [comp] = arc_components(open_strip())
+    assert classify_component(comp) is StripClass.OPEN_STRIP
 
 
 def test_chain_joining_across_nonspecial_point():
@@ -109,11 +116,10 @@ def test_chain_joining_across_nonspecial_point():
         [strip("P", upper=["P.m"]), strip("Q", lower=["Q.m"])],
         [glue("seam", "P.m", "Q.m")],
     )
-    ls = build_leaf_space(s)
-    [(comp, kind)] = arc_component_types(ls)
-    assert kind is ArcType.OPEN_INTERVAL
-    assert set(comp.arcs) == {"P", "Q"}
-    assert comp.joints == ("seam",)
+    [comp] = arc_components(s)
+    assert classify_component(comp) is StripClass.OPEN_STRIP
+    assert set(comp.strip_ids()) == {"P", "Q"}
+    assert comp.interfaces == ("seam",)
 
 
 def test_closure_symmetry_on_random_surfaces():
