@@ -107,7 +107,8 @@ def _outer_data(ls: LeafSpace, end: SideEnd, cut_ids: set[str], mode: Mode):
     retained = None
     if mode is Mode.INTERIOR and len(pids) == 1:
         p = ls.point(pids[0])
-        if p.kind is PointKind.BOUNDARY_LEAF and not p.special:
+        # a boundary leaf alone on its side-end is never special
+        if p.kind is PointKind.BOUNDARY_LEAF:
             retained = p.id
     return base, retained
 

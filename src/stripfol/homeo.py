@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Sequence
 
 from .core import StripedSurface
@@ -55,23 +54,15 @@ class NotOpenStripComponentError(HomeoError):
     pass
 
 
-class Tail(Enum):
-    LINEAR = "linear"
-    CONSTANT = "constant"
-
-
 @dataclass(frozen=True)
 class PLFunction:
     """Piecewise-linear function through (breakpoints[i], values[i]).
 
-    Tails continue the end segment (LINEAR, slope 1 when only one breakpoint)
-    or clamp (CONSTANT).
+    Constant beyond the end breakpoints, where it takes the end values.
     """
 
     breakpoints: tuple[float, ...]
     values: tuple[float, ...]
-    lower_tail: Tail = Tail.LINEAR
-    upper_tail: Tail = Tail.LINEAR
 
     def __post_init__(self) -> None:
         if len(self.breakpoints) != len(self.values) or not self.breakpoints:
@@ -81,32 +72,20 @@ class PLFunction:
                 raise NonIncreasingInputError("breakpoints must be strictly increasing")
 
     @classmethod
-    def from_points(cls, points: Sequence[tuple[float, float]], **kw) -> "PLFunction":
+    def from_points(cls, points: Sequence[tuple[float, float]]) -> "PLFunction":
         pts = sorted(points)
-        return cls(tuple([p[0] for p in pts]), tuple([p[1] for p in pts]), **kw)
+        return cls(tuple([p[0] for p in pts]), tuple([p[1] for p in pts]))
 
     @classmethod
-    def constant(cls, value: float, at: float = 0.0) -> "PLFunction":
-        return cls((at,), (value,), Tail.CONSTANT, Tail.CONSTANT)
-
-    def _tail(self, x: float, lower: bool) -> float:
-        bp, vals = self.breakpoints, self.values
-        tail = self.lower_tail if lower else self.upper_tail
-        i = 0 if lower else len(bp) - 1
-        if tail is Tail.CONSTANT:
-            return vals[i]
-        if len(bp) == 1:
-            return vals[0] + (x - bp[0])
-        j = 1 if lower else len(bp) - 2
-        slope = (vals[i] - vals[j]) / (bp[i] - bp[j])
-        return vals[i] + slope * (x - bp[i])
+    def constant(cls, value: float) -> "PLFunction":
+        return cls((0.0,), (value,))
 
     def __call__(self, x: float) -> float:
         bp, vals = self.breakpoints, self.values
         if x <= bp[0]:
-            return vals[0] if x == bp[0] else self._tail(x, lower=True)
+            return vals[0]
         if x >= bp[-1]:
-            return vals[-1] if x == bp[-1] else self._tail(x, lower=False)
+            return vals[-1]
         lo, hi = 0, len(bp) - 1
         while hi - lo > 1:
             mid = (lo + hi) // 2
@@ -434,9 +413,7 @@ def shrink_leaf(a: float, b: float, eps: float) -> LevelMap:
     return LevelMap([Piece(forward, backward)])
 
 
-def trapezoid_under_clearance(
-    clearance: PLFunction | CurveFn, a: float, b: float, depth: int
-) -> Trapezoid:
+def trapezoid_under_clearance(clearance: PLFunction, a: float, b: float, depth: int) -> Trapezoid:
     """Inscribe a half-open trapezoid with base (a, b) under a clearance graph.
 
     Dyadic shrinking sub-segments [a_i, b_i] of (a, b) get heights half the
@@ -448,31 +425,28 @@ def trapezoid_under_clearance(
     if depth < 1:
         raise BadIntervalError("depth must be at least 1")
 
-    def min_on(lo: float, hi: float) -> float:
-        if isinstance(clearance, PLFunction):
-            return clearance.min_on(lo, hi)
-        return min(clearance(lo + (hi - lo) * i / 1024) for i in range(1025))
-
     # anchor the side curves at height r_{i+1} over a_i / b_i, keeping only
-    # strictly decreasing heights so x is a function of the level.  One pass
-    # makes and checks each segment, so a depth past float resolution stops
-    # at its first collapsed segment whatever the depth.
+    # strictly decreasing heights so x is a function of the level.  Once a
+    # segment past the first rounds to (a, b), every deeper one does too, with
+    # the same height, so none adds an anchor: the loop stops there, after
+    # checking that segment's clearance.  That is at most about 54 levels in,
+    # or about 1,074 when an end is 0.0 and its offsets run through subnormals.
     w = b - a
     alpha_pts, beta_pts = [(0.0, a)], [(0.0, b)]
     for i in range(depth + 1):
         a_i = a + w * 2.0 ** (-i - 2)
         b_i = b - w * 2.0 ** (-i - 2)
-        r = 0.5 * min_on(a_i, b_i)
+        r = 0.5 * clearance.min_on(a_i, b_i)
         if r <= 0:
             raise NonPositiveClearanceError(f"clearance is not strictly positive on [{a_i}, {b_i}]")
         if i and (len(alpha_pts) == 1 or r < alpha_pts[-1][0]):
             alpha_pts.append((r, a_prev))
             beta_pts.append((r, b_prev))
+        if i and (a_i, b_i) == (a, b):
+            break
         a_prev, b_prev = a_i, b_i
     top = alpha_pts[1][0]
-    alpha = PLFunction.from_points(alpha_pts, lower_tail=Tail.CONSTANT, upper_tail=Tail.CONSTANT)
-    beta = PLFunction.from_points(beta_pts, lower_tail=Tail.CONSTANT, upper_tail=Tail.CONSTANT)
-    return Trapezoid(alpha, beta, (0.0, top), base=(a, b))
+    return Trapezoid(PLFunction.from_points(alpha_pts), PLFunction.from_points(beta_pts), (0.0, top), base=(a, b))
 
 
 def roof_homeo(
@@ -553,11 +527,11 @@ def realize_half_strip(
 ) -> tuple[HalfStripChart, LevelMap]:
     """Realize the closure of one half of an open-strip chain component.
 
-    Over each base leaf a trapezoid collar is inscribed, sheared into the
-    half-strip chart, rectified into a rectangle by staged straightening,
-    and mapped back by the affine roof extension; the resulting piecewise
-    map eta is level-preserving, agrees across piece boundaries, and sends
-    each base interval of the chart onto its leaf's interval coordinates.
+    Over each base leaf a trapezoid collar is inscribed in chart coordinates,
+    rectified into a rectangle by staged straightening, and mapped back by
+    the affine roof extension; the resulting piecewise map eta is
+    level-preserving, agrees across piece boundaries, and sends each base
+    interval of the chart onto its leaf's interval coordinates.
     """
     if comp.shape is not Shape.CHAIN or classify_component(comp) is not StripClass.OPEN_STRIP:
         raise NotOpenStripComponentError(
@@ -590,91 +564,60 @@ def realize_half_strip(
     )
     kappa = min(0.1, 0.4 * min_gap) if min_gap > 0 else 0.0
 
+    # one collar per base leaf, in chart coordinates: the trapezoid inscribed
+    # under a wedge over the leaf span, its levels stretched onto (-1, d_i]
+    # and its sides sheared by +-kappa at the top
     collars: list[Trapezoid] = []
-    crumpled: list[tuple[PLFunction, PLFunction]] = []
     for i, (L, R) in enumerate(leaf_spans):
         w = R - L
         scale = 8.0 * heights / w
         wedge = PLFunction((L, (L + R) / 2.0, R), (0.0, scale * w / 2.0, 0.0))
         trap = trapezoid_under_clearance(wedge, L, R, depth)
-        collars.append(trap)
         shear = kappa if i % 2 == 0 else -kappa
-        d_i = d_levels[i]
-        stretch = (d_i + 1.0) / trap.top
+        stretch = (d_levels[i] + 1.0) / trap.top
 
         def to_chart(curve: PLFunction) -> PLFunction:
             bps = tuple([-1.0 + t * stretch for t in curve.breakpoints])
             vals = tuple([v + shear * (t / trap.top) for t, v in zip(curve.breakpoints, curve.values)])
-            return PLFunction(bps, vals, Tail.CONSTANT, Tail.CONSTANT)
+            return PLFunction(bps, vals)
 
-        crumpled.append((to_chart(trap.alpha), to_chart(trap.beta)))
+        collars.append(Trapezoid(to_chart(trap.alpha), to_chart(trap.beta), (-1.0, d_levels[i]), base=(L, R)))
 
-    staged = []
-    for i in range(k):
-        a_curve, b_curve = crumpled[i]
-        staged.append((a_curve, d_levels[i]))
-        staged.append((b_curve, d_levels[i]))
+    staged = [(f, c.top) for c in collars for f in (c.alpha, c.beta)]
     straighten = rectify_stages(staged, floor=-1.0, samples=samples)
 
-    rect_spans = []
-    for i in range(k):
-        a_curve, b_curve = crumpled[i]
-        d_i = d_levels[i]
-        a_i = straighten.apply(a_curve(d_i), d_i)[0]
-        b_i = straighten.apply(b_curve(d_i), d_i)[0]
-        rect_spans.append((a_i, b_i))
+    rect_spans = [
+        (straighten.apply(c.alpha(c.top), c.top)[0], straighten.apply(c.beta(c.top), c.top)[0])
+        for c in collars
+    ]
     chart = HalfStripChart(
         tuple([(a, b, d) for (a, b), d in zip(rect_spans, d_levels)]),
         tuple(rect_spans),
         tuple(leaf_spans),
     )
 
-    pieces: list[Piece] = []
-    for i in range(k):
-        a_i, b_i = rect_spans[i]
-        d_i = d_levels[i]
-        trap = collars[i]
-        shear = kappa if i % 2 == 0 else -kappa
-        h_i = trap.top
-        rect = Trapezoid(
-            PLFunction.constant(a_i),
-            PLFunction.constant(b_i),
-            (-1.0, d_i),
-            base=(a_i, b_i),
-        )
-        sig = PLFunction((-1.0, d_i), (0.0, h_i))
-        xi = roof_homeo(rect, trap, sig)
-
-        def make_piece(a_i=a_i, b_i=b_i, d_i=d_i, trap=trap, shear=shear, h_i=h_i, xi=xi):
-            # the composite level map is the identity by construction; pass the
-            # level through verbatim instead of round-tripping it through the
-            # collar parametrization
-            def psi_inv(X: float, Y: float) -> tuple[float, float]:
-                t = (Y + 1.0) * h_i / (d_i + 1.0)
-                return (X - shear * (t / h_i), t)
-
-            def forward(x: float, y: float) -> tuple[float, float]:
-                xx, t = xi.apply(x, y)
-                return (xx + shear * (t / h_i), y)
-
-            def backward(X: float, Y: float) -> tuple[float, float]:
-                return (xi.invert(*psi_inv(X, Y))[0], Y)
-
-            def region(x: float, y: float) -> bool:
-                if y == -1.0:
-                    return a_i < x < b_i
-                return -1.0 < y <= d_i and a_i <= x <= b_i
-
-            def target_region(X: float, Y: float) -> bool:
-                x, t = psi_inv(X, Y)
-                return trap.contains_closed(x, t, tol=1e-12)
-
-            return Piece(forward, backward, region=region, target_region=target_region)
-
-        pieces.append(make_piece())
+    pieces = [
+        _collar_piece(Trapezoid(PLFunction.constant(a), PLFunction.constant(b), (-1.0, d), base=(a, b)), c)
+        for (a, b), d, c in zip(rect_spans, d_levels, collars)
+    ]
 
     def z_region(x: float, y: float) -> bool:
         return -1.0 < y <= 0.0
 
     pieces.append(Piece(straighten.invert, straighten.apply, region=z_region))
     return chart, LevelMap(pieces)
+
+
+def _collar_piece(rect: Trapezoid, collar: Trapezoid) -> Piece:
+    """Roof map of a chart rectangle onto its collar over the same level range.
+
+    The level passes through verbatim instead of through the affine level
+    match of ``roof_homeo``.
+    """
+    xi = roof_homeo(rect, collar)
+    return Piece(
+        lambda x, y: (xi.apply(x, y)[0], y),
+        lambda x, y: (xi.invert(x, y)[0], y),
+        region=rect.contains_closed,
+        target_region=lambda x, y: collar.contains_closed(x, y, tol=1e-12),
+    )

@@ -251,6 +251,19 @@ def test_shrink_leaf_rejects_bad_input():
 
 
 # ---------------------------------------------------------------------------
+# PL functions
+
+
+def test_pl_function_clamps_beyond_both_ends():
+    f = PLFunction((0.0, 1.0, 3.0), (2.0, 5.0, -1.0))
+    assert (f(-1e300), f(-1.0), f(0.0)) == (2.0, 2.0, 2.0)
+    assert (f(3.0), f(4.0), f(1e300)) == (-1.0, -1.0, -1.0)
+    assert (f(0.5), f(2.0)) == (3.5, 2.0)
+    single = PLFunction((2.0,), (7.0,))
+    assert (single(-math.inf), single(1.0), single(2.0), single(3.0), single(math.inf)) == (7.0,) * 5
+
+
+# ---------------------------------------------------------------------------
 # trapezoids
 
 
@@ -293,6 +306,21 @@ def test_trapezoid_rejects_nonpositive_clearance():
         trapezoid_under_clearance(dip, 0.0, 1.0, 2)
     with pytest.raises(BadIntervalError):
         trapezoid_under_clearance(PLFunction.constant(1.0), 0.0, math.inf, 2)
+
+
+def test_trapezoid_stops_at_the_first_collapsed_segment(monkeypatch):
+    # from about depth 52 on, every segment of (1, 2) rounds to (1, 2)
+    calls = []
+    min_on = PLFunction.min_on
+
+    def counted(f, lo, hi):
+        calls.append((lo, hi))
+        return min_on(f, lo, hi)
+
+    monkeypatch.setattr(PLFunction, "min_on", counted)
+    deep = trapezoid_under_clearance(PLFunction.constant(1.0), 1.0, 2.0, 10**6)
+    assert len(calls) < 200
+    assert deep == trapezoid_under_clearance(PLFunction.constant(1.0), 1.0, 2.0, 80)
 
 
 # ---------------------------------------------------------------------------
