@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
@@ -180,29 +179,56 @@ def glue(
     return GluingSpec(gluing_id, first, second, orientation)
 
 
-@dataclass(frozen=True)
 class StripedSurface:
     """A validated collection of strips and gluings.
 
     Immutable; construct through :func:`build_surface`, which enforces all
     invariants (unique ids, fixed-point-free partial involution of gluings,
     no same-side gluings, legal endpoint order) and builds the id indexes.
+    Equality, hash and repr read the fields ``strips`` and ``gluings`` only.
     """
 
     strips: tuple[ModelStripSpec, ...]
     gluings: tuple[GluingSpec, ...]
     # id indexes, built by build_surface in its validation pass
-    _strip_by_id: dict[str, ModelStripSpec] = field(repr=False, compare=False, hash=False)
-    _interval_loc: dict[str, tuple[str, Side, int]] = field(repr=False, compare=False, hash=False)
-    _gluing_by_interval: dict[str, GluingSpec] = field(repr=False, compare=False, hash=False)
-    _gluing_by_id: dict[str, GluingSpec] = field(repr=False, compare=False, hash=False)
+    _strip_by_id: dict[str, ModelStripSpec]
+    _interval_loc: dict[str, tuple[str, Side, int]]
+    _gluing_by_interval: dict[str, GluingSpec]
+    _gluing_by_id: dict[str, GluingSpec]
+
+    def __init__(self, strips, gluings, strip_by_id, interval_loc, gluing_by_interval, gluing_by_id) -> None:
+        vars(self).update(
+            strips=strips,
+            gluings=gluings,
+            _strip_by_id=strip_by_id,
+            _interval_loc=interval_loc,
+            _gluing_by_interval=gluing_by_interval,
+            _gluing_by_id=gluing_by_id,
+        )
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.strips, self.gluings) == (other.strips, other.gluings)
+
+    def __hash__(self) -> int:
+        return hash((self.strips, self.gluings))
+
+    def __repr__(self) -> str:
+        return f"StripedSurface(strips={self.strips!r}, gluings={self.gluings!r})"
 
     @cached_property
     def _partition(self) -> tuple[tuple[str, ...], ...]:
         """Strip ids of each connected piece, pieces in order of first strip.
 
         Computed on first use and kept in the instance ``__dict__``, which
-        leaves the frozen fields, equality and hash as they are.
+        leaves the fields, equality and hash as they are.
         """
         parent = {s.id: s.id for s in self.strips}
 

@@ -11,7 +11,6 @@ their flips decides foliated-homeomorphism equivalence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -89,7 +88,7 @@ class ClosureStrip(NamedTuple):
 def _merge_edges(ls: LeafSpace) -> dict[SideEnd, tuple[GluingSpec, SideEnd]]:
     """Map each side-end consumed by a non-special gluing to (gluing, partner side-end)."""
     gluing_by_id = ls.surface._gluing_by_id
-    ends_of = ls._ends_by_point
+    ends_of = ls.ends_by_point
     out: dict[SideEnd, tuple[GluingSpec, SideEnd]] = {}
     for p in ls.points:
         if p.kind is PointKind.NON_SPECIAL_GLUED:
@@ -233,8 +232,7 @@ def classify_component(comp: Component) -> StripClass:
     )[closed]
 
 
-@dataclass(frozen=True)
-class CycleCheckReport:
+class CycleCheckReport(NamedTuple):
     ok: bool
     violations: tuple[str, ...]
 

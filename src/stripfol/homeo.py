@@ -12,8 +12,7 @@ working tolerance is ``TOL``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .core import StripedSurface
 from .decomposition import Component, ClosureStrip, Shape, StripClass, classify_component
@@ -54,22 +53,29 @@ class NotOpenStripComponentError(HomeoError):
     pass
 
 
-@dataclass(frozen=True)
-class PLFunction:
+class _PLFields(NamedTuple):
+    breakpoints: tuple[float, ...]
+    values: tuple[float, ...]
+
+
+class PLFunction(_PLFields):
     """Piecewise-linear function through (breakpoints[i], values[i]).
 
     Constant beyond the end breakpoints, where it takes the end values.
     """
 
-    breakpoints: tuple[float, ...]
-    values: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.breakpoints) != len(self.values) or not self.breakpoints:
+    def __new__(cls, breakpoints, values) -> "PLFunction":
+        if len(breakpoints) != len(values) or not breakpoints:
             raise ValueError("breakpoints and values must be equal-length and non-empty")
-        for a, b in zip(self.breakpoints, self.breakpoints[1:]):
+        for a, b in zip(breakpoints, breakpoints[1:]):
             if not a < b:
                 raise NonIncreasingInputError("breakpoints must be strictly increasing")
+        return tuple.__new__(cls, (breakpoints, values))
+
+    # _replace builds through _make, which would skip the checks
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @classmethod
     def from_points(cls, points: Sequence[tuple[float, float]]) -> "PLFunction":
@@ -164,8 +170,14 @@ def _bisect_increasing(g: Callable[[float], float], target: float, tol: float = 
     return 0.5 * (lo + hi)
 
 
-@dataclass(frozen=True)
-class Trapezoid:
+class _TrapezoidFields(NamedTuple):
+    alpha: PLFunction
+    beta: PLFunction
+    level_range: tuple[float, float]
+    base: tuple[float, float] | None
+
+
+class Trapezoid(_TrapezoidFields):
     """Region between two curve graphs over a half-open level interval (c, d].
 
     ``alpha``/``beta`` give x as a function of the level; the roof is the two
@@ -173,23 +185,23 @@ class Trapezoid:
     interval at level c, when the side curves converge to finite endpoints.
     """
 
-    alpha: PLFunction
-    beta: PLFunction
-    level_range: tuple[float, float]
-    base: tuple[float, float] | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        c, d = self.level_range
+    def __new__(cls, alpha, beta, level_range, base=None) -> "Trapezoid":
+        c, d = level_range
         if not c < d:
             raise BadIntervalError("trapezoid level range must satisfy c < d")
         for i in range(1, 65):
             y = c + (d - c) * i / 64.0
-            if not self.alpha(y) < self.beta(y):
+            if not alpha(y) < beta(y):
                 raise BadIntervalError(f"alpha(y) < beta(y) fails at level {y}")
-        if self.base is not None:
-            a, b = self.base
-            if not (abs(self.alpha(c) - a) <= 1e-9 and abs(self.beta(c) - b) <= 1e-9):
+        if base is not None:
+            a, b = base
+            if not (abs(alpha(c) - a) <= 1e-9 and abs(beta(c) - b) <= 1e-9):
                 raise BadIntervalError("base endpoints must match the curve limits at c")
+        return tuple.__new__(cls, (alpha, beta, level_range, base))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # as for PLFunction
 
     @property
     def top(self) -> float:
@@ -225,8 +237,7 @@ class Trapezoid:
         return pts
 
 
-@dataclass(frozen=True)
-class Piece:
+class Piece(NamedTuple):
     """One region of a piecewise level map, with its forward and backward maps.
 
     A region of None covers every point not claimed by an earlier piece;
@@ -493,8 +504,14 @@ def roof_homeo(
     return LevelMap([Piece(forward, backward)])
 
 
-@dataclass(frozen=True)
-class HalfStripChart:
+class _ChartFields(NamedTuple):
+    rectangles: tuple[tuple[float, float, float], ...]
+    base_intervals: tuple[tuple[float, float], ...]
+    leaf_spans: tuple[tuple[float, float], ...]
+    level_range: tuple[float, float]
+
+
+class HalfStripChart(_ChartFields):
     """Half model strip: the band R x (-1, 0] plus marked base intervals.
 
     One half-open rectangle [a_i, b_i] x (-1, d_i] per base leaf, with its
@@ -502,20 +519,20 @@ class HalfStripChart:
     line that eta carries J_i onto.
     """
 
-    rectangles: tuple[tuple[float, float, float], ...]
-    base_intervals: tuple[tuple[float, float], ...]
-    leaf_spans: tuple[tuple[float, float], ...]
-    level_range: tuple[float, float] = (-1.0, 0.0)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        c, d = self.level_range
-        spans = sorted((a, b) for a, b, _ in self.rectangles)
+    def __new__(cls, rectangles, base_intervals, leaf_spans, level_range=(-1.0, 0.0)) -> "HalfStripChart":
+        c, d = level_range
+        spans = sorted((a, b) for a, b, _ in rectangles)
         for (a0, b0), (a1, b1) in zip(spans, spans[1:]):
             if not b0 < a1:
                 raise BadIntervalError("rectangle x-spans must be pairwise disjoint")
-        for a, b, di in self.rectangles:
+        for a, b, di in rectangles:
             if not (a < b and c < di < d):
                 raise BadIntervalError("rectangle tops must lie strictly inside the level range")
+        return tuple.__new__(cls, (rectangles, base_intervals, leaf_spans, level_range))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # as for PLFunction
 
 
 def realize_half_strip(
@@ -570,6 +587,11 @@ def realize_half_strip(
     collars: list[Trapezoid] = []
     for i, (L, R) in enumerate(leaf_spans):
         w = R - L
+        # the collar maps multiply a width by an offset across the span, which
+        # overflows to inf once the squared width does; ends that overflow the
+        # width or the midpoint lie past 1e308 and fail this check too
+        if not math.isfinite(w * w):
+            raise BadIntervalError(f"leaf span ({L}, {R}) is too wide: its squared width overflows")
         scale = 8.0 * heights / w
         wedge = PLFunction((L, (L + R) / 2.0, R), (0.0, scale * w / 2.0, 0.0))
         trap = trapezoid_under_clearance(wedge, L, R, depth)

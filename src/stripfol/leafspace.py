@@ -10,7 +10,6 @@ components of :func:`stripfol.decomposition.decompose`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
@@ -39,8 +38,7 @@ class LeafPoint(NamedTuple):
     special: bool
 
 
-@dataclass(frozen=True)
-class LeafSpace:
+class LeafSpace(NamedTuple):
     """Arcs (one per strip), points, and the side-end incidence lists."""
 
     surface: StripedSurface
@@ -48,15 +46,15 @@ class LeafSpace:
     points: tuple[LeafPoint, ...]
     incidence: dict  # SideEnd -> tuple of point ids, in interval-index order
     # indexes, built by build_leaf_space
-    _point_by_id: dict = field(repr=False, compare=False)
-    _ends_by_point: dict = field(repr=False, compare=False)  # point id -> its side-ends
+    point_by_id: dict
+    ends_by_point: dict  # point id -> its side-ends
 
     def point(self, point_id: str) -> LeafPoint:
-        return self._point_by_id[point_id]
+        return self.point_by_id[point_id]
 
     def ends_of(self, point: LeafPoint | str) -> tuple[SideEnd, ...]:
         pid = point if isinstance(point, str) else point.id
-        return self._ends_by_point[pid]
+        return self.ends_by_point[pid]
 
     def points_on(self, end: SideEnd) -> tuple[str, ...]:
         return self.incidence.get(end, ())

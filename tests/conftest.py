@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from stripfol.fixtures import all_fixtures
+from fixtures import all_fixtures
 from stripfol.io import serialize
 
 

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from .core import Orientation, StripedSurface, build_surface, glue, strip
-from .decomposition import mirror
+from stripfol.core import Orientation, StripedSurface, build_surface, glue, strip
+from stripfol.decomposition import mirror
 
 
 def kaplan5() -> StripedSurface:

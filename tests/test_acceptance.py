@@ -21,15 +21,6 @@ from stripfol.decomposition import (
     decompose,
     is_isomorphic,
 )
-from stripfol.fixtures import (
-    all_fixtures,
-    cylinder,
-    horseshoe,
-    kaplan5,
-    kaplan5_mirror,
-    moebius,
-    two_strip_chain,
-)
 from stripfol.homeo import (
     PLFunction,
     Trapezoid,
@@ -40,6 +31,15 @@ from stripfol.homeo import (
     uk_eval,
 )
 from stripfol.leafspace import build_leaf_space, hausdorff_closure, special_points
+from fixtures import (
+    all_fixtures,
+    cylinder,
+    horseshoe,
+    kaplan5,
+    kaplan5_mirror,
+    moebius,
+    two_strip_chain,
+)
 from _topology_oracle import bnd_bruteforce, check_axioms, discretize
 
 from _gen import enumerate_cycle_surfaces, random_moves, random_surface

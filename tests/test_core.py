@@ -19,8 +19,8 @@ from stripfol.core import (
     strip,
     validate_class_f,
 )
-from stripfol.fixtures import kaplan5, cylinder, open_strip
 
+from fixtures import kaplan5, cylinder, open_strip
 from _gen import random_moves, random_surface
 
 

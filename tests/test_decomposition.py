@@ -19,7 +19,9 @@ from stripfol.decomposition import (
     relabel_strips,
     v_flip,
 )
-from stripfol.fixtures import (
+from stripfol.leafspace import build_leaf_space
+
+from fixtures import (
     cylinder,
     horseshoe,
     kaplan5,
@@ -28,8 +30,6 @@ from stripfol.fixtures import (
     open_strip,
     two_strip_chain,
 )
-from stripfol.leafspace import build_leaf_space
-
 from _gen import (
     cyclic_cover,
     disjoint_union,

@@ -12,9 +12,9 @@ import hashlib
 import random
 
 from stripfol.core import components
-from stripfol.fixtures import all_fixtures
 from stripfol.io import serialize
 
+from fixtures import all_fixtures
 from _gen import random_moves, random_surface
 
 

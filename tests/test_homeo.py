@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stripfol.decomposition import Mode, component_closures, decompose
-from stripfol.fixtures import horseshoe, kaplan5, open_strip
 from stripfol.homeo import (
     BadEpsError,
     BadIntervalError,
@@ -25,6 +24,8 @@ from stripfol.homeo import (
     uk_eval,
     uk_inverse,
 )
+
+from fixtures import horseshoe, kaplan5, open_strip
 
 TOL = 1e-9
 
@@ -393,7 +394,7 @@ def test_realize_empty_closure_is_identity():
 
 
 def test_realize_rejects_cycles():
-    from stripfol.fixtures import cylinder
+    from fixtures import cylinder
     from stripfol.decomposition import ClosureStrip
     from stripfol.core import Side
 

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import random
 import re
 import sys
@@ -14,10 +15,10 @@ from hypothesis import strategies as st
 
 from stripfol.cli import main
 from stripfol.core import SameSideGluingError, SurfaceError, build_surface, glue, strip
-from stripfol.fixtures import all_fixtures, cylinder, kaplan5
 from stripfol.io import ParseError, leafspace_json, parse, render, render_dot, render_svg, serialize
 from stripfol.leafspace import build_leaf_space
 
+from fixtures import all_fixtures, cylinder, kaplan5
 from _gen import random_surface
 
 
@@ -185,7 +186,7 @@ def test_cylinder_dot_counts():
 
 
 def test_single_strip_svg_has_one_rectangle_no_bold_segments():
-    from stripfol.fixtures import open_strip
+    from fixtures import open_strip
 
     svg = render_svg(open_strip())
     assert svg.count("<rect") == 1
@@ -528,6 +529,35 @@ def test_cli_realize_refuses_a_depth_past_float_resolution(fixture_dir, capsys):
     code, out = run_cli(capsys, "realize", path, "--component", "B", "--side", "upper", "--depth", "45")
     assert code == 0
     assert out.startswith("x_in,y_in,x_out,y_out,leaf_id\n")
+
+
+@pytest.mark.parametrize("ends", [[-1e300, 1e300], [-1e300, 1e299], [1e308, 1.7e308], [0.0, 1.4e154]])
+def test_cli_realize_refuses_a_span_too_wide_for_floats(tmp_path, capsys, ends):
+    # the collar maps multiply the span's width by an offset across it: at
+    # [-1e300, 1e300] that overflowed, and the base rows printed x_out = inf
+    doc = {"strips": [{"id": "S", "lower": [{"id": "a", "endpoints": ends}]}], "gluings": []}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "realize", str(path), "--component", "S", "--side", "lower", "--samples", "3", "--depth", "2")
+    assert code == 3
+    [line] = out.splitlines()
+    assert json.loads(line) == {
+        "error": "usage",
+        "message": f"BadIntervalError: leaf span ({ends[0]}, {ends[1]}) is too wide: its squared width overflows",
+    }
+
+
+def test_cli_realize_keeps_a_wide_span_finite(tmp_path, capsys):
+    # just inside the bound every row is finite and the base rows stay on the leaf
+    doc = {"strips": [{"id": "S", "lower": [{"id": "a", "endpoints": [0.0, 1.3e154]}]}], "gluings": []}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "realize", str(path), "--component", "S", "--side", "lower", "--samples", "3", "--depth", "2")
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert all(math.isfinite(float(v)) for row in rows for v in row[:4])
+    base = [row for row in rows if row[1] == "-1"]
+    assert base and all(row[4] == "a" and 0.0 < float(row[2]) < 1.3e154 for row in base)
 
 
 def test_cli_realize_refuses_a_huge_depth_at_once(fixture_dir, capsys):

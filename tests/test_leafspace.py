@@ -2,7 +2,6 @@ import random
 
 from stripfol.core import Side, build_surface, glue, strip
 from stripfol.decomposition import Mode, Shape, StripClass, classify_component, decompose
-from stripfol.fixtures import cylinder, kaplan5, open_strip
 from stripfol.leafspace import (
     PointKind,
     build_leaf_space,
@@ -11,6 +10,7 @@ from stripfol.leafspace import (
     special_points,
 )
 
+from fixtures import cylinder, kaplan5, open_strip
 from _gen import random_surface
 
 

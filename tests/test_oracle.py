@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from stripfol.fixtures import cylinder, kaplan5, open_strip
 from stripfol.leafspace import build_leaf_space, hausdorff_closure
+from fixtures import cylinder, kaplan5, open_strip
 from _topology_oracle import (
     FiniteBasisSpace,
     bnd_bruteforce,

@@ -12,11 +12,12 @@ import random
 import pytest
 
 from stripfol.core import Interval, Side, build_surface, glue, strip
-from stripfol.decomposition import component_closures, decompose
-from stripfol.fixtures import horseshoe, kaplan5, moebius
+from stripfol.decomposition import CycleCheckReport, component_closures, decompose
+from stripfol.homeo import BadIntervalError, HalfStripChart, NonIncreasingInputError, PLFunction, Piece, Trapezoid
 from stripfol.io import parse, serialize
 from stripfol.leafspace import build_leaf_space
 
+from fixtures import horseshoe, kaplan5, moebius
 from _gen import random_moves, random_surface
 
 
@@ -89,3 +90,104 @@ def test_parse_serialize_keeps_records_equal_and_hashed_alike():
     for s in (kaplan5(), horseshoe(), moebius(), ends):
         t = parse(serialize(s))
         assert t == s and hash(t) == hash(s)
+
+
+# ---------------------------------------------------------------------------
+# the structures around the records: a surface, its leaf space, the PL
+# functions, trapezoids and charts of the realization, and two small reports
+
+
+def _surface():
+    return build_surface([strip("A", ["a"], [("b", (0, 1))]), strip("B", ["c"])], [glue("g", "b", "c", "reversing")])
+
+
+def _chart(**kw):
+    return HalfStripChart(((0.0, 1.0, -0.5),), ((0.0, 1.0),), ((2.0, 3.0),), **kw)
+
+
+def test_structures_print_and_hash_as_before():
+    # the reprs the frozen-dataclass versions printed
+    s = _surface()
+    assert repr(s) == (
+        "StripedSurface(strips=(ModelStripSpec(id='A', lower=(Interval(id='a', side=<Side.LOWER: 'lower'>, "
+        "index=0, endpoints=None),), upper=(Interval(id='b', side=<Side.UPPER: 'upper'>, index=0, "
+        "endpoints=(0.0, 1.0)),)), ModelStripSpec(id='B', lower=(Interval(id='c', side=<Side.LOWER: 'lower'>, "
+        "index=0, endpoints=None),), upper=())), gluings=(GluingSpec(id='g', first='b', second='c', "
+        "orientation=<Orientation.REVERSING: 'reversing'>),))"
+    )
+    assert hash(s) == hash((s.strips, s.gluings))
+    assert s == _surface() and s != (s.strips, s.gluings)
+    f = PLFunction((0.0, 1.0), (2.0, 3.0))
+    assert repr(f) == "PLFunction(breakpoints=(0.0, 1.0), values=(2.0, 3.0))"
+    assert hash(f) == hash(((0.0, 1.0), (2.0, 3.0)))
+    t = Trapezoid(PLFunction.constant(0.0), PLFunction.constant(1.0), (-1.0, 0.5), base=(0.0, 1.0))
+    assert repr(t) == (
+        "Trapezoid(alpha=PLFunction(breakpoints=(0.0,), values=(0.0,)), "
+        "beta=PLFunction(breakpoints=(0.0,), values=(1.0,)), level_range=(-1.0, 0.5), base=(0.0, 1.0))"
+    )
+    assert repr(_chart()) == (
+        "HalfStripChart(rectangles=((0.0, 1.0, -0.5),), base_intervals=((0.0, 1.0),), "
+        "leaf_spans=((2.0, 3.0),), level_range=(-1.0, 0.0))"
+    )
+    assert repr(CycleCheckReport(True, ())) == "CycleCheckReport(ok=True, violations=())"
+
+
+def test_structures_take_keywords_and_defaults():
+    zero, one = PLFunction.constant(0.0), PLFunction.constant(1.0)
+    assert PLFunction(values=(2.0, 3.0), breakpoints=(0.0, 1.0)) == PLFunction((0.0, 1.0), (2.0, 3.0))
+    t = Trapezoid(zero, one, (0.0, 1.0))
+    assert t.base is None
+    assert t == Trapezoid(alpha=zero, beta=one, level_range=(0.0, 1.0), base=None)
+    assert _chart().level_range == (-1.0, 0.0)
+    assert _chart(level_range=(-1.0, 1.0)).level_range == (-1.0, 1.0)
+    ident = lambda x, y: (x, y)  # noqa: E731
+    p = Piece(ident, ident)
+    assert p.region is None and p.target_region is None
+    assert CycleCheckReport(ok=False, violations=("v",)).violations == ("v",)
+
+
+_ZERO, _ONE = PLFunction.constant(0.0), PLFunction.constant(1.0)
+
+
+@pytest.mark.parametrize(
+    "make, error",
+    [
+        (lambda: PLFunction((0.0, 1.0), (2.0,)), ValueError),
+        (lambda: PLFunction(breakpoints=(), values=()), ValueError),
+        (lambda: PLFunction((1.0, 1.0), (2.0, 3.0)), NonIncreasingInputError),
+        (lambda: PLFunction(values=(2.0, 3.0), breakpoints=(1.0, 0.0)), NonIncreasingInputError),
+        (lambda: PLFunction((0.0, 1.0), (2.0, 3.0))._replace(breakpoints=(1.0, 0.0)), NonIncreasingInputError),
+        (lambda: Trapezoid(_ZERO, _ONE, (1.0, 1.0)), BadIntervalError),
+        (lambda: Trapezoid(alpha=_ONE, beta=_ZERO, level_range=(0.0, 1.0)), BadIntervalError),
+        (lambda: Trapezoid(_ZERO, _ONE, (0.0, 1.0), (0.0, 2.0)), BadIntervalError),
+        (lambda: Trapezoid(_ZERO, _ONE, (0.0, 1.0))._replace(level_range=(1.0, 0.0)), BadIntervalError),
+        (lambda: HalfStripChart(((0.0, 2.0, -0.5), (1.0, 3.0, -0.7)), (), ()), BadIntervalError),
+        (lambda: _chart(level_range=(-1.0, -0.5)), BadIntervalError),
+        (lambda: HalfStripChart(rectangles=((0.0, 1.0, 0.5),), base_intervals=(), leaf_spans=()), BadIntervalError),
+        (lambda: _chart()._replace(rectangles=((1.0, 0.0, -0.5),)), BadIntervalError),
+    ],
+)
+def test_structures_refuse_bad_fields(make, error):
+    with pytest.raises(ValueError) as caught:
+        make()
+    assert caught.type is error
+
+
+def test_structures_refuse_assignment():
+    s = _surface()
+    ls = build_leaf_space(s)
+    fields = [
+        (s, ("strips", "gluings", "_interval_loc")),
+        (ls, ("surface", "points", "incidence", "ends_by_point")),
+        (PLFunction((0.0, 1.0), (2.0, 3.0)), ("breakpoints", "values")),
+        (Trapezoid(_ZERO, _ONE, (0.0, 1.0)), ("alpha", "level_range", "base")),
+        (_chart(), ("rectangles", "level_range")),
+    ]
+    for obj, names in fields:
+        for attr in names + ("brand_new",):
+            with pytest.raises(AttributeError):
+                setattr(obj, attr, None)
+    with pytest.raises(AttributeError):
+        del s.strips
+    # the cached partition still lands in the instance dict
+    assert s._partition == (("A", "B"),) and "_partition" in vars(s)

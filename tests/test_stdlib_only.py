@@ -1,7 +1,10 @@
-"""The package stays standard-library only.
+"""The package stays standard-library only, and cheap to import.
 
 Every import under ``src/stripfol`` is relative or names a standard-library
 module, and importing the CLI in a fresh interpreter loads nothing else.
+Each ``stripfol`` command is a fresh process, so the import is part of its
+wall time: the package keeps out ``dataclasses``, which alone loads
+``inspect``, ``ast``, ``dis`` and ``tokenize``.
 """
 
 import ast
@@ -51,3 +54,27 @@ def test_importing_the_cli_loads_only_standard_library_modules():
         m for m in report["loaded"] if m.split(".")[0] not in sys.stdlib_module_names and m.split(".")[0] != "stripfol"
     ]
     assert outside == []
+
+
+# modules that are about half the cold import of the CLI when loaded
+HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+
+def test_no_module_imports_dataclasses():
+    files = sorted((SRC / "stripfol").glob("*.py"))
+    found = [f"{path.name}:{line}: {name}" for path in files for line, name in _absolute_imports(path) if name == "dataclasses"]
+    assert found == []
+
+
+def test_importing_the_cli_loads_no_heavy_module():
+    # -S as well: no site hook can load one of them first and hide the import
+    code = (
+        "import json, sys\n"
+        f"sys.path.insert(0, {str(SRC)!r})\n"
+        "import stripfol.cli\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    run = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True)
+    loaded = json.loads(run.stdout)
+    assert "stripfol.cli" in loaded
+    assert [m for m in HEAVY if m in loaded] == []
