@@ -24,7 +24,6 @@ from .core import (
     SurfaceError,
     UnknownIntervalRefError,
     build_surface,
-    components,
     glue,
     is_connected,
     strip,

@@ -2,14 +2,18 @@
 
 Subcommands: validate, leafspace, decompose, canon, iso, realize, render.
 JSON reports go to stdout.  Exit codes: 0 success (or isomorphic), 1
-validation failure (or not isomorphic), 2 parse error, 3 usage error.
+validation failure (or not isomorphic), 2 parse error, 3 usage error, 141
+stdout closed before the output was written (a broken pipe, as ``| head``
+makes).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
+import os
 import sys
 
 from .core import Side, SurfaceError, is_connected, validate_class_f
@@ -32,6 +36,8 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_PARSE = 2
 EXIT_USAGE = 3
+# 128 + SIGPIPE: the status a shell reports for a command that a broken pipe ended
+EXIT_PIPE = 141
 
 
 class _Parser(argparse.ArgumentParser):
@@ -274,9 +280,34 @@ def _parser() -> _Parser:
     return parser
 
 
-def main(argv=None) -> int:
+def _run(argv) -> int:
     args = _parser().parse_args(argv)
-    return args.fn(args)
+    # The commands build large acyclic graphs of tuples, NamedTuples and
+    # dicts that reference counting frees, so the cyclic collector's passes
+    # over them find nothing; pause it, and leave a caller's setting as it was.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return args.fn(args)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def main(argv=None) -> int:
+    try:
+        try:
+            return _run(argv)
+        finally:
+            # write out what is buffered while a closed stdout can still be handled
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away.  Point stdout at devnull, so that the flush at
+        # interpreter exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

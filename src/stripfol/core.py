@@ -7,8 +7,6 @@ identifications.  Everything downstream (leaf spaces, decomposition, the
 homeomorphism engine) consumes the validated :class:`StripedSurface`.
 """
 
-from __future__ import annotations
-
 import math
 import re
 from enum import Enum
@@ -402,22 +400,6 @@ def validate_class_f(surface: StripedSurface) -> dict:
         ],
         "warnings": [f"Disconnected: {len(parts)} components"] if len(parts) > 1 else [],
     }
-
-
-def components(surface: StripedSurface) -> list[StripedSurface]:
-    """Split a surface into its connected pieces (gluings restricted)."""
-    parts = surface._partition
-    if len(parts) == 1:
-        return [surface]
-    piece_of = {sid: i for i, part in enumerate(parts) for sid in part}
-    strips: list[list[ModelStripSpec]] = [[] for _ in parts]
-    gluings: list[list[GluingSpec]] = [[] for _ in parts]
-    for s in surface.strips:
-        strips[piece_of[s.id]].append(s)
-    loc = surface._interval_loc
-    for g in surface.gluings:
-        gluings[piece_of[loc[g.first][0]]].append(g)
-    return [build_surface(ss, gs) for ss, gs in zip(strips, gluings)]
 
 
 def is_connected(surface: StripedSurface) -> bool:

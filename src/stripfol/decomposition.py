@@ -9,8 +9,6 @@ representative, and the least rooted-traversal code over root strips and
 their flips decides foliated-homeomorphism equivalence.
 """
 
-from __future__ import annotations
-
 from enum import Enum
 from typing import NamedTuple
 

@@ -9,8 +9,6 @@ intervals.  All maps evaluate pointwise and carry numeric inverses; the
 working tolerance is ``TOL``.
 """
 
-from __future__ import annotations
-
 import math
 from typing import Callable, NamedTuple, Sequence
 
@@ -266,7 +264,7 @@ class LevelMap:
         return LevelMap([Piece(ident, ident)])
 
     @staticmethod
-    def chain(maps: Sequence["LevelMap"]) -> "LevelMap":
+    def chain(maps: "Sequence[LevelMap]") -> "LevelMap":
         maps = list(maps)
 
         def forward(x: float, y: float) -> tuple[float, float]:

@@ -8,8 +8,6 @@ points.  The components of the non-special part are the interior-mode
 components of :func:`stripfol.decomposition.decompose`.
 """
 
-from __future__ import annotations
-
 from enum import Enum
 from typing import NamedTuple
 

@@ -6,14 +6,31 @@ import random
 from itertools import product
 
 from stripfol.core import (
+    GluingSpec,
+    ModelStripSpec,
     Orientation,
     Side,
     StripedSurface,
     build_surface,
-    components,
     glue,
     strip,
 )
+
+
+def components(surface: StripedSurface) -> list[StripedSurface]:
+    """Split a surface into its connected pieces (gluings restricted)."""
+    parts = surface._partition
+    if len(parts) == 1:
+        return [surface]
+    piece_of = {sid: i for i, part in enumerate(parts) for sid in part}
+    strips: list[list[ModelStripSpec]] = [[] for _ in parts]
+    gluings: list[list[GluingSpec]] = [[] for _ in parts]
+    for s in surface.strips:
+        strips[piece_of[s.id]].append(s)
+    loc = surface._interval_loc
+    for g in surface.gluings:
+        gluings[piece_of[loc[g.first][0]]].append(g)
+    return [build_surface(ss, gs) for ss, gs in zip(strips, gluings)]
 
 
 def random_surface(

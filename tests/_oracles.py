@@ -8,8 +8,10 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import permutations, product
 
-from stripfol.core import Orientation, Side, StripedSurface, components
+from stripfol.core import Orientation, Side, StripedSurface
 from stripfol.leafspace import LeafSpace, PointKind, hausdorff_closure, is_special
+
+from _gen import components
 
 
 def _det2(m) -> float:

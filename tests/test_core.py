@@ -13,7 +13,6 @@ from stripfol.core import (
     Side,
     UnknownIntervalRefError,
     build_surface,
-    components,
     glue,
     is_connected,
     strip,
@@ -21,7 +20,7 @@ from stripfol.core import (
 )
 
 from fixtures import kaplan5, cylinder, open_strip
-from _gen import random_moves, random_surface
+from _gen import components, random_moves, random_surface
 
 
 def test_kaplan5_builds():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from stripfol.core import Orientation, build_surface, components, glue, strip
+from stripfol.core import Orientation, build_surface, glue, strip
 from stripfol.decomposition import (
     Mode,
     NotAChainError,
@@ -31,6 +31,7 @@ from fixtures import (
     two_strip_chain,
 )
 from _gen import (
+    components,
     cyclic_cover,
     disjoint_union,
     enumerate_cycle_surfaces,

@@ -11,11 +11,10 @@ from __future__ import annotations
 import hashlib
 import random
 
-from stripfol.core import components
 from stripfol.io import serialize
 
 from fixtures import all_fixtures
-from _gen import random_moves, random_surface
+from _gen import components, random_moves, random_surface
 
 
 def _surfaces():

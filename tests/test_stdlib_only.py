@@ -4,7 +4,8 @@ Every import under ``src/stripfol`` is relative or names a standard-library
 module, and importing the CLI in a fresh interpreter loads nothing else.
 Each ``stripfol`` command is a fresh process, so the import is part of its
 wall time: the package keeps out ``dataclasses``, which alone loads
-``inspect``, ``ast``, ``dis`` and ``tokenize``.
+``inspect``, ``ast``, ``dis`` and ``tokenize``, and its record classes carry
+evaluated annotations, which ``typing`` need not compile.
 """
 
 import ast
@@ -78,3 +79,23 @@ def test_importing_the_cli_loads_no_heavy_module():
     loaded = json.loads(run.stdout)
     assert "stripfol.cli" in loaded
     assert [m for m in HEAVY if m in loaded] == []
+
+
+def test_importing_the_cli_compiles_no_annotation_string():
+    # A string annotation on a typing.NamedTuple field, as
+    # ``from __future__ import annotations`` makes every one, becomes a
+    # typing.ForwardRef, which compiles it at class creation.
+    code = (
+        "import builtins, collections, json, sys\n"
+        f"sys.path.insert(0, {str(SRC)!r})\n"
+        "calls = collections.Counter()\n"
+        "compile_ = builtins.compile\n"
+        "def counting(*args, **kwargs):\n"
+        "    calls[sys._getframe(1).f_globals.get('__name__')] += 1\n"
+        "    return compile_(*args, **kwargs)\n"
+        "builtins.compile = counting\n"
+        "import stripfol.cli\n"
+        "print(json.dumps(calls))\n"
+    )
+    run = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True)
+    assert json.loads(run.stdout).get("typing", 0) == 0
