@@ -29,7 +29,7 @@ from .decomposition import (
     is_isomorphic,
 )
 from .homeo import HomeoError, realize_half_strip
-from .io import ParseError, _dumps, leafspace_json, parse, render, serialize
+from .io import _NL, ParseError, _encode_str, _records, _strings, leafspace_json, parse, render, serialize
 from .leafspace import build_leaf_space
 
 EXIT_OK = 0
@@ -91,7 +91,23 @@ def _point_order(ls):
 
 
 def _cmd_validate(args) -> int:
-    print(_dumps(validate_class_f(_load(args.file))))
+    # validate_class_f's dict is library API, so it is formatted, not rebuilt
+    report = validate_class_f(_load(args.file))
+    enc = _encode_str
+    n1, n2, n3, n4, n5 = _NL[1:6]
+    leaves = []
+    for leaf in report["glued_leaves"]:
+        collars = [f'{{{n5}"strip": {enc(c["strip"])},{n5}"side": {enc(c["side"])}{n4}}}' for c in leaf["collars"]]
+        leaves.append(
+            f'{{{n3}"id": {enc(leaf["id"])},{n3}"collars": {_records(collars, 3)},'
+            f'{n3}"distinct": {"true" if leaf["distinct"] else "false"}{n2}}}'
+        )
+    print(
+        f'{{{n1}"ok": {"true" if report["ok"] else "false"},'
+        f'{n1}"connected": {"true" if report["connected"] else "false"},'
+        f'{n1}"components": {_records([_strings(c, 2) for c in report["components"]], 1)},'
+        f'{n1}"glued_leaves": {_records(leaves, 1)},{n1}"warnings": {_strings(report["warnings"], 1)}\n}}'
+    )
     return EXIT_OK
 
 
@@ -114,35 +130,35 @@ def _cmd_decompose(args) -> int:
     comps, cut = decompose(surface, mode, ls)
     key = _point_order(ls)
     cycle_check = check_cycle_components(surface, comps)
-    out = {
-        "mode": mode.value,
-        "cut": sorted((p.id for p in cut), key=key),
-        "components": [],
-        "cycle_check_ok": cycle_check.ok,
-    }
+    enc = _encode_str
+    n1, n2, n3, n4, n5 = _NL[1:6]
+    recs = []
     for comp in comps:
-        rec = {
-            "strips": [{"id": s, "flipped": f} for s, f in comp.strips],
-            "shape": comp.shape.value,
-            "class": classify_component(comp).value,
-            "interfaces": list(comp.interfaces),
-        }
+        strips = [f'{{{n5}"id": {enc(s)},{n5}"flipped": {"true" if f else "false"}{n4}}}' for s, f in comp.strips]
+        rec = (
+            f'{{{n3}"strips": {_records(strips, 3)},{n3}"shape": {enc(comp.shape.value)},'
+            f'{n3}"class": {enc(classify_component(comp).value)},{n3}"interfaces": {_strings(comp.interfaces, 3)}'
+        )
         if comp.shape is Shape.CHAIN:
             lower, upper, overlap = component_closures(comp)
-            rec["closures"] = {
-                "lower": [p.id for p in lower.base_points],
-                "upper": [p.id for p in upper.base_points],
-                "overlap": sorted((p.id for p in overlap), key=key),
-            }
-            if comp.retained_lower or comp.retained_upper:
-                rec["retained"] = {
-                    "lower": comp.retained_lower,
-                    "upper": comp.retained_upper,
-                }
+            rec += (
+                f',{n3}"closures": {{{n4}"lower": {_strings([p.id for p in lower.base_points], 4)},'
+                f'{n4}"upper": {_strings([p.id for p in upper.base_points], 4)},'
+                f'{n4}"overlap": {_strings(sorted((p.id for p in overlap), key=key), 4)}{n3}}}'
+            )
+            # an id may be the empty string, so test for None, as classify_component does
+            if comp.retained_lower is not None or comp.retained_upper is not None:
+                rec += (
+                    f',{n3}"retained": {{{n4}"lower": {json.dumps(comp.retained_lower)},'
+                    f'{n4}"upper": {json.dumps(comp.retained_upper)}{n3}}}'
+                )
         else:
-            rec["monodromy"] = comp.monodromy
-        out["components"].append(rec)
-    print(_dumps(out))
+            rec += f',{n3}"monodromy": {json.dumps(comp.monodromy)}'
+        recs.append(rec + n2 + "}")
+    print(
+        f'{{{n1}"mode": {enc(mode.value)},{n1}"cut": {_strings(sorted((p.id for p in cut), key=key), 1)},'
+        f'{n1}"components": {_records(recs, 1)},{n1}"cycle_check_ok": {"true" if cycle_check.ok else "false"}\n}}'
+    )
     return EXIT_OK
 
 

@@ -8,9 +8,10 @@ The document format:
 
 Interval records are ``{"id": ..., "endpoints": [x0, x1]}`` with the
 endpoints optional; ``"-inf"`` / ``"+inf"`` tokens stand for unbounded ends.
-Parsing is strict: malformed JSON raises :class:`ParseError` with position,
-schema and validation failures name the offending rule and ids.  Output is
-deterministic byte for byte.
+Ids are JSON strings.  Parsing is strict: malformed JSON raises
+:class:`ParseError` with position, schema and validation failures name the
+offending rule and ids.  Each JSON document written equals
+``json.dumps(document, indent=2)`` byte for byte.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .core import (
     build_surface,
     GluingSpec,
 )
-from .leafspace import LeafSpace, build_leaf_space, closure_ids
+from .leafspace import LeafSpace, PointKind, build_leaf_space, closure_ids
 
 
 class ParseError(ValueError):
@@ -43,19 +44,15 @@ class ParseError(ValueError):
 _ORIENTATIONS = {o.value: o for o in Orientation}
 
 
-def _interval_path(i: int, side: Side, k: int) -> str:
-    return f"strips[{i}].{side.value}[{k}]"
-
-
-def _num(value, i: int, side: Side, k: int, j: int) -> float:
-    """Endpoint ``j`` of interval ``k`` on ``side`` of strip record ``i``."""
+def _num(value, i: int, side_name: str, k: int, j: int) -> float:
+    """Endpoint ``j`` of interval ``k`` on side ``side_name`` of strip record ``i``."""
     if type(value) is float:
         return value
     if value == "-inf":
         return float("-inf")
     if value == "+inf" or value == "inf":
         return float("inf")
-    path = f"{_interval_path(i, side, k)}.endpoints[{j}]"
+    path = f"strips[{i}].{side_name}[{k}].endpoints[{j}]"
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
             return float(value)
@@ -64,23 +61,16 @@ def _num(value, i: int, side: Side, k: int, j: int) -> float:
     raise ParseError(f"expected a number or -inf/+inf, got {value!r}", path=path)
 
 
-def _interval(rec, i: int, side: Side, k: int) -> Interval:
-    """Interval ``k`` on ``side`` of strip record ``i``; its path is spelled
-    out only when the record is refused."""
-    if isinstance(rec, str):
-        return Interval(rec, side, k)
-    if not isinstance(rec, dict) or "id" not in rec:
-        raise ParseError("interval record needs an 'id'", path=_interval_path(i, side, k))
-    ends = rec.get("endpoints")
-    if ends is None:
-        return Interval(str(rec["id"]), side, k)
-    if not isinstance(ends, list) or len(ends) != 2:
-        raise ParseError("endpoints must be a [x0, x1] pair", path=_interval_path(i, side, k))
-    return Interval(str(rec["id"]), side, k, (_num(ends[0], i, side, k, 0), _num(ends[1], i, side, k, 1)))
+def _not_a_string(value, path: str) -> ParseError:
+    return ParseError(f"ids must be JSON strings, got {value!r}", path=path)
 
 
 def parse(text: str) -> StripedSurface:
-    """Parse a surface document; errors carry position and the violated rule."""
+    """Parse a surface document; errors carry position and the violated rule.
+
+    Records are made with ``tuple.__new__``, as ``build_surface`` validates
+    them; a refusal's path is spelled out only when the record is refused.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -94,21 +84,41 @@ def parse(text: str) -> StripedSurface:
         if not isinstance(doc.get(key, []), list):
             raise ParseError(f"'{key}' must be a list", path=key)
 
+    new = tuple.__new__
     strips = []
     for i, srec in enumerate(doc.get("strips", [])):
-        if not isinstance(srec, dict) or "id" not in srec:
+        if type(srec) is not dict or "id" not in srec:
             raise ParseError("strip record needs an 'id'", path=f"strips[{i}]")
+        sid = srec["id"]
+        if type(sid) is not str:
+            raise _not_a_string(sid, f"strips[{i}].id")
         sides = []
         for side_name, side in (("lower", Side.LOWER), ("upper", Side.UPPER)):
             recs = srec.get(side_name, [])
-            if not isinstance(recs, list):
+            if type(recs) is not list:
                 raise ParseError(f"'{side_name}' must be a list", path=f"strips[{i}]")
-            sides.append(tuple([_interval(rec, i, side, k) for k, rec in enumerate(recs)]))
-        strips.append(ModelStripSpec(str(srec["id"]), *sides))
+            ivs = []
+            for k, rec in enumerate(recs):
+                if type(rec) is str:
+                    ivs.append(new(Interval, (rec, side, k, None)))
+                    continue
+                if type(rec) is not dict or "id" not in rec:
+                    raise ParseError("interval record needs an 'id'", path=f"strips[{i}].{side_name}[{k}]")
+                iid = rec["id"]
+                if type(iid) is not str:
+                    raise _not_a_string(iid, f"strips[{i}].{side_name}[{k}].id")
+                ends = rec.get("endpoints")
+                if ends is not None:
+                    if type(ends) is not list or len(ends) != 2:
+                        raise ParseError("endpoints must be a [x0, x1] pair", path=f"strips[{i}].{side_name}[{k}]")
+                    ends = (_num(ends[0], i, side_name, k, 0), _num(ends[1], i, side_name, k, 1))
+                ivs.append(new(Interval, (iid, side, k, ends)))
+            sides.append(tuple(ivs))
+        strips.append(new(ModelStripSpec, (sid, *sides)))
 
     gluings = []
     for i, grec in enumerate(doc.get("gluings", [])):
-        if not isinstance(grec, dict) or "a" not in grec or "b" not in grec:
+        if type(grec) is not dict or "a" not in grec or "b" not in grec:
             raise ParseError("gluing record needs 'a' and 'b'", path=f"gluings[{i}]")
         flag = grec.get("orientation", "preserving")
         try:
@@ -117,110 +127,78 @@ def parse(text: str) -> StripedSurface:
             raise ParseError(
                 f"orientation must be 'preserving' or 'reversing', got {flag!r}", path=f"gluings[{i}]"
             ) from None
-        gid = str(grec["id"]) if "id" in grec else f"g{i}"
-        gluings.append(GluingSpec(gid, str(grec["a"]), str(grec["b"]), orientation))
+        gid = grec["id"] if "id" in grec else f"g{i}"
+        a = grec["a"]
+        b = grec["b"]
+        if type(gid) is not str or type(a) is not str or type(b) is not str:
+            key = "id" if type(gid) is not str else "a" if type(a) is not str else "b"
+            raise _not_a_string(grec[key], f"gluings[{i}].{key}")
+        gluings.append(new(GluingSpec, (gid, a, b, orientation)))
 
     return build_surface(strips, gluings)
 
 
 _encode_str = json.encoder.encode_basestring_ascii  # the C encoder's string writer
+# The line break and indent before an item at depth d, as json.dumps(indent=2)
+# writes them.  Every JSON writer formats its records by hand over this table,
+# so that each output equals json.dumps(report, indent=2) byte for byte.
+_NL = tuple(["\n" + "  " * d for d in range(8)])
 
 
-def _float_text(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
+def _strings(items, d: int) -> str:
+    """A list of strings whose brackets sit at depth ``d``."""
+    if not items:
+        return "[]"
+    inner = _NL[d + 1]
+    return "[" + inner + ("," + inner).join(map(_encode_str, items)) + _NL[d] + "]"
+
+
+def _records(items: list[str], d: int) -> str:
+    """A list whose brackets sit at depth ``d``, of items already written at depth ``d + 1``."""
+    if not items:
+        return "[]"
+    inner = _NL[d + 1]
+    return "[" + inner + ("," + inner).join(items) + _NL[d] + "]"
+
+
+def _endpoint_token(x: float) -> str:
+    """An endpoint's JSON text: ``"-inf"``/``"+inf"``, an integral value as an int."""
     if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
+        return '"-inf"'
+    if x == math.inf:
+        return '"+inf"'
+    return int.__repr__(int(x)) if float(x).is_integer() else float.__repr__(x)
 
 
-def _key_text(key) -> str:
-    """A dict key that is not a string, quoted as ``json.dumps`` quotes it."""
-    if isinstance(key, float):
-        return f'"{_float_text(key)}"'
-    if key is True:
-        return '"true"'
-    if key is False:
-        return '"false"'
-    if key is None:
-        return '"null"'
-    if isinstance(key, int):
-        return f'"{int.__repr__(key)}"'
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-
-
-def _dumps(obj, _nl: str = "\n") -> str:
-    """``json.dumps(obj, indent=2)``, byte for byte.
-
-    CPython runs its C encoder only when ``indent`` is None, and its
-    pure-Python one is several times slower.  This writer hands every
-    string to the C string encoder and writes a list of strings in one
-    ``join``.  ``_nl`` is the line break and indent of ``obj``'s own level.
-    Unlike ``json.dumps``, it does not look for reference cycles.
-    """
-    if isinstance(obj, str):
-        return _encode_str(obj)
-    inner = _nl + "  "
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            (_encode_str(k) if isinstance(k, str) else _key_text(k))
-            + ": "
-            + (_encode_str(v) if isinstance(v, str) else _dumps(v, inner))
-            for k, v in obj.items()
-        ]
-        return "{" + inner + ("," + inner).join(items) + _nl + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        if isinstance(obj[0], str):
-            try:
-                return "[" + inner + ("," + inner).join(map(_encode_str, obj)) + _nl + "]"
-            except TypeError:  # not all strings
-                pass
-        items = [_encode_str(x) if isinstance(x, str) else _dumps(x, inner) for x in obj]
-        return "[" + inner + ("," + inner).join(items) + _nl + "]"
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        return _float_text(obj)
-    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
-
-
-def _endpoint_token(x: float):
-    if x == float("-inf"):
-        return "-inf"
-    if x == float("inf"):
-        return "+inf"
-    return int(x) if float(x).is_integer() else x
+_ORIENTATION_TEXT = {o: _encode_str(o.value) for o in Orientation}
 
 
 def serialize(surface: StripedSurface) -> str:
     """Canonical JSON text for a surface; parse(serialize(s)) == s."""
-    doc = {"strips": [], "gluings": []}
+    enc = _encode_str
+    n1, n2, n3, n4, n5, n6 = _NL[1:7]
+    strips = []
     for s in surface.strips:
-        rec = {"id": s.id, "lower": [], "upper": []}
-        for side_name, ivs in (("lower", s.lower), ("upper", s.upper)):
+        sides = []
+        for ivs in (s.lower, s.upper):
+            recs = []
             for iv in ivs:
-                irec = {"id": iv.id}
-                if iv.endpoints is not None:
-                    irec["endpoints"] = [_endpoint_token(x) for x in iv.endpoints]
-                rec[side_name].append(irec)
-        doc["strips"].append(rec)
-    for g in surface.gluings:
-        doc["gluings"].append(
-            {"id": g.id, "a": g.first, "b": g.second, "orientation": g.orientation.value}
-        )
-    return _dumps(doc) + "\n"
+                if iv.endpoints is None:
+                    recs.append(f'{{{n5}"id": {enc(iv.id)}{n4}}}')
+                else:
+                    x0, x1 = iv.endpoints
+                    recs.append(
+                        f'{{{n5}"id": {enc(iv.id)},{n5}"endpoints": ['
+                        f"{n6}{_endpoint_token(x0)},{n6}{_endpoint_token(x1)}{n5}]{n4}}}"
+                    )
+            sides.append(_records(recs, 3))
+        strips.append(f'{{{n3}"id": {enc(s.id)},{n3}"lower": {sides[0]},{n3}"upper": {sides[1]}{n2}}}')
+    gluings = [
+        f'{{{n3}"id": {enc(g.id)},{n3}"a": {enc(g.first)},{n3}"b": {enc(g.second)},'
+        f'{n3}"orientation": {_ORIENTATION_TEXT[g.orientation]}{n2}}}'
+        for g in surface.gluings
+    ]
+    return f'{{{n1}"strips": {_records(strips, 1)},{n1}"gluings": {_records(gluings, 1)}\n}}\n'
 
 
 # ---------------------------------------------------------------------------
@@ -365,24 +343,25 @@ def render(obj: StripedSurface | LeafSpace, fmt: str = "svg") -> str:
     raise ValueError(f"unknown render format {fmt!r}")
 
 
+_KIND_TEXT = {k: _encode_str(k.value) for k in PointKind}
+
+
 def leafspace_json(ls: LeafSpace) -> str:
     """Deterministic JSON description of a leaf space."""
-    doc = {
-        "arcs": list(ls.arcs),
-        "points": [
-            {
-                "id": p.id,
-                "members": list(p.members),
-                "kind": p.kind.value,
-                "special": p.special,
-                "hausdorff_closure": sorted(closure_ids(ls, p)),
-            }
-            for p in ls.points
-        ],
-        "incidence": [
-            {"strip": sid, "side": side.value, "points": list(ls.points_on((sid, side)))}
-            for sid in ls.arcs
-            for side in (Side.LOWER, Side.UPPER)
-        ],
-    }
-    return _dumps(doc) + "\n"
+    enc = _encode_str
+    n1, n2, n3 = _NL[1:4]
+    points = [
+        f'{{{n3}"id": {enc(p.id)},{n3}"members": {_strings(p.members, 3)},{n3}"kind": {_KIND_TEXT[p.kind]},'
+        f'{n3}"special": {"true" if p.special else "false"},'
+        f'{n3}"hausdorff_closure": {_strings(sorted(closure_ids(ls, p)), 3)}{n2}}}'
+        for p in ls.points
+    ]
+    incidence = [
+        f'{{{n3}"strip": {enc(sid)},{n3}"side": {side_text},{n3}"points": {_strings(ls.points_on((sid, side)), 3)}{n2}}}'
+        for sid in ls.arcs
+        for side, side_text in ((Side.LOWER, '"lower"'), (Side.UPPER, '"upper"'))
+    ]
+    return (
+        f'{{{n1}"arcs": {_strings(ls.arcs, 1)},{n1}"points": {_records(points, 1)},'
+        f'{n1}"incidence": {_records(incidence, 1)}\n}}\n'
+    )

@@ -1,6 +1,7 @@
 """Independent oracles: orientation propagation, exhaustive isomorphism and
 automorphism counts, the leaf-space arc walker, the branch-and-bound
-canonical code and the unpruned rooted traversal."""
+canonical code, the unpruned rooted traversal and the reference dicts of
+the JSON documents."""
 
 from __future__ import annotations
 
@@ -9,7 +10,15 @@ from enum import Enum
 from itertools import permutations, product
 
 from stripfol.core import Orientation, Side, StripedSurface
-from stripfol.leafspace import LeafSpace, PointKind, hausdorff_closure, is_special
+from stripfol.decomposition import (
+    Mode,
+    Shape,
+    check_cycle_components,
+    classify_component,
+    component_closures,
+    decompose,
+)
+from stripfol.leafspace import LeafSpace, PointKind, build_leaf_space, closure_ids, hausdorff_closure, is_special
 
 from _gen import components
 
@@ -448,3 +457,96 @@ def unpruned_rooted_code(surface: StripedSurface) -> bytes:
         rows = min(least_root_walks(piece).values())
         codes.append("|".join(",".join(map(str, row)) for row in rows).encode("ascii"))
     return b"/".join(sorted(codes))
+
+
+# ---------------------------------------------------------------------------
+# reference dicts of the JSON documents: each document the CLI writes must
+# equal json.dumps(reference, indent=2) byte for byte
+
+
+def _endpoint_value(x: float):
+    if x == float("-inf"):
+        return "-inf"
+    if x == float("inf"):
+        return "+inf"
+    return int(x) if float(x).is_integer() else x
+
+
+def serialize_reference(surface: StripedSurface) -> dict:
+    """The surface document that ``io.serialize`` writes."""
+    doc = {"strips": [], "gluings": []}
+    for s in surface.strips:
+        rec = {"id": s.id, "lower": [], "upper": []}
+        for side_name, ivs in (("lower", s.lower), ("upper", s.upper)):
+            for iv in ivs:
+                irec = {"id": iv.id}
+                if iv.endpoints is not None:
+                    irec["endpoints"] = [_endpoint_value(x) for x in iv.endpoints]
+                rec[side_name].append(irec)
+        doc["strips"].append(rec)
+    for g in surface.gluings:
+        doc["gluings"].append({"id": g.id, "a": g.first, "b": g.second, "orientation": g.orientation.value})
+    return doc
+
+
+def leafspace_reference(ls: LeafSpace) -> dict:
+    """The leaf-space document that ``io.leafspace_json`` writes."""
+    return {
+        "arcs": list(ls.arcs),
+        "points": [
+            {
+                "id": p.id,
+                "members": list(p.members),
+                "kind": p.kind.value,
+                "special": p.special,
+                "hausdorff_closure": sorted(closure_ids(ls, p)),
+            }
+            for p in ls.points
+        ],
+        "incidence": [
+            {"strip": sid, "side": side.value, "points": list(ls.points_on((sid, side)))}
+            for sid in ls.arcs
+            for side in (Side.LOWER, Side.UPPER)
+        ],
+    }
+
+
+def decompose_reference(surface: StripedSurface, mode: Mode) -> dict:
+    """The report of ``stripfol decompose`` on a connected surface.
+
+    Cut and overlap points go in first-incidence order: by strip position,
+    side, interval index.
+    """
+    ls = build_leaf_space(surface)
+    order = {}
+    for sid in ls.arcs:
+        for side in (Side.LOWER, Side.UPPER):
+            for pid in ls.points_on((sid, side)):
+                order.setdefault(pid, len(order))
+    comps, cut = decompose(surface, mode, ls)
+    out = {
+        "mode": mode.value,
+        "cut": sorted((p.id for p in cut), key=order.__getitem__),
+        "components": [],
+        "cycle_check_ok": check_cycle_components(surface, comps).ok,
+    }
+    for comp in comps:
+        rec = {
+            "strips": [{"id": s, "flipped": f} for s, f in comp.strips],
+            "shape": comp.shape.value,
+            "class": classify_component(comp).value,
+            "interfaces": list(comp.interfaces),
+        }
+        if comp.shape is Shape.CHAIN:
+            lower, upper, overlap = component_closures(comp)
+            rec["closures"] = {
+                "lower": [p.id for p in lower.base_points],
+                "upper": [p.id for p in upper.base_points],
+                "overlap": sorted((p.id for p in overlap), key=order.__getitem__),
+            }
+            if comp.retained_lower is not None or comp.retained_upper is not None:
+                rec["retained"] = {"lower": comp.retained_lower, "upper": comp.retained_upper}
+        else:
+            rec["monodromy"] = comp.monodromy
+        out["components"].append(rec)
+    return out

@@ -102,6 +102,24 @@ def horseshoe() -> StripedSurface:
     )
 
 
+def hostile_ids() -> StripedSurface:
+    """A connected surface whose ids hold JSON escapes, non-ASCII characters
+    and U+2028, and whose endpoints are infinite, signed zero, subnormal,
+    huge or past 2**53."""
+    inf = float("inf")
+    return build_surface(
+        [
+            strip('q"uote\\back/slash', upper=[("tab\there", (-inf, -0.0)), ("new\nline", (5e-324, 1e300))]),
+            strip("caf\u00e9\U0001f600", lower=[("sep\u2028arator", (-2.5, 2.0**53 + 1.0))], upper=[("\u00e9", (-inf, inf))]),
+            strip("\U0001f600\u2028", lower=[('x/y\\z"', (0.1, 7.0))]),
+        ],
+        [
+            glue('g"1', "tab\there", "sep\u2028arator"),
+            glue("g\\2/\t\n", "\u00e9", 'x/y\\z"', Orientation.REVERSING),
+        ],
+    )
+
+
 def all_fixtures() -> dict[str, StripedSurface]:
     return {
         "kaplan5": kaplan5(),

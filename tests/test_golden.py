@@ -13,7 +13,7 @@ import random
 
 from stripfol.io import serialize
 
-from fixtures import all_fixtures
+from fixtures import all_fixtures, hostile_ids
 from _gen import components, random_moves, random_surface
 
 
@@ -30,6 +30,7 @@ def _surfaces():
         out[f"gen-split{i}"] = s
     out["gen-large"] = random_surface(rng, max_strips=40, max_intervals=3)
     out["gen-large-moved"] = random_moves(rng, out["gen-large"], 12)
+    out["hostile-ids"] = hostile_ids()
     return out
 
 
@@ -250,6 +251,19 @@ GOLDEN = {
     "kaplan5/realize-B": (0, "188e72976381092c2193680275ba617be460357f5f20861b05c31eb8c1262b0b"),
     "kaplan5/iso-mirror": (0, "1d1ec64141dd6de8edb47f05fdc37cbcf46a46bfe08459bb2630cb019135b2ec"),
     "gen-large/iso-moved": (0, "1d1ec64141dd6de8edb47f05fdc37cbcf46a46bfe08459bb2630cb019135b2ec"),
+    # hostile-ids: computed at the commit before the shape-aware JSON writers
+    "hostile-ids/validate": (0, "f04bed1232f91e5d2521a058e80e193ae00ebddd14284c540b683eee7c624ed0"),
+    "hostile-ids/leafspace": (0, "c86fb0bbec4a3c777f1358970a4f90a0139379d4eca443c8167108b0a6729410"),
+    "hostile-ids/leafspace-dot": (0, "88d463996a408dabb50144db742b6d92eeb85695e442c2ab7c0e6b0b7ae29a61"),
+    "hostile-ids/decompose": (0, "6b8341c3af7377b76265a3277dc6dfbcac8b5913b4b0c950d1801a6671ec0fe9"),
+    "hostile-ids/decompose-interior": (0, "566cec5fa6bfcc7213ece1e18f34cba8d26f002eb5a52b6d5ca06597e907c265"),
+    "hostile-ids/canon": (0, "7902d2b8e4c298faaa529d2ef91c4f4777b8d0850127ac49682048259a752841"),
+    "hostile-ids/iso-self": (0, "1d1ec64141dd6de8edb47f05fdc37cbcf46a46bfe08459bb2630cb019135b2ec"),
+    "hostile-ids/iso-next": (1, "e831412b2083aa2eb211f0ae5d65db052944c8072644d8e1b22e91f5fd0a2ab7"),
+    "hostile-ids/realize-lower": (0, "e8f2fbb190470ad350d0f8e38016d9514fa208857ace75786406fb52ae1bb6ec"),
+    "hostile-ids/realize-upper": (3, "7bdfa18fd9177f44c7317f4b317004579223f0675f6e6f41d38f1791940b2451"),
+    "hostile-ids/render": (0, "266603e174c74ac8a672a20ab496767c5cec2c3c64dcc45f15e8629e922396c2"),
+    "hostile-ids/render-dot": (0, "88d463996a408dabb50144db742b6d92eeb85695e442c2ab7c0e6b0b7ae29a61"),
 }
 
 

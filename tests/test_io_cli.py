@@ -391,6 +391,28 @@ def test_cli_decompose_kaplan5(fixture_dir, capsys):
     assert rep["cycle_check_ok"]
 
 
+def test_cli_decompose_keeps_a_retained_leaf_with_an_empty_id(tmp_path, capsys):
+    # the retained lower leaf of the chain A-B is the interval with id "";
+    # B's upper side holds two intervals, so its leaves are special and cut
+    doc = tmp_path / "empty-id.json"
+    doc.write_text(
+        json.dumps(
+            {
+                "strips": [
+                    {"id": "A", "lower": [{"id": ""}], "upper": ["A.u0"]},
+                    {"id": "B", "lower": ["B.l0"], "upper": ["B.u0", "B.u1"]},
+                ],
+                "gluings": [{"id": "g", "a": "A.u0", "b": "B.l0"}],
+            }
+        )
+    )
+    code, out = run_cli(capsys, "decompose", str(doc), "--mode", "interior")
+    assert code == 0
+    (comp,) = json.loads(out)["components"]
+    assert comp["class"] == "half-closed-strip"
+    assert comp["retained"] == {"lower": "", "upper": None}
+
+
 def test_cli_iso_exit_codes(fixture_dir, capsys):
     code, out = run_cli(
         capsys,

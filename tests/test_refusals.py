@@ -65,6 +65,26 @@ PARSE_REFUSALS = [
      "ParseError (strips): 'strips' must be a list", 'strips'),
     ('gluings-not-list', '{"strips": [], "gluings": {}}',
      "ParseError (gluings): 'gluings' must be a list", 'gluings'),
+    ('strip-id-null', '{"strips":[{"id":null},{"id":"None"}]}',
+     'ParseError (strips[0].id): ids must be JSON strings, got None', 'strips[0].id'),
+    ('strip-id-true', _A('{"strips":[%s,{"id":true}]}'),
+     'ParseError (strips[1].id): ids must be JSON strings, got True', 'strips[1].id'),
+    ('strip-id-object', '{"strips":[{"id":{"k":[1]}}]}',
+     "ParseError (strips[0].id): ids must be JSON strings, got {'k': [1]}", 'strips[0].id'),
+    ('interval-id-number', '{"strips":[{"id":"A","upper":["u",{"id":7}]}]}',
+     'ParseError (strips[0].upper[1].id): ids must be JSON strings, got 7', 'strips[0].upper[1].id'),
+    ('interval-id-list', _A('{"strips":[%s,{"id":"B","lower":[{"id":["b"],"endpoints":[0,1]}]}]}'),
+     "ParseError (strips[1].lower[0].id): ids must be JSON strings, got ['b']", 'strips[1].lower[0].id'),
+    ('gluing-id-number', _A('{"strips":[%s],"gluings":[{"id":1,"a":"a0","b":"a1"}]}'),
+     'ParseError (gluings[0].id): ids must be JSON strings, got 1', 'gluings[0].id'),
+    ('gluing-a-null', _A('{"strips":[%s],"gluings":[{"a":"a0","b":"a1"},{"id":"h","a":null,"b":"a1"}]}'),
+     'ParseError (gluings[1].a): ids must be JSON strings, got None', 'gluings[1].a'),
+    ('gluing-b-float', _A('{"strips":[%s],"gluings":[{"id":"g","a":"a0","b":1.5}]}'),
+     'ParseError (gluings[0].b): ids must be JSON strings, got 1.5', 'gluings[0].b'),
+    ('orientation-before-id-type', _A('{"strips":[%s],"gluings":[{"id":2,"a":"a0","b":"a1","orientation":"x"}]}'),
+     "ParseError (gluings[0]): orientation must be 'preserving' or 'reversing', got 'x'", 'gluings[0]'),
+    ('strip-id-type-before-sides', '{"strips":[{"id":0,"lower":5}]}',
+     'ParseError (strips[0].id): ids must be JSON strings, got 0', 'strips[0].id'),
 ]
 
 # (case, document, rule, str(SurfaceError))
