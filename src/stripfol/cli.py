@@ -16,10 +16,11 @@ import json
 import os
 import sys
 
-from .core import Side, SurfaceError, is_connected, validate_class_f
+from .core import SurfaceError, is_connected, validate_class_f
 from .decomposition import (
     Mode,
     Shape,
+    StripClass,
     canonical_code,
     canonicalize,
     check_cycle_components,
@@ -77,17 +78,11 @@ def _refuse_disconnected(surface, **which) -> bool:
     return True
 
 
-def _point_order(ls):
-    """Points in first-incidence order: by strip position, side, interval index."""
-    order = {}
-    rank = 0
-    for sid in ls.arcs:
-        for side in (Side.LOWER, Side.UPPER):
-            for pid in ls.points_on((sid, side)):
-                if pid not in order:
-                    order[pid] = rank
-                    rank += 1
-    return lambda pid: order.get(pid, rank)
+def _point_order(ls) -> dict:
+    """Point id -> rank in first-incidence order: by strip position, side,
+    interval index, the order in which build_leaf_space fills the incidence."""
+    first = dict.fromkeys([pid for pids in ls.incidence.values() for pid in pids])
+    return dict(zip(first, range(len(first))))
 
 
 def _cmd_validate(args) -> int:
@@ -121,6 +116,10 @@ def _cmd_leafspace(args) -> int:
     return EXIT_OK
 
 
+_SHAPE_TEXT = {s: _encode_str(s.value) for s in Shape}
+_CLASS_TEXT = {c: _encode_str(c.value) for c in StripClass}
+
+
 def _cmd_decompose(args) -> int:
     surface = _load(args.file)
     if _refuse_disconnected(surface):
@@ -128,35 +127,38 @@ def _cmd_decompose(args) -> int:
     mode = Mode.INTERIOR if args.mode == "interior" else Mode.WITH_BOUNDARY
     ls = build_leaf_space(surface)
     comps, cut = decompose(surface, mode, ls)
-    key = _point_order(ls)
+    order = _point_order(ls)
     cycle_check = check_cycle_components(surface, comps)
     enc = _encode_str
     n1, n2, n3, n4, n5 = _NL[1:6]
+    chain = Shape.CHAIN
     recs = []
     for comp in comps:
         strips = [f'{{{n5}"id": {enc(s)},{n5}"flipped": {"true" if f else "false"}{n4}}}' for s, f in comp.strips]
         rec = (
-            f'{{{n3}"strips": {_records(strips, 3)},{n3}"shape": {enc(comp.shape.value)},'
-            f'{n3}"class": {enc(classify_component(comp).value)},{n3}"interfaces": {_strings(comp.interfaces, 3)}'
+            f'{{{n3}"strips": {_records(strips, 3)},{n3}"shape": {_SHAPE_TEXT[comp.shape]},'
+            f'{n3}"class": {_CLASS_TEXT[classify_component(comp)]},{n3}"interfaces": {_strings(comp.interfaces, 3)}'
         )
-        if comp.shape is Shape.CHAIN:
+        if comp.shape is chain:
             lower, upper, overlap = component_closures(comp)
             rec += (
                 f',{n3}"closures": {{{n4}"lower": {_strings([p.id for p in lower.base_points], 4)},'
                 f'{n4}"upper": {_strings([p.id for p in upper.base_points], 4)},'
-                f'{n4}"overlap": {_strings(sorted((p.id for p in overlap), key=key), 4)}{n3}}}'
+                f'{n4}"overlap": {_strings(sorted([p.id for p in overlap], key=order.__getitem__), 4)}{n3}}}'
             )
             # an id may be the empty string, so test for None, as classify_component does
-            if comp.retained_lower is not None or comp.retained_upper is not None:
+            low, up = comp.retained_lower, comp.retained_upper
+            if low is not None or up is not None:
                 rec += (
-                    f',{n3}"retained": {{{n4}"lower": {json.dumps(comp.retained_lower)},'
-                    f'{n4}"upper": {json.dumps(comp.retained_upper)}{n3}}}'
+                    f',{n3}"retained": {{{n4}"lower": {"null" if low is None else enc(low)},'
+                    f'{n4}"upper": {"null" if up is None else enc(up)}{n3}}}'
                 )
         else:
-            rec += f',{n3}"monodromy": {json.dumps(comp.monodromy)}'
+            rec += f',{n3}"monodromy": {comp.monodromy}'
         recs.append(rec + n2 + "}")
+    cut_ids = {p.id for p in cut}
     print(
-        f'{{{n1}"mode": {enc(mode.value)},{n1}"cut": {_strings(sorted((p.id for p in cut), key=key), 1)},'
+        f'{{{n1}"mode": {enc(mode.value)},{n1}"cut": {_strings([pid for pid in order if pid in cut_ids], 1)},'
         f'{n1}"components": {_records(recs, 1)},{n1}"cycle_check_ok": {"true" if cycle_check.ok else "false"}\n}}'
     )
     return EXIT_OK

@@ -36,6 +36,8 @@ class Shape(Enum):
     CHAIN = "chain"
     CYCLE = "cycle"
 
+    __hash__ = object.__hash__  # as for core.Side
+
 
 class StripClass(Enum):
     OPEN_STRIP = "open-strip"
@@ -43,6 +45,12 @@ class StripClass(Enum):
     CLOSED_STRIP = "closed-strip"
     CYLINDER = "cylinder"
     MOEBIUS = "moebius"
+
+    __hash__ = object.__hash__  # as for core.Side
+
+
+# chain classes by the number of retained (closed) extremes
+_CHAIN_CLASSES = (StripClass.OPEN_STRIP, StripClass.HALF_CLOSED_STRIP, StripClass.CLOSED_STRIP)
 
 
 class NotAChainError(ValueError):
@@ -87,27 +95,15 @@ def _merge_edges(ls: LeafSpace) -> dict[SideEnd, tuple[GluingSpec, SideEnd]]:
     """Map each side-end consumed by a non-special gluing to (gluing, partner side-end)."""
     gluing_by_id = ls.surface._gluing_by_id
     ends_of = ls.ends_by_point
+    merging = PointKind.NON_SPECIAL_GLUED  # each read of an enum member from its class is a lookup
     out: dict[SideEnd, tuple[GluingSpec, SideEnd]] = {}
     for p in ls.points:
-        if p.kind is PointKind.NON_SPECIAL_GLUED:
+        if p.kind is merging:
             g = gluing_by_id[p.id]
             a, b = ends_of[p.id]
             out[a] = (g, b)
             out[b] = (g, a)
     return out
-
-
-def _outer_data(ls: LeafSpace, end: SideEnd, cut_ids: set[str], mode: Mode):
-    """Base points (cut leaves, interval order) and retained boundary leaf of an extreme."""
-    pids = ls.points_on(end)
-    base = tuple([ls.point(pid) for pid in pids if pid in cut_ids])
-    retained = None
-    if mode is Mode.INTERIOR and len(pids) == 1:
-        p = ls.point(pids[0])
-        # a boundary leaf alone on its side-end is never special
-        if p.kind is PointKind.BOUNDARY_LEAF:
-            retained = p.id
-    return base, retained
 
 
 def decompose(
@@ -125,109 +121,77 @@ def decompose(
     if ls is None:
         ls = build_leaf_space(surface)
     boundary_cut = mode is Mode.WITH_BOUNDARY
-    cut = frozenset([p for p in ls.points if p.special or (boundary_cut and p.kind is PointKind.BOUNDARY_LEAF)])
-    cut_ids = {p.id for p in cut}
+    boundary = PointKind.BOUNDARY_LEAF
+    cut = frozenset([p for p in ls.points if p.special or (boundary_cut and p.kind is boundary)])
     edges = _merge_edges(ls)
+    incidence = ls.incidence
+    point = ls.point_by_id.__getitem__
+    order = dict(zip(ls.arcs, range(len(ls.arcs))))
+    new = tuple.__new__
+    CHAIN, CYCLE, LOWER, UPPER = Shape.CHAIN, Shape.CYCLE, Side.LOWER, Side.UPPER
 
-    order = {sid: i for i, sid in enumerate(surface.strip_ids())}
     seen: set[str] = set()
     comps: list[Component] = []
-    for sid in surface.strip_ids():
-        if sid in seen:
+    for first in ls.arcs:  # the first strip of its component
+        if first in seen:
             continue
-        comps.append(_trace_component(ls, sid, edges, cut_ids, mode, seen, order))
-    return comps, cut
-
-
-def _trace_component(
-    ls: LeafSpace,
-    start: str,
-    edges: dict[SideEnd, tuple[GluingSpec, SideEnd]],
-    cut_ids: set[str],
-    mode: Mode,
-    seen: set[str],
-    order: dict[str, int],
-) -> Component:
-    # collect the member strips first to find the extremes
-    members = {start}
-    frontier = [start]
-    while frontier:
-        sid = frontier.pop()
-        for side in (Side.LOWER, Side.UPPER):
-            if (sid, side) in edges:
-                nxt = edges[(sid, side)][1][0]
-                if nxt not in members:
-                    members.add(nxt)
-                    frontier.append(nxt)
-    seen.update(members)
-
-    def degree(sid: str) -> int:
-        return ((sid, Side.LOWER) in edges) + ((sid, Side.UPPER) in edges)
-
-    extremes = sorted((s for s in members if degree(s) < 2), key=lambda s: order[s])
-
-    if extremes:
-        first = extremes[0]
-        exposed = Side.LOWER if (first, Side.LOWER) not in edges else Side.UPPER
-        strips: list[tuple[str, bool]] = [(first, exposed is Side.UPPER)]
-        interfaces: list[str] = []
-        cur, cur_exit = first, exposed.other
-        while (cur, cur_exit) in edges:
-            g, (nxt, entered) = edges[(cur, cur_exit)]
-            interfaces.append(g.id)
-            strips.append((nxt, entered is Side.UPPER))
-            cur, cur_exit = nxt, entered.other
-        outer_lower = (first, exposed)
-        outer_upper = (cur, cur_exit)
-        low_pts, low_ret = _outer_data(ls, outer_lower, cut_ids, mode)
-        up_pts, up_ret = _outer_data(ls, outer_upper, cut_ids, mode)
-        return Component(
-            shape=Shape.CHAIN,
-            strips=tuple(strips),
-            interfaces=tuple(interfaces),
-            mode=mode,
-            outer_lower=outer_lower,
-            outer_upper=outer_upper,
-            outer_lower_points=low_pts,
-            outer_upper_points=up_pts,
-            retained_lower=low_ret,
-            retained_upper=up_ret,
+        # One walk across the merge seams: up from ``first``, then down.  A
+        # walk that comes back to ``first`` has gone round a cycle.  A strip
+        # without seams is the chain both of whose walks are empty.
+        walks = []
+        for side in (UPPER, LOWER):
+            strips, seams = [], []
+            sign = 1
+            cur, exit_ = first, side
+            while (cur, exit_) in edges:
+                g, (cur, entered) = edges[cur, exit_]
+                seams.append(g.id)
+                # a seam joining a lower to an upper side keeps the y direction
+                sign *= g.orientation.sign if entered is not exit_ else -g.orientation.sign
+                if cur == first:
+                    break
+                seen.add(cur)
+                strips.append((cur, entered is UPPER))
+                exit_ = entered.other
+            if cur == first and seams:
+                break
+            walks.append((side, strips, seams, (cur, exit_)))
+        if len(walks) < 2:  # the walk up went round: the cycle leaves ``first`` upward
+            record = (CYCLE, ((first, False), *strips), tuple(seams), mode, None, None, (), (), None, None, sign)
+            comps.append(new(Component, record))
+            continue
+        # The chain runs from its end of smaller strip order: that end's walk
+        # reversed, so with each flip flag negated, then ``first``, then the
+        # other walk.
+        up, down = walks
+        (head_side, head, head_seams, lower_end), (_, tail, tail_seams, upper_end) = (
+            (up, down) if order[up[3][0]] < order[down[3][0]] else (down, up)
         )
-
-    # cycle: every member side is consumed
-    first = min(members, key=lambda s: order[s])
-    strips = [(first, False)]
-    interfaces = []
-    sign = 1
-    cur, cur_exit = first, Side.UPPER
-    while True:
-        g, (nxt, entered) = edges[(cur, cur_exit)]
-        interfaces.append(g.id)
-        # a seam joining a lower to an upper side keeps the y direction
-        sign *= g.orientation.sign if entered is not cur_exit else -g.orientation.sign
-        if nxt == first and len(interfaces) == len(members):
-            break
-        strips.append((nxt, entered is Side.UPPER))
-        cur, cur_exit = nxt, entered.other
-    return Component(
-        shape=Shape.CYCLE,
-        strips=tuple(strips),
-        interfaces=tuple(interfaces),
-        mode=mode,
-        monodromy=sign,
-    )
+        strips = [(s, not f) for s, f in reversed(head)] if head else []
+        strips.append((first, head_side is UPPER))
+        strips += tail
+        # No merge seam lies on an exposed side-end, so each point there is
+        # special or a boundary leaf: all are cut, except that interior mode
+        # keeps a boundary leaf alone on its side-end.
+        outer = []
+        for end in (lower_end, upper_end):
+            pts = tuple(map(point, incidence[end]))
+            if boundary_cut or len(pts) != 1 or pts[0].special:
+                outer.append((pts, None))
+            else:
+                outer.append(((), pts[0].id))
+        (low_pts, low_ret), (up_pts, up_ret) = outer
+        seams = (*reversed(head_seams), *tail_seams)
+        record = (CHAIN, tuple(strips), seams, mode, lower_end, upper_end, low_pts, up_pts, low_ret, up_ret, None)
+        comps.append(new(Component, record))
+    return comps, cut
 
 
 def classify_component(comp: Component) -> StripClass:
     """Five-type classification: chains by closed extremes, cycles by monodromy."""
     if comp.shape is Shape.CYCLE:
         return StripClass.CYLINDER if comp.monodromy == 1 else StripClass.MOEBIUS
-    closed = (comp.retained_lower is not None) + (comp.retained_upper is not None)
-    return (
-        StripClass.OPEN_STRIP,
-        StripClass.HALF_CLOSED_STRIP,
-        StripClass.CLOSED_STRIP,
-    )[closed]
+    return _CHAIN_CLASSES[(comp.retained_lower is not None) + (comp.retained_upper is not None)]
 
 
 class CycleCheckReport(NamedTuple):
@@ -268,8 +232,7 @@ def component_closures(
         raise NotAChainError("component closures are defined for chain components only")
     lower = ClosureStrip(comp.outer_lower_points, Side.LOWER)
     upper = ClosureStrip(comp.outer_upper_points, Side.UPPER)
-    overlap = frozenset(p for p in lower.base_points if p in upper.base_points)
-    return lower, upper, overlap
+    return lower, upper, frozenset(comp.outer_lower_points).intersection(comp.outer_upper_points)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from .core import (
     build_surface,
     GluingSpec,
 )
-from .leafspace import LeafSpace, PointKind, build_leaf_space, closure_ids
+from .leafspace import LeafSpace, PointKind, build_leaf_space, sorted_closures
 
 
 class ParseError(ValueError):
@@ -52,13 +52,14 @@ def _num(value, i: int, side_name: str, k: int, j: int) -> float:
         return float("-inf")
     if value == "+inf" or value == "inf":
         return float("inf")
-    path = f"strips[{i}].{side_name}[{k}].endpoints[{j}]"
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
             return float(value)
         except OverflowError:
-            raise ParseError("number out of the float range", path=path) from None
-    raise ParseError(f"expected a number or -inf/+inf, got {value!r}", path=path)
+            message = "number out of the float range"
+    else:
+        message = f"expected a number or -inf/+inf, got {value!r}"
+    raise ParseError(message, path=f"strips[{i}].{side_name}[{k}].endpoints[{j}]")
 
 
 def _not_a_string(value, path: str) -> ParseError:
@@ -215,6 +216,9 @@ def _xml_text(id_: str) -> str:
     return id_.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
+_SIDE_TEXT = {s: s.value for s in Side}
+
+
 def render_dot(ls: LeafSpace | StripedSurface) -> str:
     """Leaf-space graph: strip and point nodes, solid incidence edges,
     dashed edges between non-separated point pairs."""
@@ -226,25 +230,25 @@ def render_dot(ls: LeafSpace | StripedSurface) -> str:
         q = quoted[sid] = _dot_quoted(sid)
         lines.append(f'  "strip:{q}" [shape=box, label="{q}"];')
     edges = []
+    ends_by_point = ls.ends_by_point
     for p in ls.points:
         q = quoted[p.id] = _dot_quoted(p.id)
-        shape = "doublecircle" if p.special else "circle"
-        lines.append(f'  "pt:{q}" [shape={shape}, label="{q}"];')
-        for sid, side in ls.ends_of(p):
-            edges.append(f'  "strip:{quoted[sid]}" -- "pt:{q}" [label="{side.value}"];')
+        lines.append(f'  "pt:{q}" [shape={"doublecircle" if p.special else "circle"}, label="{q}"];')
+        for sid, side in ends_by_point[p.id]:
+            edges.append(f'  "strip:{quoted[sid]}" -- "pt:{q}" [label="{_SIDE_TEXT[side]}"];')
     lines += edges
-    seen = set()
+    # A point of a special point's closure is special too, so each pair is
+    # drawn once: from its point that comes first in point order.
+    rank = {pid: r for r, pid in enumerate(ls.point_by_id)}
+    closures = sorted_closures(ls)
     for p in ls.points:
         if not p.special:  # its closure is the point alone
             continue
-        for qid in sorted(closure_ids(ls, p)):
-            if qid == p.id:
-                continue
-            key = (p.id, qid) if p.id < qid else (qid, p.id)
-            if key in seen:
-                continue
-            seen.add(key)
-            lines.append(f'  "pt:{quoted[key[0]]}" -- "pt:{quoted[key[1]]}" [style=dashed];')
+        r = rank[p.id]
+        for qid in closures[p.id]:
+            if rank[qid] > r:
+                a, b = (p.id, qid) if p.id < qid else (qid, p.id)
+                lines.append(f'  "pt:{quoted[a]}" -- "pt:{quoted[b]}" [style=dashed];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -258,13 +262,27 @@ _MARGIN = 40.0
 
 def _draw_range(surface: StripedSurface) -> tuple[float, float]:
     lo, hi = 0.0, 1.0
-    for iv in surface.intervals():
-        x0, x1 = iv.effective_endpoints()
-        if math.isfinite(x0):
-            lo = min(lo, x0)
-        if math.isfinite(x1):
-            hi = max(hi, x1)
+    for s in surface.strips:
+        for ivs in (s.lower, s.upper):
+            for iv in ivs:
+                if iv.endpoints is None:  # (2k, 2k + 1): the left end never lowers lo
+                    x1 = 2.0 * iv.index + 1.0
+                else:
+                    x0, x1 = iv.endpoints
+                    if -math.inf < x0 < lo:
+                        lo = x0
+                if hi < x1 < math.inf:
+                    hi = x1
     return lo - 1.0, hi + 1.0
+
+
+class _Texts(dict):
+    """Page coordinate -> its two-decimal text, each formatted once.  Page
+    coordinates are positive, so equal keys print alike."""
+
+    def __missing__(self, v: float) -> str:
+        text = self[v] = f"{v:.2f}"
+        return text
 
 
 def render_svg(surface: StripedSurface) -> str:
@@ -279,7 +297,8 @@ def render_svg(surface: StripedSurface) -> str:
     piece_of = {sid: i for i, part in enumerate(surface._partition) for sid in part}
     comps, _ = decompose(surface, Mode.INTERIOR)
     comps.sort(key=lambda c: piece_of[c.strips[0][0]])
-    rows = [(sid, surface.strip(sid)) for comp in comps for sid, _flipped in comp.strips]
+    strip_by_id = surface._strip_by_id
+    rows = [strip_by_id[sid] for comp in comps for sid, _flipped in comp.strips]
 
     lo, hi = _draw_range(surface)
     lo, hi = max(lo, -_X_CLAMP), min(hi, _X_CLAMP + 1)
@@ -287,42 +306,55 @@ def render_svg(surface: StripedSurface) -> str:
     height = len(rows) * (_BAND_H + _BAND_GAP) + 2 * _MARGIN
     x_lo = _MARGIN  # the page x of lo
     x_hi = _MARGIN + (hi - lo) * _X_SCALE
+    text = _Texts()
 
     body = []
-    for i, (sid, spec) in enumerate(rows):
+    rect = f'" width="{x_hi - x_lo:.2f}" height="{_BAND_H:.2f}" fill="#eef" stroke="#336"/>'
+    label = f'<text x="{x_lo + 4:.2f}" y="'
+    for i, spec in enumerate(rows):
         y0 = _MARGIN + i * (_BAND_H + _BAND_GAP)
-        body.append(
-            f'<rect x="{x_lo:.2f}" y="{y0:.2f}" width="{x_hi - x_lo:.2f}" '
-            f'height="{_BAND_H:.2f}" fill="#eef" stroke="#336"/>'
-        )
-        body.append(f'<text x="{x_lo + 4:.2f}" y="{y0 + 16:.2f}" font-size="12">{_xml_text(sid)}</text>')
+        body.append(f'<rect x="{text[x_lo]}" y="{text[y0]}{rect}')
+        body.append(f'{label}{y0 + 16:.2f}" font-size="12">{_xml_text(spec.id)}</text>')
 
+    # interval geometry (its endpoints, or the index of default ones) ->
+    # its page x texts, midpoint and the x texts of its arrows, if unbounded
+    segments: dict = {}
     seg_pos: dict[str, tuple[float, float]] = {}
-    for i, (sid, spec) in enumerate(rows):
+    for i, spec in enumerate(rows):
         y0 = _MARGIN + i * (_BAND_H + _BAND_GAP)
         for ivs, yy in ((spec.upper, y0), (spec.lower, y0 + _BAND_H)):
+            y = text[yy]
             for iv in ivs:
-                x0, x1 = iv.effective_endpoints()
-                gx0 = _MARGIN + (min(max(x0, lo), hi) - lo) * _X_SCALE
-                gx1 = _MARGIN + (min(max(x1, lo), hi) - lo) * _X_SCALE
-                body.append(
-                    f'<line x1="{gx0:.2f}" y1="{yy:.2f}" x2="{gx1:.2f}" '
-                    f'y2="{yy:.2f}" stroke="#000" stroke-width="4"/>'
-                )
-                if not math.isfinite(x0):
-                    body.append(f'<text x="{gx0 - 12:.2f}" y="{yy + 4:.2f}" font-size="12">&#8592;</text>')
-                if not math.isfinite(x1):
-                    body.append(f'<text x="{gx1 + 2:.2f}" y="{yy + 4:.2f}" font-size="12">&#8594;</text>')
-                seg_pos[iv.id] = ((gx0 + gx1) / 2.0, yy)
+                key = iv.endpoints or iv.index
+                seg = segments.get(key)
+                if seg is None:
+                    x0, x1 = iv.endpoints or (2.0 * iv.index, 2.0 * iv.index + 1.0)
+                    gx0 = _MARGIN + (min(max(x0, lo), hi) - lo) * _X_SCALE
+                    gx1 = _MARGIN + (min(max(x1, lo), hi) - lo) * _X_SCALE
+                    seg = segments[key] = (
+                        text[gx0],
+                        text[gx1],
+                        (gx0 + gx1) / 2.0,
+                        None if math.isfinite(x0) else f"{gx0 - 12:.2f}",
+                        None if math.isfinite(x1) else f"{gx1 + 2:.2f}",
+                    )
+                x0_text, x1_text, mid, left, right = seg
+                body.append(f'<line x1="{x0_text}" y1="{y}" x2="{x1_text}" y2="{y}" stroke="#000" stroke-width="4"/>')
+                if left is not None:
+                    body.append(f'<text x="{left}" y="{yy + 4:.2f}" font-size="12">&#8592;</text>')
+                if right is not None:
+                    body.append(f'<text x="{right}" y="{yy + 4:.2f}" font-size="12">&#8594;</text>')
+                seg_pos[iv.id] = (mid, yy)
 
+    preserving = Orientation.PRESERVING
     for g in surface.gluings:
         (xa, ya), (xb, yb) = seg_pos[g.first], seg_pos[g.second]
-        dash = "" if g.orientation is Orientation.PRESERVING else ' stroke-dasharray="6 3"'
+        dash = "" if g.orientation is preserving else ' stroke-dasharray="6 3"'
         midx = (xa + xb) / 2.0
         midy = (ya + yb) / 2.0 - 20.0
         body.append(
-            f'<path d="M {xa:.2f} {ya:.2f} Q {midx:.2f} {midy:.2f} '
-            f'{xb:.2f} {yb:.2f}" fill="none" stroke="#c33" stroke-width="1.5"{dash}/>'
+            f'<path d="M {text[xa]} {text[ya]} Q {midx:.2f} {midy:.2f} '
+            f'{text[xb]} {text[yb]}" fill="none" stroke="#c33" stroke-width="1.5"{dash}/>'
         )
         body.append(f'<text x="{midx:.2f}" y="{midy + 10:.2f}" font-size="11" fill="#c33">{_xml_text(g.id)}</text>')
 
@@ -350,16 +382,17 @@ def leafspace_json(ls: LeafSpace) -> str:
     """Deterministic JSON description of a leaf space."""
     enc = _encode_str
     n1, n2, n3 = _NL[1:4]
+    closures = sorted_closures(ls)
     points = [
         f'{{{n3}"id": {enc(p.id)},{n3}"members": {_strings(p.members, 3)},{n3}"kind": {_KIND_TEXT[p.kind]},'
         f'{n3}"special": {"true" if p.special else "false"},'
-        f'{n3}"hausdorff_closure": {_strings(sorted(closure_ids(ls, p)), 3)}{n2}}}'
+        f'{n3}"hausdorff_closure": {_strings(closures[p.id], 3)}{n2}}}'
         for p in ls.points
     ]
+    # build_leaf_space fills the incidence in strip order, lower side first
     incidence = [
-        f'{{{n3}"strip": {enc(sid)},{n3}"side": {side_text},{n3}"points": {_strings(ls.points_on((sid, side)), 3)}{n2}}}'
-        for sid in ls.arcs
-        for side, side_text in ((Side.LOWER, '"lower"'), (Side.UPPER, '"upper"'))
+        f'{{{n3}"strip": {enc(sid)},{n3}"side": "{_SIDE_TEXT[side]}",{n3}"points": {_strings(pids, 3)}{n2}}}'
+        for (sid, side), pids in ls.incidence.items()
     ]
     return (
         f'{{{n1}"arcs": {_strings(ls.arcs, 1)},{n1}"points": {_records(points, 1)},'

@@ -68,8 +68,11 @@ def build_leaf_space(surface: StripedSurface) -> LeafSpace:
     loc = surface._interval_loc
     incidence: dict[SideEnd, tuple[str, ...]] = {}
     unglued: list[tuple[str, SideEnd]] = []
+    # enum members are read from their classes once: each read is a lookup
+    LOWER, UPPER = Side.LOWER, Side.UPPER
+    SPECIAL, MERGING, BOUNDARY = PointKind.SPECIAL, PointKind.NON_SPECIAL_GLUED, PointKind.BOUNDARY_LEAF
     for s in surface.strips:
-        for side, ivs in ((Side.LOWER, s.lower), (Side.UPPER, s.upper)):
+        for side, ivs in ((LOWER, s.lower), (UPPER, s.upper)):
             end = (s.id, side)
             ids = []
             for iv in ivs:
@@ -84,20 +87,21 @@ def build_leaf_space(surface: StripedSurface) -> LeafSpace:
     # The closure of a point is the point plus every point sharing one of its
     # side-ends, so it is more than the point exactly when one of those
     # side-ends carries another interval: build_surface rejects same-side
-    # gluings, so the intervals of one side-end are distinct points.
+    # gluings, so the intervals of one side-end are distinct points.  Every
+    # field is built here, so the records skip the NamedTuple constructors.
+    new = tuple.__new__
     points = []
     ends_by_point: dict[str, tuple[SideEnd, ...]] = {}
     for g in surface.gluings:
         ends = ends_by_point[g.id] = (loc[g.first][:2], loc[g.second][:2])
         sp = len(incidence[ends[0]]) > 1 or len(incidence[ends[1]]) > 1
-        kind = PointKind.SPECIAL if sp else PointKind.NON_SPECIAL_GLUED
-        points.append(LeafPoint(g.id, (g.first, g.second), kind, sp))
+        points.append(new(LeafPoint, (g.id, (g.first, g.second), SPECIAL if sp else MERGING, sp)))
     for iid, end in unglued:
         ends_by_point[iid] = (end,)
-        points.append(LeafPoint(iid, (iid,), PointKind.BOUNDARY_LEAF, len(incidence[end]) > 1))
+        points.append(new(LeafPoint, (iid, (iid,), BOUNDARY, len(incidence[end]) > 1)))
 
-    return LeafSpace(
-        surface, surface.strip_ids(), tuple(points), incidence, {p.id: p for p in points}, ends_by_point
+    return new(
+        LeafSpace, (surface, surface.strip_ids(), tuple(points), incidence, {p.id: p for p in points}, ends_by_point)
     )
 
 
@@ -110,6 +114,27 @@ def closure_ids(ls: LeafSpace, point: LeafPoint | str) -> set[str]:
     """
     pid = point if isinstance(point, str) else point.id
     return {pid}.union(*(ls.incidence[end] for end in ls.ends_of(pid)))
+
+
+def sorted_closures(ls: LeafSpace) -> dict[str, tuple[str, ...]]:
+    """Point id -> the sorted ids of its Hausdorff closure, as ``closure_ids``.
+
+    A point whose closure is the point set of one of its side-ends (a
+    boundary leaf, or a glued point alone on its other side-end) shares that
+    side-end's sorted tuple; only a glued point crowded on both sides gets a
+    tuple of its own.
+    """
+    incidence = ls.incidence
+    by_end = {end: pids if len(pids) == 1 else tuple(sorted(pids)) for end, pids in incidence.items()}
+    out = {}
+    for pid, ends in ls.ends_by_point.items():
+        if len(ends) == 1 or len(incidence[ends[1]]) == 1:
+            out[pid] = by_end[ends[0]]
+        elif len(incidence[ends[0]]) == 1:
+            out[pid] = by_end[ends[1]]
+        else:
+            out[pid] = tuple(sorted({*incidence[ends[0]], *incidence[ends[1]]}))
+    return out
 
 
 def hausdorff_closure(ls: LeafSpace, point: LeafPoint | str) -> frozenset[LeafPoint]:

@@ -75,6 +75,47 @@ def random_surface(
     return surface
 
 
+def connected_surface(rng: random.Random, n: int, max_intervals: int = 3) -> StripedSurface:
+    """A connected surface of exactly ``n`` strips, each side with 1 to
+    ``max_intervals`` intervals: a random spanning tree of gluings joins the
+    strips, then about half of the other intervals are glued at random, never
+    two on one side.  The rest stay boundary leaves."""
+    strips = []
+    free: dict[str, str] = {}  # unglued interval id -> "strip:side"
+    mine: list[list[str]] = []
+    for i in range(n):
+        sid = f"s{i}"
+        lower = [f"{sid}.l{k}" for k in range(rng.randint(1, max_intervals))]
+        upper = [f"{sid}.u{k}" for k in range(rng.randint(1, max_intervals))]
+        strips.append(strip(sid, lower, upper))
+        free.update({iid: f"{sid}:l" for iid in lower})
+        free.update({iid: f"{sid}:u" for iid in upper})
+        mine.append(lower + upper)
+
+    gluings = []
+
+    def join(a: str, b: str) -> None:
+        del free[a], free[b]
+        flag = Orientation.PRESERVING if rng.random() < 0.5 else Orientation.REVERSING
+        gluings.append(glue(f"g{len(gluings)}", a, b, flag))
+
+    hosts = [0]  # strips placed so far that still have a free interval
+    for i in range(1, n):
+        j = rng.choice(hosts)
+        join(rng.choice(mine[i]), rng.choice([iid for iid in mine[j] if iid in free]))
+        hosts = [h for h in hosts if any(iid in free for iid in mine[h])] + [i]
+    rest = list(free)
+    rng.shuffle(rest)
+    while len(rest) >= 2:
+        a = rest.pop()
+        if rng.random() > 0.5:
+            continue
+        partners = [k for k, b in enumerate(rest) if free[b] != free[a]]
+        if partners:
+            join(a, rest.pop(rng.choice(partners)))
+    return build_surface(strips, gluings)
+
+
 def random_connected_corpus(seed: int, count: int, **kw) -> list[StripedSurface]:
     rng = random.Random(seed)
     return [random_surface(rng, **kw) for _ in range(count)]

@@ -1,7 +1,8 @@
 """Independent oracles: orientation propagation, exhaustive isomorphism and
 automorphism counts, the leaf-space arc walker, the branch-and-bound
-canonical code, the unpruned rooted traversal and the reference dicts of
-the JSON documents."""
+canonical code, the unpruned rooted traversal, the reference dicts of the
+JSON documents, the member-search decomposition and the reference diagram
+writers."""
 
 from __future__ import annotations
 
@@ -9,8 +10,11 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import permutations, product
 
+import math
+
 from stripfol.core import Orientation, Side, StripedSurface
 from stripfol.decomposition import (
+    Component,
     Mode,
     Shape,
     check_cycle_components,
@@ -18,6 +22,7 @@ from stripfol.decomposition import (
     component_closures,
     decompose,
 )
+from stripfol.io import _BAND_GAP, _BAND_H, _MARGIN, _X_CLAMP, _X_SCALE, _dot_quoted, _xml_text
 from stripfol.leafspace import LeafSpace, PointKind, build_leaf_space, closure_ids, hausdorff_closure, is_special
 
 from _gen import components
@@ -550,3 +555,239 @@ def decompose_reference(surface: StripedSurface, mode: Mode) -> dict:
             rec["monodromy"] = comp.monodromy
         out["components"].append(rec)
     return out
+
+
+# ---------------------------------------------------------------------------
+# member-search decomposition: each component's member strips are collected
+# first, its extremes sorted by strip order, and the chain walked from the
+# least one.  A differential reference for ``stripfol.decomposition.decompose``.
+
+
+def _merge_edges(ls: LeafSpace) -> dict:
+    """Map each side-end consumed by a non-special gluing to (gluing, partner side-end)."""
+    out = {}
+    for p in ls.points:
+        if p.kind is PointKind.NON_SPECIAL_GLUED:
+            g = ls.surface.gluing(p.id)
+            a, b = ls.ends_of(p)
+            out[a] = (g, b)
+            out[b] = (g, a)
+    return out
+
+
+def _outer_data(ls: LeafSpace, end, cut_ids: set[str], mode: Mode):
+    """Base points (cut leaves, interval order) and retained boundary leaf of an extreme."""
+    pids = ls.points_on(end)
+    base = tuple([ls.point(pid) for pid in pids if pid in cut_ids])
+    retained = None
+    if mode is Mode.INTERIOR and len(pids) == 1:
+        p = ls.point(pids[0])
+        # a boundary leaf alone on its side-end is never special
+        if p.kind is PointKind.BOUNDARY_LEAF:
+            retained = p.id
+    return base, retained
+
+
+def decompose_by_member_search(surface: StripedSurface, mode: Mode = Mode.WITH_BOUNDARY):
+    """(components, cut points), as ``decompose`` returns them."""
+    ls = build_leaf_space(surface)
+    boundary_cut = mode is Mode.WITH_BOUNDARY
+    cut = frozenset([p for p in ls.points if p.special or (boundary_cut and p.kind is PointKind.BOUNDARY_LEAF)])
+    cut_ids = {p.id for p in cut}
+    edges = _merge_edges(ls)
+
+    order = {sid: i for i, sid in enumerate(surface.strip_ids())}
+    seen: set[str] = set()
+    comps = []
+    for sid in surface.strip_ids():
+        if sid in seen:
+            continue
+        comps.append(_trace_component(ls, sid, edges, cut_ids, mode, seen, order))
+    return comps, cut
+
+
+def _trace_component(ls, start, edges, cut_ids, mode, seen, order) -> Component:
+    # collect the member strips first to find the extremes
+    members = {start}
+    frontier = [start]
+    while frontier:
+        sid = frontier.pop()
+        for side in (Side.LOWER, Side.UPPER):
+            if (sid, side) in edges:
+                nxt = edges[(sid, side)][1][0]
+                if nxt not in members:
+                    members.add(nxt)
+                    frontier.append(nxt)
+    seen.update(members)
+
+    def degree(sid: str) -> int:
+        return ((sid, Side.LOWER) in edges) + ((sid, Side.UPPER) in edges)
+
+    extremes = sorted((s for s in members if degree(s) < 2), key=lambda s: order[s])
+
+    if extremes:
+        first = extremes[0]
+        exposed = Side.LOWER if (first, Side.LOWER) not in edges else Side.UPPER
+        strips: list[tuple[str, bool]] = [(first, exposed is Side.UPPER)]
+        interfaces: list[str] = []
+        cur, cur_exit = first, exposed.other
+        while (cur, cur_exit) in edges:
+            g, (nxt, entered) = edges[(cur, cur_exit)]
+            interfaces.append(g.id)
+            strips.append((nxt, entered is Side.UPPER))
+            cur, cur_exit = nxt, entered.other
+        outer_lower = (first, exposed)
+        outer_upper = (cur, cur_exit)
+        low_pts, low_ret = _outer_data(ls, outer_lower, cut_ids, mode)
+        up_pts, up_ret = _outer_data(ls, outer_upper, cut_ids, mode)
+        return Component(
+            shape=Shape.CHAIN,
+            strips=tuple(strips),
+            interfaces=tuple(interfaces),
+            mode=mode,
+            outer_lower=outer_lower,
+            outer_upper=outer_upper,
+            outer_lower_points=low_pts,
+            outer_upper_points=up_pts,
+            retained_lower=low_ret,
+            retained_upper=up_ret,
+        )
+
+    # cycle: every member side is consumed
+    first = min(members, key=lambda s: order[s])
+    strips = [(first, False)]
+    interfaces = []
+    sign = 1
+    cur, cur_exit = first, Side.UPPER
+    while True:
+        g, (nxt, entered) = edges[(cur, cur_exit)]
+        interfaces.append(g.id)
+        # a seam joining a lower to an upper side keeps the y direction
+        sign *= g.orientation.sign if entered is not cur_exit else -g.orientation.sign
+        if nxt == first and len(interfaces) == len(members):
+            break
+        strips.append((nxt, entered is Side.UPPER))
+        cur, cur_exit = nxt, entered.other
+    return Component(
+        shape=Shape.CYCLE,
+        strips=tuple(strips),
+        interfaces=tuple(interfaces),
+        mode=mode,
+        monodromy=sign,
+    )
+
+
+# ---------------------------------------------------------------------------
+# reference diagram writers: ``io.render_dot`` and ``io.render_svg`` as they
+# were before they read the shared closures and formatted each coordinate
+# once.  Each diagram must equal its reference byte for byte.
+
+
+def render_dot_reference(ls: LeafSpace | StripedSurface) -> str:
+    """Leaf-space graph: strip and point nodes, solid incidence edges,
+    dashed edges between non-separated point pairs."""
+    if isinstance(ls, StripedSurface):
+        ls = build_leaf_space(ls)
+    quoted: dict[str, str] = {}
+    lines = ["graph leafspace {"]
+    for sid in ls.arcs:
+        q = quoted[sid] = _dot_quoted(sid)
+        lines.append(f'  "strip:{q}" [shape=box, label="{q}"];')
+    edges = []
+    for p in ls.points:
+        q = quoted[p.id] = _dot_quoted(p.id)
+        shape = "doublecircle" if p.special else "circle"
+        lines.append(f'  "pt:{q}" [shape={shape}, label="{q}"];')
+        for sid, side in ls.ends_of(p):
+            edges.append(f'  "strip:{quoted[sid]}" -- "pt:{q}" [label="{side.value}"];')
+    lines += edges
+    seen = set()
+    for p in ls.points:
+        if not p.special:  # its closure is the point alone
+            continue
+        for qid in sorted(closure_ids(ls, p)):
+            if qid == p.id:
+                continue
+            key = (p.id, qid) if p.id < qid else (qid, p.id)
+            if key in seen:
+                continue
+            seen.add(key)
+            lines.append(f'  "pt:{quoted[key[0]]}" -- "pt:{quoted[key[1]]}" [style=dashed];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def _draw_range(surface: StripedSurface) -> tuple[float, float]:
+    lo, hi = 0.0, 1.0
+    for iv in surface.intervals():
+        x0, x1 = iv.effective_endpoints()
+        if math.isfinite(x0):
+            lo = min(lo, x0)
+        if math.isfinite(x1):
+            hi = max(hi, x1)
+    return lo - 1.0, hi + 1.0
+
+
+def render_svg_reference(surface: StripedSurface) -> str:
+    """Strip diagram: stacked rectangles, bold boundary intervals, gluing arcs.
+
+    Coordinates print with two decimals; x maps to the page by
+    ``_MARGIN + (x clamped to [lo, hi] - lo) * _X_SCALE``.
+    """
+    # rows go piece by piece, each piece's components in order of first strip
+    piece_of = {sid: i for i, part in enumerate(surface._partition) for sid in part}
+    comps, _ = decompose_by_member_search(surface, Mode.INTERIOR)
+    comps.sort(key=lambda c: piece_of[c.strips[0][0]])
+    rows = [(sid, surface.strip(sid)) for comp in comps for sid, _flipped in comp.strips]
+
+    lo, hi = _draw_range(surface)
+    lo, hi = max(lo, -_X_CLAMP), min(hi, _X_CLAMP + 1)
+    width = (hi - lo) * _X_SCALE + 2 * _MARGIN
+    height = len(rows) * (_BAND_H + _BAND_GAP) + 2 * _MARGIN
+    x_lo = _MARGIN  # the page x of lo
+    x_hi = _MARGIN + (hi - lo) * _X_SCALE
+
+    body = []
+    for i, (sid, spec) in enumerate(rows):
+        y0 = _MARGIN + i * (_BAND_H + _BAND_GAP)
+        body.append(
+            f'<rect x="{x_lo:.2f}" y="{y0:.2f}" width="{x_hi - x_lo:.2f}" '
+            f'height="{_BAND_H:.2f}" fill="#eef" stroke="#336"/>'
+        )
+        body.append(f'<text x="{x_lo + 4:.2f}" y="{y0 + 16:.2f}" font-size="12">{_xml_text(sid)}</text>')
+
+    seg_pos: dict[str, tuple[float, float]] = {}
+    for i, (sid, spec) in enumerate(rows):
+        y0 = _MARGIN + i * (_BAND_H + _BAND_GAP)
+        for ivs, yy in ((spec.upper, y0), (spec.lower, y0 + _BAND_H)):
+            for iv in ivs:
+                x0, x1 = iv.effective_endpoints()
+                gx0 = _MARGIN + (min(max(x0, lo), hi) - lo) * _X_SCALE
+                gx1 = _MARGIN + (min(max(x1, lo), hi) - lo) * _X_SCALE
+                body.append(
+                    f'<line x1="{gx0:.2f}" y1="{yy:.2f}" x2="{gx1:.2f}" '
+                    f'y2="{yy:.2f}" stroke="#000" stroke-width="4"/>'
+                )
+                if not math.isfinite(x0):
+                    body.append(f'<text x="{gx0 - 12:.2f}" y="{yy + 4:.2f}" font-size="12">&#8592;</text>')
+                if not math.isfinite(x1):
+                    body.append(f'<text x="{gx1 + 2:.2f}" y="{yy + 4:.2f}" font-size="12">&#8594;</text>')
+                seg_pos[iv.id] = ((gx0 + gx1) / 2.0, yy)
+
+    for g in surface.gluings:
+        (xa, ya), (xb, yb) = seg_pos[g.first], seg_pos[g.second]
+        dash = "" if g.orientation is Orientation.PRESERVING else ' stroke-dasharray="6 3"'
+        midx = (xa + xb) / 2.0
+        midy = (ya + yb) / 2.0 - 20.0
+        body.append(
+            f'<path d="M {xa:.2f} {ya:.2f} Q {midx:.2f} {midy:.2f} '
+            f'{xb:.2f} {yb:.2f}" fill="none" stroke="#c33" stroke-width="1.5"{dash}/>'
+        )
+        body.append(f'<text x="{midx:.2f}" y="{midy + 10:.2f}" font-size="11" fill="#c33">{_xml_text(g.id)}</text>')
+
+    head = (
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{width:.2f}" height="{height:.2f}" '
+        f'viewBox="0 0 {width:.2f} {height:.2f}">'
+    )
+    return "\n".join([head] + body + ["</svg>"]) + "\n"

@@ -4,6 +4,7 @@ import pytest
 
 from stripfol.core import Orientation, build_surface, glue, strip
 from stripfol.decomposition import (
+    Component,
     Mode,
     NotAChainError,
     Shape,
@@ -32,6 +33,7 @@ from fixtures import (
 )
 from _gen import (
     components,
+    connected_surface,
     cyclic_cover,
     disjoint_union,
     enumerate_cycle_surfaces,
@@ -44,6 +46,7 @@ from _oracles import (
     arc_component_types,
     automorphism_count,
     branch_and_bound_code,
+    decompose_by_member_search,
     exhaustive_isomorphic,
     leafspace_invariants,
     least_root_walks,
@@ -268,6 +271,31 @@ def test_interior_decompose_matches_arc_component_types():
         )
         assert got == want
     assert split > 60
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_one_walk_decompose_equals_member_search(mode):
+    # the oracle collects each component's members first and walks the chain
+    # from its extreme of least strip order
+    rng = random.Random(31)
+    surfaces = [kaplan5(), kaplan5_mirror(), horseshoe(), two_strip_chain(), open_strip()]
+    surfaces += enumerate_cycle_surfaces(3)  # cylinders and Moebius bands of 1-3 strips
+    surfaces += [ring_surface(7, (P, R, P)), ring_surface(4, (P,), width=2)]
+    for i in range(400):
+        # one interval a side and a high gluing rate make long chains and cycles
+        width = 1 if i % 3 == 0 else 3
+        surfaces.append(random_surface(rng, max_strips=8, max_intervals=width, p_glue=0.9, connected=i % 2 == 0))
+    surfaces.append(disjoint_union(ring_surface(3, (R,)), random_surface(rng, max_strips=6), ring_surface(2, prefix="t")))
+    surfaces.append(connected_surface(rng, 700))
+    seen = {"chains": 0, "cycles": 0, "split": 0}
+    for s in surfaces:
+        got = decompose(s, mode)
+        assert got == decompose_by_member_search(s, mode)
+        assert all(type(c) is Component for c in got[0])
+        seen["chains"] += sum(c.shape is Shape.CHAIN and len(c.strips) > 1 for c in got[0])
+        seen["cycles"] += sum(c.shape is Shape.CYCLE for c in got[0])
+        seen["split"] += len(s._partition) > 1
+    assert min(seen.values()) > 50, seen
 
 
 def test_cycle_never_coexists():

@@ -40,7 +40,7 @@ from fixtures import hostile_ids, kaplan5
 _ids = st.one_of(
     st.text(),
     st.text(st.characters(exclude_categories=())),  # lone surrogates, removed below
-    st.sampled_from(["", "tab\tnew\nline", 'q"b\\s/', "\u00e9\u2713\U0001f600", "line\u2028sep", "\ud83d\ude00"]),
+    st.sampled_from(["", "tab\tnew\nline", 'q"b\\s/', "\u00e9\u2713\U0001f600", "line\u2028sep", "\ud83d\ude00", "<a&b>"]),
 ).map(lambda s: _BAD_ID_CHAR.sub("", s))
 _ends = st.one_of(
     st.floats(allow_nan=False),

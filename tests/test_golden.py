@@ -14,7 +14,7 @@ import random
 from stripfol.io import serialize
 
 from fixtures import all_fixtures, hostile_ids
-from _gen import components, random_moves, random_surface
+from _gen import components, connected_surface, random_moves, random_surface
 
 
 def _surfaces():
@@ -281,3 +281,46 @@ def test_cli_outputs_match_golden_digests(tmp_path, capsys):
     assert set(got) == set(GOLDEN)
     changed = sorted(case for case in GOLDEN if got[case] != GOLDEN[case])
     assert not changed, changed
+
+
+def large_digests(run, tmp_dir) -> dict[str, tuple[int, str]]:
+    """The linear subcommands on one 400-strip surface, the size of the
+    benchmark's structure corpus.  It stays out of ``_surfaces()``, so that no
+    ``iso-next`` pair there changes."""
+    path = tmp_dir / "gen-400.json"
+    path.write_text(serialize(connected_surface(random.Random(14), 400)))
+    out = {}
+    for tag, extra in (
+        ("validate", ["validate"]),
+        ("leafspace", ["leafspace"]),
+        ("leafspace-dot", ["leafspace", "--format", "dot"]),
+        ("decompose", ["decompose"]),
+        ("decompose-interior", ["decompose", "--mode", "interior"]),
+        ("render", ["render"]),
+        ("render-dot", ["render", "--format", "dot"]),
+    ):
+        code, text = run([extra[0], str(path), *extra[1:]])
+        out[f"gen-400/{tag}"] = (code, hashlib.sha256(text.encode()).hexdigest())
+    return out
+
+
+# computed at the commit before the one-walk decomposition and the shared closures
+GOLDEN_400 = {
+    "gen-400/validate": (0, "789dd8a59ef0169ea677ba723be515c67c8d9ceb689c512ec889e68507ea3502"),
+    "gen-400/leafspace": (0, "880e9a4257b22c5cf3e1a527d35e21ccf2ec59a4759552112718da84e9c4bcd7"),
+    "gen-400/leafspace-dot": (0, "b144c04682770b341768fa858f3c35a7b88c2187cc8c6caeeb1ad35bf80b6e55"),
+    "gen-400/decompose": (0, "47e131e9d97aba9299d7232c860186fc7f69480de922dfafb388b772938c30ca"),
+    "gen-400/decompose-interior": (0, "82c6e0336dc77a08cad7e54a7f7e9e1f607aa29cb154f581cba921bbe2e8e4a7"),
+    "gen-400/render": (0, "f770ebfaee82a4c0cb21e345f38354e870d2d70c15c1c127d12aed8fbe27b465"),
+    "gen-400/render-dot": (0, "b144c04682770b341768fa858f3c35a7b88c2187cc8c6caeeb1ad35bf80b6e55"),
+}
+
+
+def test_cli_outputs_match_golden_digests_at_benchmark_scale(tmp_path, capsys):
+    from stripfol.cli import main
+
+    def run(argv):
+        return main(argv), capsys.readouterr().out
+
+    got = large_digests(run, tmp_path)
+    assert got == GOLDEN_400
