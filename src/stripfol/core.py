@@ -7,7 +7,6 @@ identifications.  Everything downstream (leaf spaces, decomposition, the
 homeomorphism engine) consumes the validated :class:`StripedSurface`.
 """
 
-import math
 import re
 from enum import Enum
 from functools import cached_property
@@ -274,12 +273,7 @@ class StripedSurface:
         return self._gluing_by_interval.get(interval_id)
 
     def intervals(self) -> list[Interval]:
-        return [
-            iv
-            for s in self.strips
-            for side in (Side.LOWER, Side.UPPER)
-            for iv in s.side_intervals(side)
-        ]
+        return [iv for s in self.strips for iv in (*s.lower, *s.upper)]
 
 
 def _check_endpoints(strip_id: str, side: Side, intervals: tuple[Interval, ...], explicit: int) -> None:
@@ -287,7 +281,7 @@ def _check_endpoints(strip_id: str, side: Side, intervals: tuple[Interval, ...],
     for iv in intervals:
         if iv.endpoints is not None:
             x0, x1 = iv.endpoints
-            if math.isnan(x0) or math.isnan(x1) or not x0 < x1:
+            if not x0 < x1:  # a NaN end fails it too
                 raise BadEndpointsError(
                     f"interval {iv.id!r} endpoints must satisfy x0 < x1, got ({x0}, {x1})"
                 )
@@ -319,19 +313,22 @@ def build_surface(
     # strip, interval and gluing ids share one namespace: leaf points are
     # named by gluing ids and unglued interval ids alike
     seen_ids: set[str] = set()
+    add = seen_ids.add
     strip_by_id: dict[str, ModelStripSpec] = {}
     interval_loc: dict[str, tuple[str, Side, int]] = {}
+    lower_side, upper_side = Side.LOWER, Side.UPPER
     for s in strips:
-        sid = s.id
+        sid, lower, upper = s
         if sid in seen_ids:
             raise DuplicateIdError(f"strip id {sid!r} appears twice")
-        seen_ids.add(sid)
+        add(sid)
         strip_by_id[sid] = s
-        for side, ivs in ((Side.LOWER, s.lower), (Side.UPPER, s.upper)):
+        for side, ivs in ((lower_side, lower), (upper_side, upper)):
             # a side's index and endpoint faults come before its repeated ids
             dup = None
             explicit = 0
-            for k, (iid, iv_side, index, ends) in enumerate(ivs):
+            k = 0
+            for iid, iv_side, index, ends in ivs:
                 if iv_side is not side or index != k:
                     raise BadIndexError(
                         f"interval {iid!r} on ({sid}, {side.value}) must carry "
@@ -339,10 +336,11 @@ def build_surface(
                     )
                 if iid in seen_ids and dup is None:
                     dup = iid
-                seen_ids.add(iid)
+                add(iid)
                 interval_loc[iid] = (sid, side, k)
                 if ends is not None:
                     explicit += 1
+                k += 1
             if explicit:
                 _check_endpoints(sid, side, ivs, explicit)
             if dup is not None:
@@ -354,24 +352,26 @@ def build_surface(
         gid, first, second, _ = g
         if gid in seen_ids:
             raise DuplicateIdError(f"gluing id {gid!r} appears twice")
-        seen_ids.add(gid)
+        add(gid)
         gluing_by_id[gid] = g
         if first == second:
             raise SelfGluingError(f"gluing {gid!r} pairs interval {first!r} with itself")
-        for iid in (first, second):
-            if iid not in interval_loc:
-                raise UnknownIntervalRefError(f"gluing {gid!r} references unknown interval {iid!r}")
-            if iid in gluing_by_interval:
-                raise DoubleGluingError(f"interval {iid!r} appears in more than one gluing")
-            gluing_by_interval[iid] = g
-        strip_id, side, _ = interval_loc[first]
-        if interval_loc[second][:2] == (strip_id, side):
+        a, b = interval_loc.get(first), interval_loc.get(second)
+        if a is None or b is None or first in gluing_by_interval or second in gluing_by_interval:
+            for iid in (first, second):
+                if iid not in interval_loc:
+                    raise UnknownIntervalRefError(f"gluing {gid!r} references unknown interval {iid!r}")
+                if iid in gluing_by_interval:
+                    raise DoubleGluingError(f"interval {iid!r} appears in more than one gluing")
+        gluing_by_interval[first] = gluing_by_interval[second] = g
+        if a[1] is b[1] and a[0] == b[0]:
             raise SameSideGluingError(
                 f"gluing {gid!r} pairs intervals {first!r} and {second!r} "
-                f"on the same side ({strip_id}, {side.value})"
+                f"on the same side ({a[0]}, {a[1].value})"
             )
 
-    if _BAD_ID_CHAR.search("".join(seen_ids)):
+    # each such character is unprintable, and isprintable scans faster
+    if not (ids := "".join(seen_ids)).isprintable() and _BAD_ID_CHAR.search(ids):
         bad = next(i for i in (*strip_by_id, *interval_loc, *gluing_by_id) if _BAD_ID_CHAR.search(i))
         char = ord(_BAD_ID_CHAR.search(bad).group())
         raise BadIdError(f"id {bad!r} holds U+{char:04X}, which SVG or UTF-8 output cannot carry")

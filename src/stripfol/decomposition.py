@@ -51,6 +51,7 @@ class StripClass(Enum):
 
 # chain classes by the number of retained (closed) extremes
 _CHAIN_CLASSES = (StripClass.OPEN_STRIP, StripClass.HALF_CLOSED_STRIP, StripClass.CLOSED_STRIP)
+_LOWER, _UPPER, _NO_OVERLAP = Side.LOWER, Side.UPPER, frozenset()  # read once, for component_closures
 
 
 class NotAChainError(ValueError):
@@ -230,9 +231,9 @@ def component_closures(
     """
     if comp.shape is not Shape.CHAIN:
         raise NotAChainError("component closures are defined for chain components only")
-    lower = ClosureStrip(comp.outer_lower_points, Side.LOWER)
-    upper = ClosureStrip(comp.outer_upper_points, Side.UPPER)
-    return lower, upper, frozenset(comp.outer_lower_points).intersection(comp.outer_upper_points)
+    low, up = comp.outer_lower_points, comp.outer_upper_points
+    overlap = frozenset(low).intersection(up) if low and up else _NO_OVERLAP
+    return tuple.__new__(ClosureStrip, (low, _LOWER)), tuple.__new__(ClosureStrip, (up, _UPPER)), overlap
 
 
 # ---------------------------------------------------------------------------

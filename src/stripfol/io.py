@@ -42,17 +42,16 @@ class ParseError(ValueError):
 
 
 _ORIENTATIONS = {o.value: o for o in Orientation}
+_INFINITIES = {"-inf": -math.inf, "+inf": math.inf, "inf": math.inf}
 
 
 def _num(value, i: int, side_name: str, k: int, j: int) -> float:
     """Endpoint ``j`` of interval ``k`` on side ``side_name`` of strip record ``i``."""
     if type(value) is float:
         return value
-    if value == "-inf":
-        return float("-inf")
-    if value == "+inf" or value == "inf":
-        return float("inf")
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if type(value) is str and value in _INFINITIES:
+        return _INFINITIES[value]
+    if type(value) is int:  # not a bool; a float returned above
         try:
             return float(value)
         except OverflowError:
@@ -86,6 +85,7 @@ def parse(text: str) -> StripedSurface:
             raise ParseError(f"'{key}' must be a list", path=key)
 
     new = tuple.__new__
+    sides = (("lower", Side.LOWER), ("upper", Side.UPPER))
     strips = []
     for i, srec in enumerate(doc.get("strips", [])):
         if type(srec) is not dict or "id" not in srec:
@@ -93,44 +93,41 @@ def parse(text: str) -> StripedSurface:
         sid = srec["id"]
         if type(sid) is not str:
             raise _not_a_string(sid, f"strips[{i}].id")
-        sides = []
-        for side_name, side in (("lower", Side.LOWER), ("upper", Side.UPPER)):
+        spec = [sid]
+        for side_name, side in sides:
             recs = srec.get(side_name, [])
             if type(recs) is not list:
                 raise ParseError(f"'{side_name}' must be a list", path=f"strips[{i}]")
             ivs = []
-            for k, rec in enumerate(recs):
-                if type(rec) is str:
-                    ivs.append(new(Interval, (rec, side, k, None)))
-                    continue
-                if type(rec) is not dict or "id" not in rec:
-                    raise ParseError("interval record needs an 'id'", path=f"strips[{i}].{side_name}[{k}]")
-                iid = rec["id"]
-                if type(iid) is not str:
-                    raise _not_a_string(iid, f"strips[{i}].{side_name}[{k}].id")
-                ends = rec.get("endpoints")
-                if ends is not None:
-                    if type(ends) is not list or len(ends) != 2:
-                        raise ParseError("endpoints must be a [x0, x1] pair", path=f"strips[{i}].{side_name}[{k}]")
-                    ends = (_num(ends[0], i, side_name, k, 0), _num(ends[1], i, side_name, k, 1))
-                ivs.append(new(Interval, (iid, side, k, ends)))
-            sides.append(tuple(ivs))
-        strips.append(new(ModelStripSpec, (sid, *sides)))
+            for rec in recs:
+                # an interval record, a bare id, and only then a refusal
+                if type(rec) is dict and type(iid := rec.get("id")) is str:
+                    ends = rec.get("endpoints")
+                    if ends is not None:
+                        k = len(ivs)
+                        if type(ends) is not list or len(ends) != 2:
+                            raise ParseError("endpoints must be a [x0, x1] pair", path=f"strips[{i}].{side_name}[{k}]")
+                        ends = (_num(ends[0], i, side_name, k, 0), _num(ends[1], i, side_name, k, 1))
+                elif type(rec) is str:
+                    iid, ends = rec, None
+                elif type(rec) is dict and "id" in rec:
+                    raise _not_a_string(rec["id"], f"strips[{i}].{side_name}[{len(ivs)}].id")
+                else:
+                    raise ParseError("interval record needs an 'id'", path=f"strips[{i}].{side_name}[{len(ivs)}]")
+                ivs.append(new(Interval, (iid, side, len(ivs), ends)))
+            spec.append(tuple(ivs))
+        strips.append(new(ModelStripSpec, spec))
 
     gluings = []
     for i, grec in enumerate(doc.get("gluings", [])):
         if type(grec) is not dict or "a" not in grec or "b" not in grec:
             raise ParseError("gluing record needs 'a' and 'b'", path=f"gluings[{i}]")
         flag = grec.get("orientation", "preserving")
-        try:
-            orientation = _ORIENTATIONS[flag]
-        except (KeyError, TypeError):  # TypeError: an unhashable flag
-            raise ParseError(
-                f"orientation must be 'preserving' or 'reversing', got {flag!r}", path=f"gluings[{i}]"
-            ) from None
+        orientation = _ORIENTATIONS.get(flag) if type(flag) is str else None
+        if orientation is None:
+            raise ParseError(f"orientation must be 'preserving' or 'reversing', got {flag!r}", path=f"gluings[{i}]")
         gid = grec["id"] if "id" in grec else f"g{i}"
-        a = grec["a"]
-        b = grec["b"]
+        a, b = grec["a"], grec["b"]
         if type(gid) is not str or type(a) is not str or type(b) is not str:
             key = "id" if type(gid) is not str else "a" if type(a) is not str else "b"
             raise _not_a_string(grec[key], f"gluings[{i}].{key}")
@@ -261,19 +258,22 @@ _MARGIN = 40.0
 
 
 def _draw_range(surface: StripedSurface) -> tuple[float, float]:
-    lo, hi = 0.0, 1.0
-    for s in surface.strips:
-        for ivs in (s.lower, s.upper):
-            for iv in ivs:
-                if iv.endpoints is None:  # (2k, 2k + 1): the left end never lowers lo
-                    x1 = 2.0 * iv.index + 1.0
-                else:
-                    x0, x1 = iv.endpoints
-                    if -math.inf < x0 < lo:
-                        lo = x0
-                if hi < x1 < math.inf:
-                    hi = x1
-    return lo - 1.0, hi + 1.0
+    # build_surface orders a side's endpoints and lets only its first left end be
+    # -inf and its last right end +inf; k default intervals (2j, 2j + 1) reach 2k - 1
+    lo, hi, longest = 0.0, 1.0, 0
+    for _id, lower, upper in surface.strips:
+        for ivs in (lower, upper):
+            if ivs and ivs[0].endpoints is None:
+                if len(ivs) > longest:
+                    longest = len(ivs)
+                continue
+            for iv in ivs[:2]:
+                if -math.inf < iv.endpoints[0] < lo:
+                    lo = iv.endpoints[0]
+            for iv in ivs[-2:]:
+                if hi < iv.endpoints[1] < math.inf:
+                    hi = iv.endpoints[1]
+    return lo - 1.0, max(hi, 2.0 * longest - 1.0) + 1.0
 
 
 class _Texts(dict):
@@ -368,8 +368,7 @@ def render_svg(surface: StripedSurface) -> str:
 
 def render(obj: StripedSurface | LeafSpace, fmt: str = "svg") -> str:
     if fmt == "svg":
-        surface = obj.surface if isinstance(obj, LeafSpace) else obj
-        return render_svg(surface)
+        return render_svg(obj.surface if isinstance(obj, LeafSpace) else obj)
     if fmt == "dot":
         return render_dot(obj)
     raise ValueError(f"unknown render format {fmt!r}")

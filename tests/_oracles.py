@@ -1,8 +1,8 @@
 """Independent oracles: orientation propagation, exhaustive isomorphism and
 automorphism counts, the leaf-space arc walker, the branch-and-bound
 canonical code, the unpruned rooted traversal, the reference dicts of the
-JSON documents, the member-search decomposition and the reference diagram
-writers."""
+JSON documents, the member-search decomposition, the reference diagram
+writers and the reference load path."""
 
 from __future__ import annotations
 
@@ -10,9 +10,26 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import permutations, product
 
+import json
 import math
 
-from stripfol.core import Orientation, Side, StripedSurface
+from stripfol.core import (
+    _BAD_ID_CHAR,
+    BadEndpointsError,
+    BadIdError,
+    BadIndexError,
+    DoubleGluingError,
+    DuplicateIdError,
+    GluingSpec,
+    Interval,
+    ModelStripSpec,
+    Orientation,
+    SameSideGluingError,
+    SelfGluingError,
+    Side,
+    StripedSurface,
+    UnknownIntervalRefError,
+)
 from stripfol.decomposition import (
     Component,
     Mode,
@@ -22,7 +39,7 @@ from stripfol.decomposition import (
     component_closures,
     decompose,
 )
-from stripfol.io import _BAND_GAP, _BAND_H, _MARGIN, _X_CLAMP, _X_SCALE, _dot_quoted, _xml_text
+from stripfol.io import _BAND_GAP, _BAND_H, _MARGIN, _X_CLAMP, _X_SCALE, ParseError, _dot_quoted, _xml_text
 from stripfol.leafspace import LeafSpace, PointKind, build_leaf_space, closure_ids, hausdorff_closure, is_special
 
 from _gen import components
@@ -791,3 +808,186 @@ def render_svg_reference(surface: StripedSurface) -> str:
         f'viewBox="0 0 {width:.2f} {height:.2f}">'
     )
     return "\n".join([head] + body + ["</svg>"]) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# the load path as it read before its per-record loops were tightened:
+# parse_reference must build an equal surface with equal id indexes, or
+# refuse with the same error class, text and path, as io.parse
+
+
+_ORIENTATION_BY_VALUE = {o.value: o for o in Orientation}
+
+
+def _num_reference(value, i: int, side_name: str, k: int, j: int) -> float:
+    if type(value) is float:
+        return value
+    if value == "-inf":
+        return float("-inf")
+    if value == "+inf" or value == "inf":
+        return float("inf")
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            message = "number out of the float range"
+    else:
+        message = f"expected a number or -inf/+inf, got {value!r}"
+    raise ParseError(message, path=f"strips[{i}].{side_name}[{k}].endpoints[{j}]")
+
+
+def _not_a_string(value, path: str) -> ParseError:
+    return ParseError(f"ids must be JSON strings, got {value!r}", path=path)
+
+
+def parse_reference(text: str) -> StripedSurface:
+    """``io.parse``: the document's records, validated by ``build_surface_reference``."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(e.msg, e.lineno, e.colno) from None
+    except (ValueError, RecursionError) as e:
+        raise ParseError(str(e)) from None
+    if not isinstance(doc, dict):
+        raise ParseError("document must be a JSON object")
+    for key in ("strips", "gluings"):
+        if not isinstance(doc.get(key, []), list):
+            raise ParseError(f"'{key}' must be a list", path=key)
+
+    strips = []
+    for i, srec in enumerate(doc.get("strips", [])):
+        if type(srec) is not dict or "id" not in srec:
+            raise ParseError("strip record needs an 'id'", path=f"strips[{i}]")
+        sid = srec["id"]
+        if type(sid) is not str:
+            raise _not_a_string(sid, f"strips[{i}].id")
+        sides = []
+        for side_name, side in (("lower", Side.LOWER), ("upper", Side.UPPER)):
+            recs = srec.get(side_name, [])
+            if type(recs) is not list:
+                raise ParseError(f"'{side_name}' must be a list", path=f"strips[{i}]")
+            ivs = []
+            for k, rec in enumerate(recs):
+                if type(rec) is str:
+                    ivs.append(Interval(rec, side, k, None))
+                    continue
+                if type(rec) is not dict or "id" not in rec:
+                    raise ParseError("interval record needs an 'id'", path=f"strips[{i}].{side_name}[{k}]")
+                iid = rec["id"]
+                if type(iid) is not str:
+                    raise _not_a_string(iid, f"strips[{i}].{side_name}[{k}].id")
+                ends = rec.get("endpoints")
+                if ends is not None:
+                    if type(ends) is not list or len(ends) != 2:
+                        raise ParseError("endpoints must be a [x0, x1] pair", path=f"strips[{i}].{side_name}[{k}]")
+                    ends = (_num_reference(ends[0], i, side_name, k, 0), _num_reference(ends[1], i, side_name, k, 1))
+                ivs.append(Interval(iid, side, k, ends))
+            sides.append(tuple(ivs))
+        strips.append(ModelStripSpec(sid, *sides))
+
+    gluings = []
+    for i, grec in enumerate(doc.get("gluings", [])):
+        if type(grec) is not dict or "a" not in grec or "b" not in grec:
+            raise ParseError("gluing record needs 'a' and 'b'", path=f"gluings[{i}]")
+        flag = grec.get("orientation", "preserving")
+        try:
+            orientation = _ORIENTATION_BY_VALUE[flag]
+        except (KeyError, TypeError):  # TypeError: an unhashable flag
+            raise ParseError(
+                f"orientation must be 'preserving' or 'reversing', got {flag!r}", path=f"gluings[{i}]"
+            ) from None
+        gid = grec["id"] if "id" in grec else f"g{i}"
+        a = grec["a"]
+        b = grec["b"]
+        if type(gid) is not str or type(a) is not str or type(b) is not str:
+            key = "id" if type(gid) is not str else "a" if type(a) is not str else "b"
+            raise _not_a_string(grec[key], f"gluings[{i}].{key}")
+        gluings.append(GluingSpec(gid, a, b, orientation))
+
+    return build_surface_reference(strips, gluings)
+
+
+def _check_endpoints_reference(strip_id: str, side: Side, intervals, explicit: int) -> None:
+    for iv in intervals:
+        if iv.endpoints is not None:
+            x0, x1 = iv.endpoints
+            if math.isnan(x0) or math.isnan(x1) or not x0 < x1:
+                raise BadEndpointsError(
+                    f"interval {iv.id!r} endpoints must satisfy x0 < x1, got ({x0}, {x1})"
+                )
+    if explicit < len(intervals):
+        raise BadEndpointsError(
+            f"({strip_id}, {side.value}): either all or no intervals of a side "
+            "may carry explicit endpoints"
+        )
+    for prev, nxt in zip(intervals, intervals[1:]):
+        if not prev.endpoints[1] <= nxt.endpoints[0]:
+            raise BadEndpointsError(
+                f"intervals {prev.id!r} and {nxt.id!r} on ({strip_id}, {side.value}) "
+                "overlap or are out of index order"
+            )
+
+
+def build_surface_reference(strips, gluings=()) -> StripedSurface:
+    """``core.build_surface``: every rule, in the order it fires."""
+    strips = tuple(strips)
+    gluings = tuple(gluings)
+    seen_ids: set[str] = set()
+    strip_by_id = {}
+    interval_loc = {}
+    for s in strips:
+        sid = s.id
+        if sid in seen_ids:
+            raise DuplicateIdError(f"strip id {sid!r} appears twice")
+        seen_ids.add(sid)
+        strip_by_id[sid] = s
+        for side, ivs in ((Side.LOWER, s.lower), (Side.UPPER, s.upper)):
+            # a side's index and endpoint faults come before its repeated ids
+            dup = None
+            explicit = 0
+            for k, (iid, iv_side, index, ends) in enumerate(ivs):
+                if iv_side is not side or index != k:
+                    raise BadIndexError(
+                        f"interval {iid!r} on ({sid}, {side.value}) must carry "
+                        f"side={side.value}, index={k}"
+                    )
+                if iid in seen_ids and dup is None:
+                    dup = iid
+                seen_ids.add(iid)
+                interval_loc[iid] = (sid, side, k)
+                if ends is not None:
+                    explicit += 1
+            if explicit:
+                _check_endpoints_reference(sid, side, ivs, explicit)
+            if dup is not None:
+                raise DuplicateIdError(f"interval id {dup!r} appears twice")
+
+    gluing_by_id = {}
+    gluing_by_interval = {}
+    for g in gluings:
+        gid, first, second, _ = g
+        if gid in seen_ids:
+            raise DuplicateIdError(f"gluing id {gid!r} appears twice")
+        seen_ids.add(gid)
+        gluing_by_id[gid] = g
+        if first == second:
+            raise SelfGluingError(f"gluing {gid!r} pairs interval {first!r} with itself")
+        for iid in (first, second):
+            if iid not in interval_loc:
+                raise UnknownIntervalRefError(f"gluing {gid!r} references unknown interval {iid!r}")
+            if iid in gluing_by_interval:
+                raise DoubleGluingError(f"interval {iid!r} appears in more than one gluing")
+            gluing_by_interval[iid] = g
+        strip_id, side, _ = interval_loc[first]
+        if interval_loc[second][:2] == (strip_id, side):
+            raise SameSideGluingError(
+                f"gluing {gid!r} pairs intervals {first!r} and {second!r} "
+                f"on the same side ({strip_id}, {side.value})"
+            )
+
+    if _BAD_ID_CHAR.search("".join(seen_ids)):
+        bad = next(i for i in (*strip_by_id, *interval_loc, *gluing_by_id) if _BAD_ID_CHAR.search(i))
+        char = ord(_BAD_ID_CHAR.search(bad).group())
+        raise BadIdError(f"id {bad!r} holds U+{char:04X}, which SVG or UTF-8 output cannot carry")
+
+    return StripedSurface(strips, gluings, strip_by_id, interval_loc, gluing_by_interval, gluing_by_id)

@@ -13,10 +13,11 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from stripfol.io import parse, render, render_dot, render_svg, serialize
+from stripfol.io import _draw_range, parse, render, render_dot, render_svg, serialize
 from stripfol.leafspace import build_leaf_space
 
 from _gen import connected_surface, random_surface
+from _oracles import _draw_range as draw_range_reference
 from _oracles import render_dot_reference, render_svg_reference
 from test_dumps import EDGE_CASES, _surfaces
 
@@ -60,3 +61,33 @@ def _generated():
 @pytest.mark.parametrize("doc", EDGE_CASES + [MARKUP] + _generated())
 def test_diagrams_equal_their_references_on_edge_cases(doc):
     _check_diagrams(parse(json.dumps(doc)))
+
+
+# Sides of several intervals that start at -inf and end at +inf: the least
+# finite left end is then the second interval's (-2.5, on A's lower side) and
+# the greatest finite right end the last but one's (4, on the same side), and
+# both lie inside the drawing clamp, so a wrong range moves every coordinate.
+UNBOUNDED_SIDES = {
+    "strips": [
+        {
+            "id": "A",
+            "lower": [
+                {"id": "a0", "endpoints": ["-inf", -3]},
+                {"id": "a1", "endpoints": [-2.5, 4]},
+                {"id": "a2", "endpoints": [5, "+inf"]},
+            ],
+            "upper": [{"id": "a3", "endpoints": ["-inf", -1]}, {"id": "a4", "endpoints": [2, "+inf"]}],
+        },
+        {"id": "B", "lower": ["b0", "b1"], "upper": [{"id": "b2", "endpoints": ["-inf", "+inf"]}]},
+    ],
+    "gluings": [
+        {"id": "g", "a": "a1", "b": "b0", "orientation": "reversing"},
+        {"id": "h", "a": "a4", "b": "b2"},
+    ],
+}
+
+
+def test_draw_range_reads_the_ends_of_unbounded_sides():
+    surface = parse(json.dumps(UNBOUNDED_SIDES))
+    assert _draw_range(surface) == draw_range_reference(surface) == (-3.5, 5.0)
+    _check_diagrams(surface)

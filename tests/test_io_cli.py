@@ -665,7 +665,8 @@ def _mutants(draw):
             container.insert(key, json.loads(json.dumps(container[key])))
         elif kind == "copy-id":
             ids = [c[k] for c, k in slots if k == "id"]
-            container[key] = draw(st.sampled_from(ids)) if ids else None
+            # a copy: an id may be a container, which shared could hold itself
+            container[key] = json.loads(json.dumps(draw(st.sampled_from(ids)))) if ids else None
     text = json.dumps(doc)
     if draw(st.integers(0, 7)) == 0:
         text = text[: draw(st.integers(0, len(text)))]
