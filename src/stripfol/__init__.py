@@ -53,26 +53,23 @@ from .decomposition import (
     decompose,
     h_flip,
     is_isomorphic,
-    mirror,
-    relabel_strips,
-    v_flip,
-)
-from .homeo import (
-    GraphsIntersectError,
-    HalfStripChart,
-    LevelMap,
-    NonIncreasingInputError,
-    PLFunction,
-    Trapezoid,
-    rectify_finite,
-    rectify_stages,
-    realize_half_strip,
-    roof_homeo,
-    shrink_leaf,
-    trapezoid_under_clearance,
-    uk_eval,
-    uk_inverse,
 )
 from .io import ParseError, leafspace_json, parse, render, render_dot, render_svg, serialize
 
 __version__ = "0.1.0"
+
+# The realization engine loads on first use: of the CLI's commands only
+# realize needs it.  Nothing is cached here, so each read returns homeo's
+# current attribute, even one patched after the first read.
+_HOMEO = frozenset(
+    "GraphsIntersectError HalfStripChart LevelMap NonIncreasingInputError PLFunction Trapezoid rectify_finite"
+    " rectify_stages realize_half_strip roof_homeo shrink_leaf trapezoid_under_clearance uk_eval uk_inverse".split()
+)
+
+
+def __getattr__(name: str):
+    if name in _HOMEO:
+        from . import homeo
+
+        return getattr(homeo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -9,12 +9,12 @@ makes).
 
 from __future__ import annotations
 
-import argparse
-import functools
 import gc
 import json
 import os
+import re
 import sys
+from types import SimpleNamespace
 
 from .core import SurfaceError, is_connected, validate_class_f
 from .decomposition import (
@@ -29,7 +29,6 @@ from .decomposition import (
     decompose,
     is_isomorphic,
 )
-from .homeo import HomeoError, realize_half_strip
 from .io import _NL, ParseError, _encode_str, _records, _strings, leafspace_json, parse, render, serialize
 from .leafspace import build_leaf_space
 
@@ -39,12 +38,6 @@ EXIT_PARSE = 2
 EXIT_USAGE = 3
 # 128 + SIGPIPE: the status a shell reports for a command that a broken pipe ended
 EXIT_PIPE = 141
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        raise SystemExit(_usage(message))
 
 
 def _load(path: str):
@@ -191,6 +184,8 @@ def _usage(message: str) -> int:
 
 
 def _cmd_realize(args) -> int:
+    from .homeo import HomeoError  # loaded here, by the one command that needs it
+
     if args.depth < 1:
         return _usage("--depth must be at least 1")
     if args.samples < 1:
@@ -219,6 +214,8 @@ def _cmd_realize(args) -> int:
 
 def _realize_rows(args, surface, comp, closure) -> list[str]:
     """The CSV rows of ``realize``: an interior grid, then the base leaves."""
+    from .homeo import realize_half_strip
+
     chart, eta = realize_half_strip(surface, comp, closure, depth=args.depth, samples=args.samples)
     n = args.samples
     rows = ["x_in,y_in,x_out,y_out,leaf_id"]
@@ -254,53 +251,145 @@ def _cmd_render(args) -> int:
     return EXIT_OK
 
 
-@functools.cache
-def _parser() -> _Parser:
-    """The argument parser, built on the first call and reused by every later one."""
-    parser = _Parser(prog="stripfol", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+# command -> (handler, positionals, {option: (choices, default)}, help).  An
+# option without a default is required; an int default makes its value an int.
+_COMMANDS = {
+    "validate": (_cmd_validate, ("file",), {}, "validate a surface document"),
+    "leafspace": (_cmd_leafspace, ("file",), {"--format": (("dot", "json"), "json")}, "emit the leaf space"),
+    "decompose": (_cmd_decompose, ("file",), {"--mode": (("interior", "with-boundary"), "with-boundary")}, "cut and classify"),
+    "canon": (_cmd_canon, ("file",), {}, "canonicalize and print the code"),
+    "iso": (_cmd_iso, ("file1", "file2"), {}, "decide foliated-homeomorphism equivalence"),
+    "realize": (
+        _cmd_realize, ("file",),
+        {"--component": (None, None), "--side": (("lower", "upper"), "lower"), "--samples": (None, 16), "--depth": (None, 3)},
+        "sample as CSV the half-strip realization of the component holding strip COMPONENT",
+    ),
+    "render": (_cmd_render, ("file",), {"--format": (("svg", "dot"), "svg")}, "emit an SVG or DOT diagram"),
+}
+_HELP = ("-h", "--help")
+_NEGATIVE = re.compile(r"-\d+$|-\d*\.\d+$")
 
-    p = sub.add_parser("validate", help="validate a surface document")
-    p.add_argument("file")
-    p.set_defaults(fn=_cmd_validate)
 
-    p = sub.add_parser("leafspace", help="emit the leaf space")
-    p.add_argument("file")
-    p.add_argument("--format", choices=("dot", "json"), default="json")
-    p.set_defaults(fn=_cmd_leafspace)
+def _usage_line(command=None) -> str:
+    if command is None:
+        return f"usage: stripfol [-h] {{{','.join(_COMMANDS)}}} ..."
+    _, positionals, options, _ = _COMMANDS[command]
+    words = [f"{name} {{{','.join(c)}}}" if c else f"{name} {name[2:].upper()}" for name, (c, _) in options.items()]
+    words = [w if d is None else f"[{w}]" for w, (_, d) in zip(words, options.values())]
+    return " ".join(["usage: stripfol", command, "[-h]", *words, *positionals])
 
-    p = sub.add_parser("decompose", help="cut along special leaves and classify")
-    p.add_argument("file")
-    p.add_argument("--mode", choices=("interior", "with-boundary"), default="with-boundary")
-    p.set_defaults(fn=_cmd_decompose)
 
-    p = sub.add_parser("canon", help="canonicalize and print the code")
-    p.add_argument("file")
-    p.set_defaults(fn=_cmd_canon)
+def _refuse(command, message: str):
+    """Refuse the arguments as argparse did: the usage line on stderr, the
+    message as the one JSON line on stdout, exit code 3."""
+    print(_usage_line(command), file=sys.stderr)
+    raise SystemExit(_usage(message))
 
-    p = sub.add_parser("iso", help="decide foliated-homeomorphism equivalence")
-    p.add_argument("file1")
-    p.add_argument("file2")
-    p.set_defaults(fn=_cmd_iso)
 
-    p = sub.add_parser("realize", help="sample the half-strip realization as CSV")
-    p.add_argument("file")
-    p.add_argument("--component", required=True, help="a strip id inside the component")
-    p.add_argument("--side", choices=("lower", "upper"), default="lower")
-    p.add_argument("--samples", type=int, default=16)
-    p.add_argument("--depth", type=int, default=3)
-    p.set_defaults(fn=_cmd_realize)
+def _help(command, option: str, attached) -> None:
+    """Print the help and exit 0.  Only more ``h``s may be attached to -h."""
+    while attached is not None:
+        if option == "--help" or not attached.startswith("h"):
+            _refuse(command, f"argument -h/--help: ignored explicit argument {attached!r}")
+        attached = attached[1:] or None
+    if command is None:
+        rows = "".join(f"\n  {name:<11}{spec[3]}" for name, spec in _COMMANDS.items())
+        sys.stdout.write(f"{_usage_line()}\n\n{__doc__ or ''}\ncommands:{rows}\n")
+    else:
+        sys.stdout.write(f"{_usage_line(command)}\n\n{_COMMANDS[command][3]}\n")
+    raise SystemExit(EXIT_OK)
 
-    p = sub.add_parser("render", help="emit an SVG or DOT diagram")
-    p.add_argument("file")
-    p.add_argument("--format", choices=("svg", "dot"), default="svg")
-    p.set_defaults(fn=_cmd_render)
-    return parser
+
+def _option(arg: str, names, command):
+    """Read ``arg`` as argparse does against the option strings ``names``:
+    None for a positional, else (option, text attached by "=" or None), the
+    option None if unknown.  A long option may be cut to any prefix that
+    names it alone."""
+    if not arg.startswith("-") or arg == "-":
+        return None
+    if arg in names:
+        return arg, None
+    name, eq, value = arg.partition("=")
+    if eq and name in names:
+        return name, value
+    if arg[1] == "-":
+        found = [(o, value if eq else None) for o in names if o.startswith(name)]
+    else:
+        found = [("-h", arg[2:])] if arg.startswith("-h") else []
+    if len(found) > 1:
+        _refuse(command, f"ambiguous option: {arg} could match {', '.join(o for o, _ in found)}")
+    if found:
+        return found[0]
+    return None if _NEGATIVE.match(arg) or " " in arg else (None, None)
+
+
+def _parse_command(command: str, args: list):
+    """The namespace of one command's arguments, and the arguments left over."""
+    fn, positionals, options, _ = _COMMANDS[command]
+    names = _HELP + tuple(options)
+    # every argument is read before any is taken; those after "--" are positional
+    n = args.index("--") if "--" in args else len(args)
+    read = [_option(arg, names, command) for arg in args[:n]] + ["--"] * (n < len(args)) + [None] * (len(args) - n - 1)
+    values = {"command": command, "fn": fn, **{name[2:]: default for name, (_, default) in options.items()}}
+    todo, seen, extras = list(positionals), set(), []
+    i, taken = 0, False
+    while i < len(args):
+        kind, arg, after_taken, taken = read[i], args[i], taken, False
+        i += 1
+        if isinstance(kind, tuple) and kind[0] in _HELP:
+            _help(command, *kind)
+        elif isinstance(kind, tuple) and kind[0]:
+            name, value = kind
+            if value is None:
+                if i == len(args) or read[i] is not None:
+                    _refuse(command, f"argument {name}: expected one argument")
+                value, i = args[i], i + 1
+            choices, default = options[name]
+            if isinstance(default, int):
+                try:
+                    value = int(value)
+                except ValueError:
+                    _refuse(command, f"argument {name}: invalid int value: {value!r}")
+            if choices and value not in choices:
+                _refuse(command, f"argument {name}: invalid choice: {value!r} (choose from {', '.join(map(repr, choices))})")
+            values[name[2:]] = value
+            seen.add(name)
+        elif kind is None and todo:
+            values[todo.pop(0)] = arg
+            taken = True
+        # a "--" next to a positional's argument is dropped
+        elif kind != "--" or not (after_taken or todo and i < len(args)):
+            extras.append(arg)
+    missing = todo + [name for name, (_, default) in options.items() if default is None and name not in seen]
+    if missing:
+        _refuse(command, f"the following arguments are required: {', '.join(missing)}")
+    return SimpleNamespace(**values), extras
+
+
+def _parse(argv: list) -> SimpleNamespace:
+    """The attributes argparse gave the commands, or argparse's refusal.
+
+    Only -h/--help may come before the command; the rest are its arguments.
+    """
+    i, extras = 0, []
+    while i < len(argv) and argv[i] != "--" and (opt := _option(argv[i], _HELP, None)):
+        if opt[0]:
+            _help(None, *opt)
+        extras.append(argv[i])  # an unknown option
+        i += 1
+    if argv[i:] in ([], ["--"]):
+        _refuse(None, "the following arguments are required: command")
+    if argv[i] not in _COMMANDS:
+        _refuse(None, f"argument command: invalid choice: {argv[i]!r} (choose from {', '.join(map(repr, _COMMANDS))})")
+    args, more = _parse_command(argv[i], argv[i + 1 :])
+    if extras + more:
+        _refuse(None, f"unrecognized arguments: {' '.join(extras + more)}")
+    return args
 
 
 def _run(argv) -> int:
-    args = _parser().parse_args(argv)
-    # The commands build large acyclic graphs of tuples, NamedTuples and
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
+    # The commands build large acyclic graphs of tuples, named tuples and
     # dicts that reference counting frees, so the cyclic collector's passes
     # over them find nothing; pause it, and leave a caller's setting as it was.
     enabled = gc.isenabled()

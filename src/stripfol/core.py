@@ -8,9 +8,10 @@ homeomorphism engine) consumes the validated :class:`StripedSurface`.
 """
 
 import re
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
 
 
 class Side(Enum):
@@ -94,17 +95,15 @@ class BadIdError(SurfaceError):
 _BAD_ID_CHAR = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
-class Interval(NamedTuple):
-    """One open boundary interval of a strip, ordered left-to-right by index.
+class Interval(namedtuple("Interval", "id side index endpoints", defaults=(None,))):
+    """One open boundary interval of a strip, ordered left-to-right by ``index``
+    (a field that shadows ``tuple.index``).
 
     ``endpoints`` are optional extended reals (``-inf``/``+inf`` allowed); when
     absent, the interval with index k occupies ``(2k, 2k+1)``.
     """
 
-    id: str
-    side: Side
-    index: int  # shadows tuple.index
-    endpoints: tuple[float, float] | None = None
+    __slots__ = ()
 
     def effective_endpoints(self) -> tuple[float, float]:
         if self.endpoints is not None:
@@ -112,24 +111,19 @@ class Interval(NamedTuple):
         return (2.0 * self.index, 2.0 * self.index + 1.0)
 
 
-class ModelStripSpec(NamedTuple):
-    """A model strip: band interior plus the interval lists of its two sides."""
+class ModelStripSpec(namedtuple("ModelStripSpec", "id lower upper", defaults=((), ()))):
+    """A model strip: band interior plus the interval tuples of its two sides."""
 
-    id: str
-    lower: tuple[Interval, ...] = ()
-    upper: tuple[Interval, ...] = ()
+    __slots__ = ()
 
     def side_intervals(self, side: Side) -> tuple[Interval, ...]:
         return self.lower if side is Side.LOWER else self.upper
 
 
-class GluingSpec(NamedTuple):
+class GluingSpec(namedtuple("GluingSpec", "id first second orientation")):
     """Identification of two boundary intervals, preserving or reversing x."""
 
-    id: str
-    first: str
-    second: str
-    orientation: Orientation
+    __slots__ = ()
 
     def members(self) -> tuple[str, str]:
         return (self.first, self.second)
@@ -258,9 +252,6 @@ class StripedSurface:
     def interval(self, interval_id: str) -> Interval:
         strip_id, side, index = self._interval_loc[interval_id]
         return self._strip_by_id[strip_id].side_intervals(side)[index]
-
-    def interval_location(self, interval_id: str) -> tuple[str, Side, int]:
-        return self._interval_loc[interval_id]
 
     def side_end_of(self, interval_id: str) -> SideEnd:
         strip_id, side, _ = self._interval_loc[interval_id]

@@ -9,8 +9,8 @@ representative, and the least rooted-traversal code over root strips and
 their flips decides foliated-homeomorphism equivalence.
 """
 
+from collections import namedtuple
 from enum import Enum
-from typing import NamedTuple
 
 from .core import (
     DisconnectedSurfaceError,
@@ -58,7 +58,14 @@ class NotAChainError(ValueError):
     pass
 
 
-class Component(NamedTuple):
+class Component(
+    namedtuple(
+        "Component",
+        "shape strips interfaces mode outer_lower outer_upper outer_lower_points outer_upper_points"
+        " retained_lower retained_upper monodromy",
+        defaults=(None, None, (), (), None, None, None),
+    )
+):
     """One connected piece of the cut surface.
 
     ``strips`` pairs each member strip with its vertical-flip flag in the
@@ -66,30 +73,19 @@ class Component(NamedTuple):
     starting strip).  Only chains expose the two outer side-ends; their
     ``*_points`` carry the cut leaves bordering that extreme, in interval
     order, and ``retained_*`` the non-special boundary leaf kept by interior
-    mode, if any.
+    mode, if any.  ``monodromy`` is the orientation sign around a cycle.
     """
 
-    shape: Shape
-    strips: tuple[tuple[str, bool], ...]
-    interfaces: tuple[str, ...]
-    mode: Mode
-    outer_lower: SideEnd | None = None
-    outer_upper: SideEnd | None = None
-    outer_lower_points: tuple[LeafPoint, ...] = ()
-    outer_upper_points: tuple[LeafPoint, ...] = ()
-    retained_lower: str | None = None
-    retained_upper: str | None = None
-    monodromy: int | None = None
+    __slots__ = ()
 
     def strip_ids(self) -> tuple[str, ...]:
         return tuple([s for s, _ in self.strips])
 
 
-class ClosureStrip(NamedTuple):
+class ClosureStrip(namedtuple("ClosureStrip", "base_points side_parity")):
     """Model-strip description of one half-closure of a chain component."""
 
-    base_points: tuple[LeafPoint, ...]
-    side_parity: Side
+    __slots__ = ()
 
 
 def _merge_edges(ls: LeafSpace) -> dict[SideEnd, tuple[GluingSpec, SideEnd]]:
@@ -195,9 +191,7 @@ def classify_component(comp: Component) -> StripClass:
     return _CHAIN_CLASSES[(comp.retained_lower is not None) + (comp.retained_upper is not None)]
 
 
-class CycleCheckReport(NamedTuple):
-    ok: bool
-    violations: tuple[str, ...]
+CycleCheckReport = namedtuple("CycleCheckReport", "ok violations")
 
 
 def check_cycle_components(
@@ -240,12 +234,6 @@ def component_closures(
 # admissible moves
 
 
-def relabel_strips(surface: StripedSurface, mapping: dict[str, str]) -> StripedSurface:
-    """Rename strips (interval and gluing ids untouched)."""
-    strips = [s._replace(id=mapping.get(s.id, s.id)) for s in surface.strips]
-    return build_surface(strips, surface.gluings)
-
-
 def _toggle_incident(
     gluings: list[GluingSpec], surface: StripedSurface, strip_ids: set[str]
 ) -> tuple[GluingSpec, ...]:
@@ -281,26 +269,6 @@ def h_flip(surface: StripedSurface, strip_id: str) -> StripedSurface:
             s = ModelStripSpec(s.id, _reverse_side(s.lower), _reverse_side(s.upper))
         strips.append(s)
     return build_surface(strips, _toggle_incident(surface.gluings, surface, {strip_id}))
-
-
-def v_flip(surface: StripedSurface, strip_id: str) -> StripedSurface:
-    """Swap the two sides of one strip."""
-    strips = []
-    for s in surface.strips:
-        if s.id == strip_id:
-            lower = tuple([iv._replace(side=Side.LOWER) for iv in s.upper])
-            upper = tuple([iv._replace(side=Side.UPPER) for iv in s.lower])
-            s = ModelStripSpec(s.id, lower, upper)
-        strips.append(s)
-    return build_surface(strips, surface.gluings)
-
-
-def mirror(surface: StripedSurface) -> StripedSurface:
-    """Reflect the whole surface: h-flip of every strip."""
-    out = surface
-    for sid in surface.strip_ids():
-        out = h_flip(out, sid)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ working tolerance is ``TOL``.
 """
 
 import math
-from typing import Callable, NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Callable, Sequence
 
 from .core import StripedSurface
 from .decomposition import Component, ClosureStrip, Shape, StripClass, classify_component
@@ -51,12 +52,7 @@ class NotOpenStripComponentError(HomeoError):
     pass
 
 
-class _PLFields(NamedTuple):
-    breakpoints: tuple[float, ...]
-    values: tuple[float, ...]
-
-
-class PLFunction(_PLFields):
+class PLFunction(namedtuple("PLFunction", "breakpoints values")):
     """Piecewise-linear function through (breakpoints[i], values[i]).
 
     Constant beyond the end breakpoints, where it takes the end values.
@@ -168,14 +164,7 @@ def _bisect_increasing(g: Callable[[float], float], target: float, tol: float = 
     return 0.5 * (lo + hi)
 
 
-class _TrapezoidFields(NamedTuple):
-    alpha: PLFunction
-    beta: PLFunction
-    level_range: tuple[float, float]
-    base: tuple[float, float] | None
-
-
-class Trapezoid(_TrapezoidFields):
+class Trapezoid(namedtuple("Trapezoid", "alpha beta level_range base")):
     """Region between two curve graphs over a half-open level interval (c, d].
 
     ``alpha``/``beta`` give x as a function of the level; the roof is the two
@@ -205,10 +194,6 @@ class Trapezoid(_TrapezoidFields):
     def top(self) -> float:
         return self.level_range[1]
 
-    def upper_base(self) -> tuple[float, float, float]:
-        d = self.top
-        return (self.alpha(d), self.beta(d), d)
-
     def contains(self, x: float, y: float, tol: float = 0.0) -> bool:
         c, d = self.level_range
         if not c < y <= d + tol:
@@ -222,30 +207,15 @@ class Trapezoid(_TrapezoidFields):
             return a < x < b
         return self.contains(x, y, tol)
 
-    def roof_samples(self, n: int = 32) -> list[tuple[float, float]]:
-        c, d = self.level_range
-        pts = []
-        for i in range(1, n + 1):
-            y = c + (d - c) * i / n
-            pts.append((self.alpha(y), y))
-            pts.append((self.beta(y), y))
-        a_top, b_top = self.alpha(d), self.beta(d)
-        for i in range(n + 1):
-            pts.append((a_top + (b_top - a_top) * i / n, d))
-        return pts
 
-
-class Piece(NamedTuple):
+class Piece(namedtuple("Piece", "forward backward region target_region", defaults=(None, None))):
     """One region of a piecewise level map, with its forward and backward maps.
 
     A region of None covers every point not claimed by an earlier piece;
     likewise a target region of None for the inverse.
     """
 
-    forward: Callable[[float, float], tuple[float, float]]
-    backward: Callable[[float, float], tuple[float, float]]
-    region: Callable[[float, float], bool] | None = None
-    target_region: Callable[[float, float], bool] | None = None
+    __slots__ = ()
 
 
 class LevelMap:
@@ -502,14 +472,7 @@ def roof_homeo(
     return LevelMap([Piece(forward, backward)])
 
 
-class _ChartFields(NamedTuple):
-    rectangles: tuple[tuple[float, float, float], ...]
-    base_intervals: tuple[tuple[float, float], ...]
-    leaf_spans: tuple[tuple[float, float], ...]
-    level_range: tuple[float, float]
-
-
-class HalfStripChart(_ChartFields):
+class HalfStripChart(namedtuple("HalfStripChart", "rectangles base_intervals leaf_spans level_range")):
     """Half model strip: the band R x (-1, 0] plus marked base intervals.
 
     One half-open rectangle [a_i, b_i] x (-1, d_i] per base leaf, with its

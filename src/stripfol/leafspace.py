@@ -8,8 +8,8 @@ points.  The components of the non-special part are the interior-mode
 components of :func:`stripfol.decomposition.decompose`.
 """
 
+from collections import namedtuple
 from enum import Enum
-from typing import NamedTuple
 
 from .core import Side, SideEnd, StripedSurface
 
@@ -22,7 +22,7 @@ class PointKind(Enum):
     __hash__ = object.__hash__  # as for core.Side
 
 
-class LeafPoint(NamedTuple):
+class LeafPoint(namedtuple("LeafPoint", "id members kind special")):
     """A leaf-class point: one gluing (two member intervals) or one unglued interval.
 
     ``special`` holds exactly when the Hausdorff closure has more than one
@@ -30,22 +30,15 @@ class LeafPoint(NamedTuple):
     BOUNDARY_LEAF even when special.
     """
 
-    id: str
-    members: tuple[str, ...]
-    kind: PointKind
-    special: bool
+    __slots__ = ()
 
 
-class LeafSpace(NamedTuple):
-    """Arcs (one per strip), points, and the side-end incidence lists."""
+class LeafSpace(namedtuple("LeafSpace", "surface arcs points incidence point_by_id ends_by_point")):
+    """Arcs (one per strip), points, and the side-end incidence lists:
+    ``incidence`` maps each SideEnd to its point ids in interval-index order.
+    ``point_by_id`` and ``ends_by_point`` are indexes, built by build_leaf_space."""
 
-    surface: StripedSurface
-    arcs: tuple[str, ...]
-    points: tuple[LeafPoint, ...]
-    incidence: dict  # SideEnd -> tuple of point ids, in interval-index order
-    # indexes, built by build_leaf_space
-    point_by_id: dict
-    ends_by_point: dict  # point id -> its side-ends
+    __slots__ = ()
 
     def point(self, point_id: str) -> LeafPoint:
         return self.point_by_id[point_id]
@@ -53,9 +46,6 @@ class LeafSpace(NamedTuple):
     def ends_of(self, point: LeafPoint | str) -> tuple[SideEnd, ...]:
         pid = point if isinstance(point, str) else point.id
         return self.ends_by_point[pid]
-
-    def points_on(self, end: SideEnd) -> tuple[str, ...]:
-        return self.incidence.get(end, ())
 
 
 def build_leaf_space(surface: StripedSurface) -> LeafSpace:
@@ -88,7 +78,7 @@ def build_leaf_space(surface: StripedSurface) -> LeafSpace:
     # side-ends, so it is more than the point exactly when one of those
     # side-ends carries another interval: build_surface rejects same-side
     # gluings, so the intervals of one side-end are distinct points.  Every
-    # field is built here, so the records skip the NamedTuple constructors.
+    # field is built here, so the records skip their constructors.
     new = tuple.__new__
     points = []
     ends_by_point: dict[str, tuple[SideEnd, ...]] = {}

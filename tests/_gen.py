@@ -1,4 +1,5 @@
-"""Random and exhaustive surface generation for the test suite."""
+"""Random and exhaustive surface generation for the test suite, and the
+admissible moves and sample points that the checks apply to them."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from stripfol.core import (
     glue,
     strip,
 )
+from stripfol.decomposition import h_flip
 
 
 def components(surface: StripedSurface) -> list[StripedSurface]:
@@ -193,10 +195,53 @@ def cyclic_cover(rng: random.Random, surface: StripedSurface, m: int) -> Striped
     return build_surface(strips, gluings)
 
 
+# Admissible moves besides stripfol.decomposition.h_flip, which canonicalize
+# uses; each gives a surface foliated-homeomorphic to its input.
+
+
+def relabel_strips(surface: StripedSurface, mapping: dict[str, str]) -> StripedSurface:
+    """Rename strips (interval and gluing ids untouched)."""
+    strips = [s._replace(id=mapping.get(s.id, s.id)) for s in surface.strips]
+    return build_surface(strips, surface.gluings)
+
+
+def v_flip(surface: StripedSurface, strip_id: str) -> StripedSurface:
+    """Swap the two sides of one strip."""
+    strips = []
+    for s in surface.strips:
+        if s.id == strip_id:
+            lower = tuple([iv._replace(side=Side.LOWER) for iv in s.upper])
+            upper = tuple([iv._replace(side=Side.UPPER) for iv in s.lower])
+            s = ModelStripSpec(s.id, lower, upper)
+        strips.append(s)
+    return build_surface(strips, surface.gluings)
+
+
+def mirror(surface: StripedSurface) -> StripedSurface:
+    """Reflect the whole surface: h-flip of every strip."""
+    out = surface
+    for sid in surface.strip_ids():
+        out = h_flip(out, sid)
+    return out
+
+
+def roof_samples(t, n: int = 32) -> list[tuple[float, float]]:
+    """Points on the roof of the trapezoid ``t``: its two side curves at n
+    levels above its base, and n + 1 points across its upper base."""
+    c, d = t.level_range
+    pts = []
+    for i in range(1, n + 1):
+        y = c + (d - c) * i / n
+        pts.append((t.alpha(y), y))
+        pts.append((t.beta(y), y))
+    a_top, b_top = t.alpha(d), t.beta(d)
+    for i in range(n + 1):
+        pts.append((a_top + (b_top - a_top) * i / n, d))
+    return pts
+
+
 def random_moves(rng: random.Random, surface: StripedSurface, count: int) -> StripedSurface:
     """Apply a random sequence of admissible moves (relabel, h-flip, v-flip)."""
-    from stripfol.decomposition import h_flip, relabel_strips, v_flip
-
     out = surface
     for _ in range(count):
         kind = rng.randrange(3)

@@ -217,7 +217,7 @@ ArcEnd = tuple[str, Side]
 
 def _end_status(ls: LeafSpace, end: ArcEnd):
     """Classify an arc end: ('continue', next_end, joint_id) | ('closed', pid) | ('open',)."""
-    pids = ls.points_on(end)
+    pids = ls.incidence.get(end, ())
     if len(pids) != 1:
         return ("open",)
     p = ls.point(pids[0])
@@ -526,7 +526,7 @@ def leafspace_reference(ls: LeafSpace) -> dict:
             for p in ls.points
         ],
         "incidence": [
-            {"strip": sid, "side": side.value, "points": list(ls.points_on((sid, side)))}
+            {"strip": sid, "side": side.value, "points": list(ls.incidence[sid, side])}
             for sid in ls.arcs
             for side in (Side.LOWER, Side.UPPER)
         ],
@@ -543,7 +543,7 @@ def decompose_reference(surface: StripedSurface, mode: Mode) -> dict:
     order = {}
     for sid in ls.arcs:
         for side in (Side.LOWER, Side.UPPER):
-            for pid in ls.points_on((sid, side)):
+            for pid in ls.incidence[sid, side]:
                 order.setdefault(pid, len(order))
     comps, cut = decompose(surface, mode, ls)
     out = {
@@ -594,7 +594,7 @@ def _merge_edges(ls: LeafSpace) -> dict:
 
 def _outer_data(ls: LeafSpace, end, cut_ids: set[str], mode: Mode):
     """Base points (cut leaves, interval order) and retained boundary leaf of an extreme."""
-    pids = ls.points_on(end)
+    pids = ls.incidence.get(end, ())
     base = tuple([ls.point(pid) for pid in pids if pid in cut_ids])
     retained = None
     if mode is Mode.INTERIOR and len(pids) == 1:

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from stripfol.core import Orientation, StripedSurface, build_surface, glue, strip
-from stripfol.decomposition import mirror
+
+from _gen import mirror
 
 
 def kaplan5() -> StripedSurface:

@@ -42,7 +42,7 @@ from fixtures import (
 )
 from _topology_oracle import bnd_bruteforce, check_axioms, discretize
 
-from _gen import enumerate_cycle_surfaces, random_moves, random_surface
+from _gen import enumerate_cycle_surfaces, random_moves, random_surface, roof_samples
 from _oracles import exhaustive_isomorphic, orientability_by_propagation
 
 TOL = 1e-9
@@ -242,7 +242,7 @@ def test_criterion_6_homeo_engine_numerics():
             base=(3, 5),
         )
         m2 = roof_homeo(curvy, flat)
-        for x, y in curvy.roof_samples(64):
+        for x, y in roof_samples(curvy, 64):
             X, Y = m2.apply(x, y)
             on_roof = (
                 abs(X - 3.0) < TOL

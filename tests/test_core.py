@@ -20,14 +20,14 @@ from stripfol.core import (
 )
 
 from fixtures import kaplan5, cylinder, open_strip
-from _gen import components, random_moves, random_surface
+from _gen import components, random_moves, random_surface, relabel_strips, v_flip
 
 
 def test_kaplan5_builds():
     k = kaplan5()
     assert k.strip_ids() == ("A", "B", "C", "D", "E")
     assert len(k.gluings) == 4
-    assert k.interval_location("B.u1") == ("B", Side.UPPER, 1)
+    assert k.side_end_of("B.u1") == ("B", Side.UPPER) and k.interval("B.u1").index == 1
 
 
 def test_empty_strip_is_valid():
@@ -224,7 +224,7 @@ def test_components_of_many_pieces_in_linear_time():
 
 
 def test_partition_agrees_with_bfs_and_leaves_identity_alone():
-    from stripfol.decomposition import canonicalize, h_flip, relabel_strips, v_flip
+    from stripfol.decomposition import canonicalize, h_flip
 
     rng = random.Random(41)
     for i in range(80):

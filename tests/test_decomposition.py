@@ -17,8 +17,6 @@ from stripfol.decomposition import (
     decompose,
     h_flip,
     is_isomorphic,
-    relabel_strips,
-    v_flip,
 )
 from stripfol.leafspace import build_leaf_space
 
@@ -39,7 +37,9 @@ from _gen import (
     enumerate_cycle_surfaces,
     random_moves,
     random_surface,
+    relabel_strips,
     ring_surface,
+    v_flip,
 )
 from _oracles import (
     ArcType,

@@ -26,6 +26,7 @@ from stripfol.homeo import (
 )
 
 from fixtures import horseshoe, kaplan5, open_strip
+from _gen import roof_samples
 
 TOL = 1e-9
 
@@ -272,16 +273,14 @@ def test_trapezoid_under_wedge_clearance():
     wedge = PLFunction((0.0, 0.5, 1.0), (0.0, 0.5, 0.0))
     t = trapezoid_under_clearance(wedge, 0.0, 1.0, 3)
     assert abs(t.top - 1 / 16) < 1e-15
-    a, b, d = t.upper_base()
-    assert (a, b, d) == (0.25, 0.75, t.top)
+    assert (t.alpha(t.top), t.beta(t.top)) == (0.25, 0.75)
     assert t.base == (0.0, 1.0)
 
 
 def test_trapezoid_under_constant_clearance():
     t = trapezoid_under_clearance(PLFunction.constant(1.0), 0.0, 1.0, 1)
     assert t.top == 0.5
-    a, b, _ = t.upper_base()
-    assert (a, b) == (0.25, 0.75)
+    assert (t.alpha(t.top), t.beta(t.top)) == (0.25, 0.75)
 
 
 def test_trapezoid_containment_sampling():
@@ -355,7 +354,7 @@ def test_roof_homeo_maps_roof_to_roof():
     src = trapezoid_under_clearance(wedge, 0.0, 1.0, 4)
     dst = _rect(3, 5, 0, src.top * 2)
     m = roof_homeo(src, dst, lambda y: 2 * y)
-    for x, y in src.roof_samples(48):
+    for x, y in roof_samples(src, 48):
         X, Y = m.apply(x, y)
         on_left = abs(X - dst.alpha(Y)) < TOL
         on_right = abs(X - dst.beta(Y)) < TOL

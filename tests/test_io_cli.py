@@ -3,10 +3,13 @@ import hashlib
 import io
 import json
 import math
+import os
 import random
 import re
+import subprocess
 import sys
 import time
+from pathlib import Path
 from xml.dom import minidom
 
 import pytest
@@ -279,6 +282,10 @@ def test_render_deterministic():
 
 # ---------------------------------------------------------------------------
 # CLI
+
+
+# a fresh ``python -m stripfol.cli`` reads the package from the source tree
+_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
 
 
 def run_cli(capsys, *argv) -> tuple[int, str]:
@@ -598,8 +605,6 @@ def test_cli_realize_refuses_a_huge_depth_at_once(fixture_dir, capsys):
 
 
 def test_cli_parser_reused_across_calls(fixture_dir, capsys):
-    from stripfol import cli
-
     path = str(fixture_dir / "kaplan5.json")
     calls = [
         ["realize", path, "--component", "B", "--samples", "abc"],
@@ -607,17 +612,104 @@ def test_cli_parser_reused_across_calls(fixture_dir, capsys):
         ["leafspace", path, "--format", "dot"],
         ["leafspace", path],
     ]
+    # each call alone in a fresh interpreter, then all of them in this one
     fresh = []
     for argv in calls:
-        cli._parser.cache_clear()
-        fresh.append(run_cli(capsys, *argv))
-    cli._parser.cache_clear()
+        run = subprocess.run([sys.executable, "-m", "stripfol.cli", *argv], capture_output=True, text=True, env=_ENV)
+        fresh.append((run.returncode, run.stdout))
     reused = [run_cli(capsys, *argv) for argv in calls]
-    assert cli._parser.cache_info().misses == 1
     assert reused == fresh
     # no subcommand default leaks from the dot call into the next one
     code, out = reused[-1]
     assert code == 0 and json.loads(out)["arcs"] == ["A", "B", "C", "D", "E"]
+
+
+# The usage contract: argv -> (exit code, stdout).  A refusal of the
+# arguments is one JSON line whose message is argparse's text (Python 3.11);
+# "{K}" is the kaplan5 document and "{M}" its mirror.
+_COMMANDS_CHOICE = "'validate', 'leafspace', 'decompose', 'canon', 'iso', 'realize', 'render'"
+_USAGE_REFUSALS = [
+    ([], "the following arguments are required: command"),
+    (["x"], f"argument command: invalid choice: 'x' (choose from {_COMMANDS_CHOICE})"),
+    (["--", "validate", "{K}"], f"argument command: invalid choice: '--' (choose from {_COMMANDS_CHOICE})"),
+    (["-x", "validate", "{K}"], "unrecognized arguments: -x"),
+    (["validate"], "the following arguments are required: file"),
+    (["iso", "{K}"], "the following arguments are required: file2"),
+    (["realize"], "the following arguments are required: file, --component"),
+    (["realize", "{K}", "--side", "upper"], "the following arguments are required: --component"),
+    (["leafspace", "{K}", "--format", "xml"], "argument --format: invalid choice: 'xml' (choose from 'dot', 'json')"),
+    (["render", "{K}", "--format=xml"], "argument --format: invalid choice: 'xml' (choose from 'svg', 'dot')"),
+    (["decompose", "{K}", "--mode", "all"],
+     "argument --mode: invalid choice: 'all' (choose from 'interior', 'with-boundary')"),
+    (["realize", "{K}", "--component", "B", "--samples", "2.5"], "argument --samples: invalid int value: '2.5'"),
+    (["realize", "{K}", "--component", "B", "--depth="], "argument --depth: invalid int value: ''"),
+    (["validate", "a", "b"], "unrecognized arguments: b"),
+    (["validate", "{K}", "--no-such-flag", "x"], "unrecognized arguments: --no-such-flag x"),
+    (["iso", "{K}", "--", "{M}", "{K}"], "unrecognized arguments: {K}"),
+    (["realize", "{K}", "--component"], "argument --component: expected one argument"),
+    (["realize", "{K}", "--component", "--side", "upper"], "argument --component: expected one argument"),
+    (["realize", "{K}", "--component", "B", "--s", "upper"], "ambiguous option: --s could match --side, --samples"),
+    (["realize", "{K}", "--s=2", "--component", "B"], "ambiguous option: --s=2 could match --side, --samples"),
+    (["realize", "{K}", "--component", "B", "--samples", "-3"], "--samples must be at least 1"),
+    (["realize", "{K}", "--component", "B", "--depth", "0"], "--depth must be at least 1"),
+    (["--help=x"], "argument -h/--help: ignored explicit argument 'x'"),
+]
+
+
+def _contract_argv(argv, fixture_dir):
+    docs = {"{K}": str(fixture_dir / "kaplan5.json"), "{M}": str(fixture_dir / "kaplan5_mirror.json")}
+    return [docs.get(a, a) for a in argv]
+
+
+@pytest.mark.parametrize("argv, message", _USAGE_REFUSALS)
+def test_cli_usage_refusals(fixture_dir, capsys, argv, message):
+    argv = _contract_argv(argv, fixture_dir)
+    message = message.replace("{K}", str(fixture_dir / "kaplan5.json"))
+    assert run_cli(capsys, *argv) == (3, json.dumps({"error": "usage", "message": message}) + "\n")
+
+
+def test_cli_reads_a_double_dash_after_equals_as_the_value(fixture_dir, capsys):
+    # argparse dropped it and stored an empty list: realize read that as the
+    # upper side, and "--samples=--" ended in a traceback
+    path = str(fixture_dir / "kaplan5.json")
+    for option, choices in (("--side", " (choose from 'lower', 'upper')"), ("--samples", "")):
+        message = f"argument {option}: invalid {'choice' if choices else 'int value'}: '--'{choices}"
+        got = run_cli(capsys, "realize", path, "--component", "B", f"{option}=--")
+        assert got == (3, json.dumps({"error": "usage", "message": message}) + "\n")
+
+
+# accepted spellings -> the spelling whose output they must print
+_USAGE_FORMS = [
+    (["realize", "{K}", "--comp", "B", "--samples=2"], ["realize", "{K}", "--component", "B", "--samples", "2"]),
+    (["realize", "--component=B", "--side=upper", "--depth=2", "--samples", "3", "{K}"],
+     ["realize", "{K}", "--component", "B", "--side", "upper", "--depth", "2", "--samples", "3"]),
+    (["realize", "--component", "B", "--samples", "2", "--", "{K}"], ["realize", "{K}", "--component", "B", "--samples", "2"]),
+    (["validate", "--", "{K}"], ["validate", "{K}"]),
+    (["iso", "{K}", "--", "{M}"], ["iso", "{K}", "{M}"]),
+    (["leafspace", "--format", "dot", "{K}", "--format", "json"], ["leafspace", "{K}"]),
+    (["decompose", "{K}", "--mo", "interior", "--mode", "with-boundary"], ["decompose", "{K}"]),
+    (["realize", "{K}", "--component", "nowhere", "--component", "B", "--sa", "2"],
+     ["realize", "{K}", "--component", "B", "--samples", "2"]),
+    (["render", "{K}", "--f", "dot"], ["render", "{K}", "--format", "dot"]),
+]
+
+
+@pytest.mark.parametrize("argv, same_as", _USAGE_FORMS)
+def test_cli_accepts_argparse_spellings(fixture_dir, capsys, argv, same_as):
+    got = run_cli(capsys, *_contract_argv(argv, fixture_dir))
+    want = run_cli(capsys, *_contract_argv(same_as, fixture_dir))
+    assert want[0] in (0, 1) and want[1]
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["-h"], ["--help"], ["--he"], ["-x", "-h"], ["validate", "-h"], ["leafspace", "--help"], ["decompose", "-h"],
+     ["canon", "-h"], ["iso", "--help"], ["realize", "-h"], ["realize", "{K}", "--h"], ["render", "{K}", "-h", "-x"]],
+)
+def test_cli_help_exits_zero(fixture_dir, capsys, argv):
+    code, out = run_cli(capsys, *_contract_argv(argv, fixture_dir))
+    assert code == 0 and out.startswith("usage: stripfol")
 
 
 # Mutations of the fixture documents: a value anywhere replaced by arbitrary

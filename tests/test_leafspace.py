@@ -32,10 +32,10 @@ def test_kaplan5_leaf_space_structure():
     ls = build_leaf_space(kaplan5())
     assert ls.arcs == ("A", "B", "C", "D", "E")
     assert sorted(p.id for p in ls.points) == ["alpha", "beta", "delta", "gamma"]
-    assert ls.points_on(("B", Side.UPPER)) == ("alpha", "beta")
-    assert ls.points_on(("C", Side.UPPER)) == ("beta", "gamma")
-    assert ls.points_on(("D", Side.UPPER)) == ("gamma", "delta")
-    assert ls.points_on(("A", Side.LOWER)) == ()
+    assert ls.incidence["B", Side.UPPER] == ("alpha", "beta")
+    assert ls.incidence["C", Side.UPPER] == ("beta", "gamma")
+    assert ls.incidence["D", Side.UPPER] == ("gamma", "delta")
+    assert ls.incidence["A", Side.LOWER] == ()
 
 
 def test_kaplan5_hausdorff_closures():

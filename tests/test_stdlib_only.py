@@ -4,8 +4,10 @@ Every import under ``src/stripfol`` is relative or names a standard-library
 module, and importing the CLI in a fresh interpreter loads nothing else.
 Each ``stripfol`` command is a fresh process, so the import is part of its
 wall time: the package keeps out ``dataclasses``, which alone loads
-``inspect``, ``ast``, ``dis`` and ``tokenize``, and its record classes carry
-evaluated annotations, which ``typing`` need not compile.
+``inspect``, ``ast``, ``dis`` and ``tokenize``; the CLI parses its arguments
+without ``argparse`` (and its ``gettext``), its records are
+``collections.namedtuple``s, not ``typing.NamedTuple``s, and the realization
+engine ``homeo`` loads only when ``realize`` runs.
 """
 
 import ast
@@ -13,6 +15,8 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -99,3 +103,72 @@ def test_importing_the_cli_compiles_no_annotation_string():
     )
     run = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True)
     assert json.loads(run.stdout).get("typing", 0) == 0
+
+
+# modules that most commands never use; a site hook may load typing first,
+# so only the modules the import itself adds count
+LAZY = ("argparse", "gettext", "typing", "stripfol.homeo")
+
+
+@pytest.mark.parametrize("flags", [["-I"], ["-I", "-S"]])
+def test_importing_the_cli_loads_no_parser_typing_or_homeo(flags):
+    code = (
+        "import json, sys\n"
+        f"sys.path.insert(0, {str(SRC)!r})\n"
+        "before = set(sys.modules)\n"
+        "import stripfol.cli\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    run = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True, check=True)
+    loaded = json.loads(run.stdout)
+    assert "stripfol.cli" in loaded
+    assert [m for m in LAZY if m in loaded] == []
+
+
+def test_homeo_exports_resolve_to_homeo_objects():
+    import stripfol
+    from stripfol import homeo
+
+    names = (
+        "GraphsIntersectError HalfStripChart LevelMap NonIncreasingInputError PLFunction Trapezoid rectify_finite"
+        " rectify_stages realize_half_strip roof_homeo shrink_leaf trapezoid_under_clearance uk_eval uk_inverse"
+    ).split()
+    assert all(getattr(stripfol, name) is getattr(homeo, name) for name in names)
+    with pytest.raises(AttributeError):
+        stripfol.no_such_name
+    # nothing is cached on the package: a patched homeo attribute shows through
+    original = homeo.realize_half_strip
+    homeo.realize_half_strip = marker = object()
+    try:
+        assert stripfol.realize_half_strip is marker
+    finally:
+        homeo.realize_half_strip = original
+    assert stripfol.realize_half_strip is original
+
+
+def test_record_instances_have_no_dict():
+    from stripfol.core import GluingSpec, Interval, ModelStripSpec, Orientation, Side
+    from stripfol.decomposition import CycleCheckReport, component_closures, decompose
+    from stripfol.homeo import HalfStripChart, PLFunction, Piece, Trapezoid
+    from stripfol.leafspace import build_leaf_space
+
+    from fixtures import horseshoe
+
+    ls = build_leaf_space(horseshoe())
+    [chain], _ = decompose(horseshoe())
+    zero, one = PLFunction.constant(0.0), PLFunction.constant(1.0)
+    records = [
+        Interval("a", Side.LOWER, 0),
+        ModelStripSpec("A"),
+        GluingSpec("g", "a", "b", Orientation.PRESERVING),
+        ls,
+        ls.points[0],
+        chain,
+        component_closures(chain)[0],
+        CycleCheckReport(True, ()),
+        zero,
+        Trapezoid(zero, one, (0.0, 1.0)),
+        Piece(None, None),
+        HalfStripChart(((0.0, 1.0, -0.5),), ((0.0, 1.0),), ((2.0, 3.0),)),
+    ]
+    assert [type(r).__name__ for r in records if hasattr(r, "__dict__")] == []
