@@ -51,7 +51,6 @@ from .decomposition import (
     classify_component,
     component_closures,
     decompose,
-    h_flip,
     is_isomorphic,
 )
 from .io import ParseError, leafspace_json, parse, render, render_dot, render_svg, serialize

@@ -257,20 +257,6 @@ def _reverse_side(intervals: tuple[Interval, ...]) -> tuple[Interval, ...]:
     return tuple(out)
 
 
-def h_flip(surface: StripedSurface, strip_id: str) -> StripedSurface:
-    """Reverse the interval order on both sides of one strip.
-
-    Gluings with exactly one endpoint on the strip toggle orientation;
-    self-gluings of the strip toggle twice, i.e. stay put.
-    """
-    strips = []
-    for s in surface.strips:
-        if s.id == strip_id:
-            s = ModelStripSpec(s.id, _reverse_side(s.lower), _reverse_side(s.upper))
-        strips.append(s)
-    return build_surface(strips, _toggle_incident(surface.gluings, surface, {strip_id}))
-
-
 # ---------------------------------------------------------------------------
 # canonical representative
 
@@ -285,12 +271,13 @@ def canonicalize(surface: StripedSurface) -> StripedSurface:
     """
     if not is_connected(surface):
         raise DisconnectedSurfaceError("canonicalize requires a connected surface")
-    ls = build_leaf_space(surface)
-    # only a non-special seam merges: without one, every interior-mode
+    # a seam merges when both of its intervals are alone on their sides (the
+    # leaf space's non-special points): without one, every interior-mode
     # component is a single strip and the surface is already canonical
-    if not any(p.kind is PointKind.NON_SPECIAL_GLUED for p in ls.points):
+    alone = {ivs[0].id for s in surface.strips for ivs in (s.lower, s.upper) if len(ivs) == 1}
+    if not any(g.first in alone and g.second in alone for g in surface.gluings):
         return surface
-    comps, _ = decompose(surface, Mode.INTERIOR, ls)
+    comps, _ = decompose(surface, Mode.INTERIOR)
     if any(c.shape is Shape.CYCLE for c in comps):
         return surface
 
@@ -307,11 +294,8 @@ def canonicalize(surface: StripedSurface) -> StripedSurface:
         # cumulative horizontal flip along the chain: one per reversing seam
         h = {ids[0]: False}
         for gid, (prev, nxt) in zip(comp.interfaces, zip(ids, ids[1:])):
-            g = surface.gluing(gid)
-            h[nxt] = h[prev] ^ (g.orientation is Orientation.REVERSING)
-        for sid, flipped in h.items():
-            if flipped:
-                h_flipped.add(sid)
+            h[nxt] = h[prev] ^ (surface.gluing(gid).orientation is Orientation.REVERSING)
+        h_flipped.update([sid for sid, flipped in h.items() if flipped])
 
         def contributed(end: SideEnd, new_side: Side) -> tuple[Interval, ...]:
             sid, side = end
@@ -324,12 +308,10 @@ def canonicalize(surface: StripedSurface) -> StripedSurface:
         while merged_id in taken:
             merged_id += "+"
         taken.add(merged_id)
-        lower = contributed(comp.outer_lower, Side.LOWER)
-        upper = contributed(comp.outer_upper, Side.UPPER)
+        lower, upper = contributed(comp.outer_lower, Side.LOWER), contributed(comp.outer_upper, Side.UPPER)
         merged.append((order[ids[0]], ModelStripSpec(merged_id, lower, upper)))
 
-    merged.sort(key=lambda t: t[0])
-    new_strips = [s for _, s in merged]
+    new_strips = [s for _, s in sorted(merged, key=lambda t: t[0])]
 
     consumed = {gid for comp in comps for gid in comp.interfaces}
     gluings = [g for g in surface.gluings if g.id not in consumed]
@@ -341,21 +323,18 @@ def canonicalize(surface: StripedSurface) -> StripedSurface:
 
 
 def _slot_table(surface: StripedSurface):
-    """Per strip: (lower ids, upper ids); per interval: (strip, side, slot);
-    per glued interval: (partner, 1 if the seam reverses else 0)."""
-    sides = {}
-    loc = {}
-    for s in surface.strips:
-        sides[s.id] = (tuple([iv.id for iv in s.lower]), tuple([iv.id for iv in s.upper]))
-        for side_idx, ids in enumerate(sides[s.id]):
-            for k, iid in enumerate(ids):
-                loc[iid] = (s.id, side_idx, k)
+    """Per strip: (lower ids, upper ids); per glued interval: its partner's
+    (strip, side 0/1, slot) and 1 if the seam reverses else 0."""
+    loc = surface._interval_loc
+    UPPER, REVERSING = Side.UPPER, Orientation.REVERSING
+    sides = {s.id: (tuple([iv.id for iv in s.lower]), tuple([iv.id for iv in s.upper])) for s in surface.strips}
     partner = {}
     for g in surface.gluings:
-        rev = int(g.orientation is Orientation.REVERSING)
-        partner[g.first] = (g.second, rev)
-        partner[g.second] = (g.first, rev)
-    return sides, loc, partner
+        rev = int(g.orientation is REVERSING)
+        for iid, other in ((g.first, g.second), (g.second, g.first)):
+            sid, side, slot = loc[other]
+            partner[iid] = (sid, int(side is UPPER), slot, rev)
+    return sides, partner
 
 
 def _rooted_rows(table, root: str, h: int, v: int, best: list[list[int]] | None):
@@ -373,7 +352,8 @@ def _rooted_rows(table, root: str, h: int, v: int, best: list[list[int]] | None)
     first smaller one.  Otherwise it returns (rows, order, placed), where
     ``placed`` maps each strip to its (position, h, v).
     """
-    sides, loc, partner = table
+    sides, partner = table
+    partner_of = partner.get
     placed = {root: (0, h, v)}
     order = [root]
     rows = []
@@ -383,11 +363,11 @@ def _rooted_rows(table, root: str, h: int, v: int, best: list[list[int]] | None)
         row = [len(oriented[0]), len(oriented[1])]
         for side_idx, ids in enumerate(oriented):
             for iid in ids[::-1] if h_here else ids:
-                if iid not in partner:
+                p = partner_of(iid)
+                if p is None:
                     row.append(-1)
                     continue
-                other, rev = partner[iid]
-                o_sid, o_side, o_slot = loc[other]
+                o_sid, o_side, o_slot, rev = p
                 if o_sid not in placed:
                     placed[o_sid] = (len(order), h_here ^ rev, o_side ^ side_idx ^ 1)
                     order.append(o_sid)
@@ -405,8 +385,8 @@ def _rooted_rows(table, root: str, h: int, v: int, best: list[list[int]] | None)
     return rows, order, placed
 
 
-def _least_rows(table, roots: list[tuple[str, int, int]]) -> list[list[int]]:
-    """Least walk over ``roots``, walking one root per orbit found so far.
+def _least_rows(table, roots: list[tuple[str, int, int]]) -> tuple[list[list[int]], int]:
+    """Least walk over ``roots``, walking one root per orbit found so far, and the number of walks.
 
     A walk that ties the best walk gives an automorphism of the piece: the
     strip at each position of one walk goes to the strip at that position of
@@ -418,6 +398,7 @@ def _least_rows(table, roots: list[tuple[str, int, int]]) -> list[list[int]]:
     known = set()  # the orbits of the walked roots under ``autos``
     new = []  # known roots whose images are not known yet
     best = None
+    walks = 0
     for root in roots:
         while autos and new:
             sid, h, v = new.pop()
@@ -432,6 +413,7 @@ def _least_rows(table, roots: list[tuple[str, int, int]]) -> list[list[int]]:
         if root in known:
             continue
         known.add(root)
+        walks += 1
         walk = _rooted_rows(table, *root, None if best is None else best[0])
         if walk is not None and best is not None and walk[0] == best[0]:
             autos.append((walk[2], best[1], best[2]))
@@ -440,7 +422,14 @@ def _least_rows(table, roots: list[tuple[str, int, int]]) -> list[list[int]]:
             if walk is not None:
                 best = walk  # smaller: the walk never returns a larger one
             new.append(root)
-    return best[0]
+    return best[0], walks
+
+
+def _least_roots(sides, piece) -> tuple[tuple[int, int], list[tuple[str, int, int]]]:
+    """The least (side, other side) lengths in a piece, and every root whose walk opens with them."""
+    lengths = {(sid, v): (len(sides[sid][v]), len(sides[sid][1 - v])) for sid in piece for v in (0, 1)}
+    least = min(lengths.values())
+    return least, [(sid, h, v) for (sid, v), n in lengths.items() if n == least for h in (0, 1)]
 
 
 def canonical_code(surface: StripedSurface) -> bytes:
@@ -455,16 +444,10 @@ def canonical_code(surface: StripedSurface) -> bytes:
     walk never leaves the piece of its root.
     """
     table = _slot_table(surface)
-    sides = table[0]
     codes = []
     for piece in surface._partition:
-        lengths = {
-            (sid, v): (len(sides[sid][v]), len(sides[sid][1 - v])) for sid in piece for v in (0, 1)
-        }
-        least = min(lengths.values())
-        roots = [(sid, h, v) for (sid, v), n in lengths.items() if n == least for h in (0, 1)]
-        rows = _least_rows(table, roots)
-        codes.append("|".join(",".join(map(str, row)) for row in rows).encode("ascii"))
+        rows = _least_rows(table, _least_roots(table[0], piece)[1])[0]
+        codes.append("|".join([str(row)[1:-1] for row in rows]).replace(" ", "").encode("ascii"))
     return b"/".join(sorted(codes))
 
 
@@ -472,6 +455,23 @@ def is_isomorphic(a: StripedSurface, b: StripedSurface) -> bool:
     """Foliated-homeomorphism equivalence of two connected surfaces.
 
     Both are canonicalized (chains merged); equality of canonical codes then
-    decides equivalence under relabelings and strip flips.
+    decides equivalence under relabelings and strip flips.  Only ``a``'s
+    least rows are searched for; walks from ``b``'s least-length roots,
+    bounded by them, end it at the first that ties (a map of ``b`` onto
+    ``a``) or reads smaller.  After as many as ``a``'s search made, ``b``'s
+    own search decides: walks that stop larger prune no roots.
     """
-    return canonical_code(canonicalize(a)) == canonical_code(canonicalize(b))
+    a, b = canonicalize(a), canonicalize(b)
+    if len(a.strips) != len(b.strips) or not a.strips:  # the empty surface is its own class
+        return len(a.strips) == len(b.strips)
+    table_a, table_b = _slot_table(a), _slot_table(b)
+    least, roots = _least_roots(table_a[0], a.strip_ids())
+    least_b, roots_b = _least_roots(table_b[0], b.strip_ids())
+    if least_b != least:
+        return False
+    best, walks = _least_rows(table_a, roots)
+    for root in roots_b[:walks]:
+        walk = _rooted_rows(table_b, *root, best)
+        if walk is not None:  # a walk that stops larger returns None
+            return walk[0] == best
+    return len(roots_b) > walks and _least_rows(table_b, roots_b)[0] == best

@@ -160,12 +160,13 @@ def _records(items: list[str], d: int) -> str:
 
 
 def _endpoint_token(x: float) -> str:
-    """An endpoint's JSON text: ``"-inf"``/``"+inf"``, an integral value as an int."""
+    """An endpoint's JSON text: ``"-inf"``/``"+inf"``, an integral value as an int
+    below 1e16 in magnitude, where ``float.__repr__`` would still write every digit."""
     if x == -math.inf:
         return '"-inf"'
     if x == math.inf:
         return '"+inf"'
-    return int.__repr__(int(x)) if float(x).is_integer() else float.__repr__(x)
+    return int.__repr__(int(x)) if -1e16 < x < 1e16 and float(x).is_integer() else float.__repr__(float(x))
 
 
 _ORIENTATION_TEXT = {o: _encode_str(o.value) for o in Orientation}

@@ -16,7 +16,7 @@ from stripfol.core import (
     glue,
     strip,
 )
-from stripfol.decomposition import h_flip
+from stripfol.decomposition import _reverse_side, _toggle_incident
 
 
 def components(surface: StripedSurface) -> list[StripedSurface]:
@@ -195,14 +195,29 @@ def cyclic_cover(rng: random.Random, surface: StripedSurface, m: int) -> Striped
     return build_surface(strips, gluings)
 
 
-# Admissible moves besides stripfol.decomposition.h_flip, which canonicalize
-# uses; each gives a surface foliated-homeomorphic to its input.
+# Admissible moves: each gives a surface foliated-homeomorphic to its input.
+# canonicalize merges a chain with the two steps of h_flip, _reverse_side
+# and _toggle_incident, on each strip it flips.
 
 
 def relabel_strips(surface: StripedSurface, mapping: dict[str, str]) -> StripedSurface:
     """Rename strips (interval and gluing ids untouched)."""
     strips = [s._replace(id=mapping.get(s.id, s.id)) for s in surface.strips]
     return build_surface(strips, surface.gluings)
+
+
+def h_flip(surface: StripedSurface, strip_id: str) -> StripedSurface:
+    """Reverse the interval order on both sides of one strip.
+
+    Gluings with exactly one endpoint on the strip toggle orientation;
+    self-gluings of the strip toggle twice, i.e. stay put.
+    """
+    strips = []
+    for s in surface.strips:
+        if s.id == strip_id:
+            s = ModelStripSpec(s.id, _reverse_side(s.lower), _reverse_side(s.upper))
+        strips.append(s)
+    return build_surface(strips, _toggle_incident(surface.gluings, surface, {strip_id}))
 
 
 def v_flip(surface: StripedSurface, strip_id: str) -> StripedSurface:

@@ -491,7 +491,8 @@ def _endpoint_value(x: float):
         return "-inf"
     if x == float("inf"):
         return "+inf"
-    return int(x) if float(x).is_integer() else x
+    # an int below 1e16 in magnitude; from there on json writes float.__repr__
+    return int(x) if abs(x) < 1e16 and float(x).is_integer() else x
 
 
 def serialize_reference(surface: StripedSurface) -> dict:

@@ -20,7 +20,7 @@ from stripfol.core import (
 )
 
 from fixtures import kaplan5, cylinder, open_strip
-from _gen import components, random_moves, random_surface, relabel_strips, v_flip
+from _gen import components, h_flip, random_moves, random_surface, relabel_strips, v_flip
 
 
 def test_kaplan5_builds():
@@ -224,7 +224,7 @@ def test_components_of_many_pieces_in_linear_time():
 
 
 def test_partition_agrees_with_bfs_and_leaves_identity_alone():
-    from stripfol.decomposition import canonicalize, h_flip
+    from stripfol.decomposition import canonicalize
 
     rng = random.Random(41)
     for i in range(80):

@@ -15,10 +15,9 @@ from stripfol.decomposition import (
     classify_component,
     component_closures,
     decompose,
-    h_flip,
     is_isomorphic,
 )
-from stripfol.leafspace import build_leaf_space
+from stripfol.leafspace import PointKind, build_leaf_space
 
 from fixtures import (
     cylinder,
@@ -35,6 +34,7 @@ from _gen import (
     cyclic_cover,
     disjoint_union,
     enumerate_cycle_surfaces,
+    h_flip,
     random_moves,
     random_surface,
     relabel_strips,
@@ -682,3 +682,100 @@ def test_is_isomorphic_agrees_with_exhaustive_search():
         scrambled = random_moves(rng, a, 5)
         assert is_isomorphic(a, scrambled)
         assert exhaustive_isomorphic(ca, canonicalize(scrambled))
+
+
+def _code_verdict(a, b):
+    return canonical_code(canonicalize(a)) == canonical_code(canonicalize(b))
+
+
+def _with_extra_boundary(s):
+    """``s`` with one more unglued interval on its first strip's lower side."""
+    first = s.strips[0]
+    extended = strip(first.id, [*(iv.id for iv in first.lower), f"{first.id}.extra"], [iv.id for iv in first.upper])
+    return build_surface((extended, *s.strips[1:]), s.gluings)
+
+
+def test_is_isomorphic_is_code_equality():
+    # the verdict is the equality of the two canonical codes, in both
+    # argument orders, on near misses as well as on moved copies
+    rng = random.Random(48)
+    pairs = []
+    for _ in range(60):
+        a = random_surface(rng, max_strips=6, max_intervals=3)
+        pairs += [(a, random_moves(rng, a, 5)), (a, _with_extra_boundary(a))]
+        pairs.append((a, random_surface(rng, max_strips=6, max_intervals=3)))
+        if a.gluings:
+            pairs.append((a, _flip_one_seam(rng, a)))
+    for n in (2, 3, 4, 5, 6):
+        # equal strip counts, often unequal least side lengths
+        pairs += [(connected_surface(rng, n, 2), connected_surface(rng, n, 2)) for _ in range(8)]
+    covers = []
+    while len(covers) < 40:
+        base, m = random_surface(rng, max_strips=3, max_intervals=2), rng.choice((2, 3))
+        c1, c2 = cyclic_cover(rng, base, m), cyclic_cover(rng, base, m)
+        if len(c1._partition) == len(c2._partition) == 1:
+            covers += [(c1, c2), (c1, random_moves(rng, c2, 4))]
+    pairs += covers
+    for n in (1, 3, 8, 50):
+        ring = ring_surface(n)
+        pairs += [(ring, _flip_one_seam(rng, ring)), (ring, _defect_ring(n, n)), (ring, random_moves(rng, ring, 4))]
+        pairs += [(ring, ring_surface(n + 1)), (ring, ring_surface(n, width=2)), (ring, ring_surface(n, (R,)))]
+        pairs.append((_defect_ring(n, n), random_moves(rng, _defect_ring(n, n), 4)))
+    empty = build_surface([], [])
+    pairs += [(empty, empty), (empty, open_strip()), (empty, ring_surface(2))]
+    verdicts = []
+    for a, b in pairs:
+        verdicts.append(_code_verdict(a, b))
+        assert is_isomorphic(a, b) == verdicts[-1] == is_isomorphic(b, a)
+    assert 90 < sum(verdicts) < len(pairs) - 200
+
+
+def test_canonicalize_builds_a_leaf_space_only_to_merge(monkeypatch):
+    # a seam merges when its intervals are alone on their sides: canonicalize
+    # reads that from the surface and builds a leaf space only to merge
+    import stripfol.decomposition as dec
+
+    spaces = []
+    build = dec.build_leaf_space
+    monkeypatch.setattr(dec, "build_leaf_space", lambda s: spaces.append(s) or build(s))
+    rng = random.Random(49)
+    merging = 0
+    for i in range(300):
+        if i % 2:
+            s = random_surface(rng, max_strips=6, max_intervals=rng.choice((1, 2, 3)))
+        else:
+            s = connected_surface(rng, rng.randint(1, 8), rng.choice((1, 2, 3)))
+        merges = any(p.kind is PointKind.NON_SPECIAL_GLUED for p in build(s).points)
+        spaces.clear()
+        out = canonicalize(s)
+        assert len(spaces) == merges
+        if not merges:
+            assert out is s
+        merging += merges
+    assert 60 < merging < 240
+
+
+def test_is_isomorphic_runs_one_canonical_search(monkeypatch):
+    # only the first surface's code is searched for; on a ring the first
+    # walk of the second surface ties it
+    import stripfol.decomposition as dec
+
+    walks = []
+    walk = dec._rooted_rows
+    monkeypatch.setattr(dec, "_rooted_rows", lambda *args: walks.append(args[1]) or walk(*args))
+    ring = ring_surface(2000)
+    canonical_code(canonicalize(ring))
+    search = len(walks)
+    walks.clear()
+    assert is_isomorphic(ring, random_moves(random.Random(50), ring, 6))
+    assert len(walks) == search + 1
+    # the flipped ring's code is the larger: its bounded walks all stop
+    # larger, and after as many as the ring's search made, its own search
+    # decides, instead of one walk from each of its 8,000 roots
+    flipped = _flip_one_seam(random.Random(51), ring)
+    walks.clear()
+    canonical_code(canonicalize(flipped))
+    search_flipped = len(walks)
+    walks.clear()
+    assert not is_isomorphic(ring, flipped)
+    assert len(walks) == 2 * search + search_flipped

@@ -24,6 +24,7 @@ from stripfol.core import (
     GluingSpec,
     Interval,
     ModelStripSpec,
+    Side,
     build_surface,
     is_connected,
     validate_class_f,
@@ -150,3 +151,16 @@ EDGE_CASES = [
 @pytest.mark.parametrize("obj", EDGE_CASES)
 def test_dumps_equals_indented_json_dumps_on_empty_and_mixed_containers(doc_path, obj):
     _check_writers(parse(json.dumps(obj)), doc_path)
+
+
+def test_integral_endpoints_are_ints_below_1e16_only():
+    # float.__repr__ writes every digit below 1e16 and an exponent from
+    # there on, where an int would spell out up to 309 digits
+    ends = [(-1e300, -1e16), (-9999999999999998.0, 1e15), (2.0**53 + 1.0, 1e16), (1.5e16, 1e300)]
+    lower = tuple(Interval(f"i{k}", Side.LOWER, k, e) for k, e in enumerate(ends))
+    s = build_surface([ModelStripSpec("A", lower)])
+    text = serialize(s)
+    tokens = [line.strip().rstrip(",") for line in text.splitlines() if line.strip()[:1] in "-0123456789"]
+    assert tokens == ["-1e+300", "-1e+16", "-9999999999999998", "1000000000000000", "9007199254740992", "1e+16", "1.5e+16", "1e+300"]
+    assert [float(x) for x in tokens] == [x for e in ends for x in e]
+    assert parse(text) == s

@@ -257,7 +257,7 @@ GOLDEN = {
     "hostile-ids/leafspace-dot": (0, "88d463996a408dabb50144db742b6d92eeb85695e442c2ab7c0e6b0b7ae29a61"),
     "hostile-ids/decompose": (0, "6b8341c3af7377b76265a3277dc6dfbcac8b5913b4b0c950d1801a6671ec0fe9"),
     "hostile-ids/decompose-interior": (0, "566cec5fa6bfcc7213ece1e18f34cba8d26f002eb5a52b6d5ca06597e907c265"),
-    "hostile-ids/canon": (0, "7902d2b8e4c298faaa529d2ef91c4f4777b8d0850127ac49682048259a752841"),
+    "hostile-ids/canon": (0, "afff76a08528d5ad2304b0732d8a5dda6864a2f2fed5506779b07744044a82c6"),  # 1e300 written as 1e+300
     "hostile-ids/iso-self": (0, "1d1ec64141dd6de8edb47f05fdc37cbcf46a46bfe08459bb2630cb019135b2ec"),
     "hostile-ids/iso-next": (1, "e831412b2083aa2eb211f0ae5d65db052944c8072644d8e1b22e91f5fd0a2ab7"),
     "hostile-ids/realize-lower": (0, "e8f2fbb190470ad350d0f8e38016d9514fa208857ace75786406fb52ae1bb6ec"),
