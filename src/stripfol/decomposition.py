@@ -459,7 +459,7 @@ def is_isomorphic(a: StripedSurface, b: StripedSurface) -> bool:
     least rows are searched for; walks from ``b``'s least-length roots,
     bounded by them, end it at the first that ties (a map of ``b`` onto
     ``a``) or reads smaller.  After as many as ``a``'s search made, ``b``'s
-    own search decides: walks that stop larger prune no roots.
+    own search over the other roots decides: a tie can only be among them.
     """
     a, b = canonicalize(a), canonicalize(b)
     if len(a.strips) != len(b.strips) or not a.strips:  # the empty surface is its own class
@@ -474,4 +474,4 @@ def is_isomorphic(a: StripedSurface, b: StripedSurface) -> bool:
         walk = _rooted_rows(table_b, *root, best)
         if walk is not None:  # a walk that stops larger returns None
             return walk[0] == best
-    return len(roots_b) > walks and _least_rows(table_b, roots_b)[0] == best
+    return len(roots_b) > walks and _least_rows(table_b, roots_b[walks:])[0] == best

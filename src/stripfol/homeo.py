@@ -6,16 +6,19 @@ segments, trapezoids inscribed under a clearance function, affine-per-level
 maps between trapezoid roofs, a leaf-shrinking map, and their composite that
 realizes the closure of a half strip as a model half strip with marked base
 intervals.  All maps evaluate pointwise and carry numeric inverses; the
-working tolerance is ``TOL``.
+working tolerance is ``TOL``.  Knot order is checked once, where knots are
+made: ``PLFunction`` on construction, ``uk_eval`` on each call, and a
+straightening stage at its level when built and at each lower level as it
+moves its curves there; the kernels that evaluate knots only search them.
 """
 
 import math
+from bisect import bisect_right
 from collections import namedtuple
 from collections.abc import Callable, Sequence
 
-from .core import StripedSurface
+from .core import Side, StripedSurface
 from .decomposition import Component, ClosureStrip, Shape, StripClass, classify_component
-from .core import Side
 
 TOL = 1e-9
 
@@ -81,18 +84,14 @@ class PLFunction(namedtuple("PLFunction", "breakpoints values")):
         return cls((0.0,), (value,))
 
     def __call__(self, x: float) -> float:
-        bp, vals = self.breakpoints, self.values
+        bp, vals = self
         if x <= bp[0]:
             return vals[0]
         if x >= bp[-1]:
             return vals[-1]
-        lo, hi = 0, len(bp) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if bp[mid] <= x:
-                lo = mid
-            else:
-                hi = mid
+        # the upper bound sends a NaN x to the last segment, so it gives nan
+        hi = bisect_right(bp, x, 0, len(bp) - 1)
+        lo = hi - 1
         t = (x - bp[lo]) / (bp[hi] - bp[lo])
         return vals[lo] + t * (vals[hi] - vals[lo])
 
@@ -115,19 +114,17 @@ def uk_eval(x: float, y: Sequence[float], q: Sequence[float]) -> float:
         for a, b in zip(seq, seq[1:]):
             if not a < b:
                 raise NonIncreasingInputError("u_k parameters must be strictly increasing")
-    if y == q:
-        return x
+    return x if y == q else _uk(x, y, q)
+
+
+def _uk(x: float, y: Sequence[float], q: Sequence[float]) -> float:
+    """``uk_eval`` on knots whose lengths and order the caller has checked."""
     if x <= y[0]:
         return x - y[0] + q[0]
     if x >= y[-1]:
         return x - y[-1] + q[-1]
-    lo, hi = 0, len(y) - 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if y[mid] <= x:
-            lo = mid
-        else:
-            hi = mid
+    hi = bisect_right(y, x, 0, len(y) - 1)  # bounded as in PLFunction.__call__
+    lo = hi - 1
     return q[lo] + (q[hi] - q[lo]) / (y[hi] - y[lo]) * (x - y[lo])
 
 
@@ -195,15 +192,15 @@ class Trapezoid(namedtuple("Trapezoid", "alpha beta level_range base")):
         return self.level_range[1]
 
     def contains(self, x: float, y: float, tol: float = 0.0) -> bool:
-        c, d = self.level_range
+        alpha, beta, (c, d), _ = self
         if not c < y <= d + tol:
             return False
-        return self.alpha(y) - tol <= x <= self.beta(y) + tol
+        return alpha(y) - tol <= x <= beta(y) + tol
 
     def contains_closed(self, x: float, y: float, tol: float = 0.0) -> bool:
-        c, _ = self.level_range
-        if abs(y - c) <= tol and self.base is not None:
-            a, b = self.base
+        _, _, (c, _), base = self
+        if abs(y - c) <= tol and base is not None:
+            a, b = base
             return a < x < b
         return self.contains(x, y, tol)
 
@@ -250,15 +247,15 @@ class LevelMap:
         return LevelMap([Piece(forward, backward)])
 
     def apply(self, x: float, y: float) -> tuple[float, float]:
-        for piece in self.pieces:
-            if piece.region is None or piece.region(x, y):
-                return piece.forward(x, y)
+        for forward, _, region, _ in self.pieces:
+            if region is None or region(x, y):
+                return forward(x, y)
         raise HomeoError(f"point ({x}, {y}) lies outside the map domain")
 
     def invert(self, x: float, y: float) -> tuple[float, float]:
-        for piece in self.pieces:
-            if piece.target_region is None or piece.target_region(x, y):
-                return piece.backward(x, y)
+        for _, backward, _, target_region in self.pieces:
+            if target_region is None or target_region(x, y):
+                return backward(x, y)
         raise HomeoError(f"point ({x}, {y}) lies outside the map image")
 
 
@@ -349,12 +346,14 @@ def _make_stage(curves: Sequence[CurveFn], prefix: LevelMap, s: float) -> LevelM
     def forward(x: float, y: float) -> tuple[float, float]:
         if y >= s:
             return (x, y)
-        return (uk_eval(x, vals_at(y), q), y)
+        vals = vals_at(y)
+        return (x if vals == q else _uk(x, vals, q), y)
 
     def backward(x: float, y: float) -> tuple[float, float]:
         if y >= s:
             return (x, y)
-        return (uk_inverse(x, vals_at(y), q), y)
+        vals = vals_at(y)
+        return (x if vals == q else _uk(x, q, vals), y)
 
     return LevelMap([Piece(forward, backward)])
 
@@ -439,8 +438,8 @@ def roof_homeo(
     source onto [gamma, delta] of the target at the sigma-matched level; when
     both trapezoids have finite bases the map extends to the closed bases.
     """
-    cs, ds = source.level_range
-    ct, dt = target.level_range
+    alpha, beta, (cs, ds), _ = source
+    gamma, delta, (ct, dt), _ = target
     if sigma is None:
         scale = (dt - ct) / (ds - cs)
         sig: CurveFn = lambda y: ct + (y - cs) * scale
@@ -459,14 +458,14 @@ def roof_homeo(
 
     def forward(x: float, y: float) -> tuple[float, float]:
         s = sig(y)
-        A, B = source.alpha(y), source.beta(y)
-        G, D = target.alpha(s), target.beta(s)
+        A, B = alpha(y), beta(y)
+        G, D = gamma(s), delta(s)
         return (G + (D - G) * (x - A) / (B - A), s)
 
     def backward(x: float, y: float) -> tuple[float, float]:
         y_in = _bisect_increasing(sig, y) if sigma is not None else cs + (y - ct) / scale
-        A, B = source.alpha(y_in), source.beta(y_in)
-        G, D = target.alpha(y), target.beta(y)
+        A, B = alpha(y_in), beta(y_in)
+        G, D = gamma(y), delta(y)
         return (A + (B - A) * (x - G) / (D - G), y_in)
 
     return LevelMap([Piece(forward, backward)])
@@ -597,10 +596,11 @@ def _collar_piece(rect: Trapezoid, collar: Trapezoid) -> Piece:
     The level passes through verbatim instead of through the affine level
     match of ``roof_homeo``.
     """
-    xi = roof_homeo(rect, collar)
+    (forward, backward, _, _), = roof_homeo(rect, collar).pieces
+    in_collar = collar.contains_closed
     return Piece(
-        lambda x, y: (xi.apply(x, y)[0], y),
-        lambda x, y: (xi.invert(x, y)[0], y),
+        lambda x, y: (forward(x, y)[0], y),
+        lambda x, y: (backward(x, y)[0], y),
         region=rect.contains_closed,
-        target_region=lambda x, y: collar.contains_closed(x, y, tol=1e-12),
+        target_region=lambda x, y: in_collar(x, y, 1e-12),
     )

@@ -172,6 +172,27 @@ def ring_surface(
     return build_surface(strips, gluings)
 
 
+def comb_surface(k: int) -> StripedSurface:
+    """One strip ``S`` with ``k`` unglued intervals with explicit endpoints on
+    each side, the shape of the benchmark's realize combs.
+
+    Widths and gaps vary by +-20% around 1 and 0.5, drawn from a generator
+    seeded by ``k`` and rounded to six places.  A side's k base leaves give
+    its realization k straightening stages, each built on all those above it.
+    """
+    rng = random.Random(f"comb:{k}")
+    sides = []
+    for side in "lu":
+        x = rng.uniform(-0.5, 0.5)
+        intervals = []
+        for j in range(k):
+            width = rng.uniform(0.8, 1.2)
+            intervals.append((f"S.{side}{j}", (round(x, 6), round(x + width, 6))))
+            x += width + rng.uniform(0.4, 0.6)
+        sides.append(intervals)
+    return build_surface([strip("S", *sides)], [])
+
+
 def disjoint_union(*surfaces: StripedSurface) -> StripedSurface:
     return build_surface(
         [s for x in surfaces for s in x.strips], [g for x in surfaces for g in x.gluings]

@@ -2,7 +2,7 @@
 automorphism counts, the leaf-space arc walker, the branch-and-bound
 canonical code, the unpruned rooted traversal, the reference dicts of the
 JSON documents, the member-search decomposition, the reference diagram
-writers and the reference load path."""
+writers, the reference load path and the reference realization kernels."""
 
 from __future__ import annotations
 
@@ -992,3 +992,48 @@ def build_surface_reference(strips, gluings=()) -> StripedSurface:
         raise BadIdError(f"id {bad!r} holds U+{char:04X}, which SVG or UTF-8 output cannot carry")
 
     return StripedSurface(strips, gluings, strip_by_id, interval_loc, gluing_by_interval, gluing_by_id)
+
+
+def pl_eval_reference(bp, vals, x: float) -> float:
+    """``homeo.PLFunction.__call__`` through ``(bp, vals)``, by a hand-written binary search."""
+    if x <= bp[0]:
+        return vals[0]
+    if x >= bp[-1]:
+        return vals[-1]
+    lo, hi = 0, len(bp) - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if bp[mid] <= x:
+            lo = mid
+        else:
+            hi = mid
+    t = (x - bp[lo]) / (bp[hi] - bp[lo])
+    return vals[lo] + t * (vals[hi] - vals[lo])
+
+
+def uk_eval_reference(x: float, y, q) -> float:
+    """``homeo.uk_eval``: its checks on every call, then a hand-written binary search."""
+    from stripfol.homeo import NonIncreasingInputError  # here, so that importing the oracles loads no homeo
+
+    y = list(y)
+    q = list(q)
+    if len(y) != len(q) or not y:
+        raise NonIncreasingInputError("y and q must be equal-length and non-empty")
+    for seq in (y, q):
+        for a, b in zip(seq, seq[1:]):
+            if not a < b:
+                raise NonIncreasingInputError("u_k parameters must be strictly increasing")
+    if y == q:
+        return x
+    if x <= y[0]:
+        return x - y[0] + q[0]
+    if x >= y[-1]:
+        return x - y[-1] + q[-1]
+    lo, hi = 0, len(y) - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if y[mid] <= x:
+            lo = mid
+        else:
+            hi = mid
+    return q[lo] + (q[hi] - q[lo]) / (y[hi] - y[lo]) * (x - y[lo])

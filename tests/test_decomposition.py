@@ -760,9 +760,9 @@ def test_is_isomorphic_runs_one_canonical_search(monkeypatch):
     # walk of the second surface ties it
     import stripfol.decomposition as dec
 
-    walks = []
+    walks = []  # (slot table, root) per walk
     walk = dec._rooted_rows
-    monkeypatch.setattr(dec, "_rooted_rows", lambda *args: walks.append(args[1]) or walk(*args))
+    monkeypatch.setattr(dec, "_rooted_rows", lambda *args: walks.append((id(args[0]), *args[1:4])) or walk(*args))
     ring = ring_surface(2000)
     canonical_code(canonicalize(ring))
     search = len(walks)
@@ -771,11 +771,13 @@ def test_is_isomorphic_runs_one_canonical_search(monkeypatch):
     assert len(walks) == search + 1
     # the flipped ring's code is the larger: its bounded walks all stop
     # larger, and after as many as the ring's search made, its own search
-    # decides, instead of one walk from each of its 8,000 roots
-    flipped = _flip_one_seam(random.Random(51), ring)
-    walks.clear()
-    canonical_code(canonicalize(flipped))
-    search_flipped = len(walks)
+    # over its other roots decides, instead of one walk from each of its
+    # 8,000 roots; no root is walked twice
+    flipped = canonicalize(_flip_one_seam(random.Random(51), ring))
+    table = dec._slot_table(flipped)
+    roots = dec._least_roots(table[0], flipped.strip_ids())[1]
+    rest = dec._least_rows(table, roots[search:])[1]
     walks.clear()
     assert not is_isomorphic(ring, flipped)
-    assert len(walks) == 2 * search + search_flipped
+    assert len(walks) == 2 * search + rest
+    assert len(set(walks)) == len(walks)

@@ -14,7 +14,7 @@ import random
 from stripfol.io import serialize
 
 from fixtures import all_fixtures, hostile_ids
-from _gen import components, connected_surface, random_moves, random_surface
+from _gen import comb_surface, components, connected_surface, random_moves, random_surface
 
 
 def _surfaces():
@@ -324,3 +324,34 @@ def test_cli_outputs_match_golden_digests_at_benchmark_scale(tmp_path, capsys):
 
     got = large_digests(run, tmp_path)
     assert got == GOLDEN_400
+
+
+def comb_digests(run, tmp_dir) -> dict[str, tuple[int, str]]:
+    """``realize`` on both sides of the k = 4 and k = 5 combs, the deepest
+    stage recursion the digests above do not reach."""
+    out = {}
+    for k in (4, 5):
+        path = tmp_dir / f"comb{k}.json"
+        path.write_text(serialize(comb_surface(k)))
+        for side, samples, depth in (("lower", "4", "2"), ("upper", "3", "3")):
+            code, text = run(["realize", str(path), "--component", "S", "--side", side, "--samples", samples, "--depth", depth])
+            out[f"comb{k}/realize-{side}"] = (code, hashlib.sha256(text.encode()).hexdigest())
+    return out
+
+
+# computed at the commit before the bisect kernels
+GOLDEN_COMB = {
+    "comb4/realize-lower": (0, "8bd756e6c2679eecbcdab61deea5c3b32c576619f191d013802203bacff6c1d8"),
+    "comb4/realize-upper": (0, "a211599657c241798597a87b3fc202cd7d8733998f6b1162854622d653894637"),
+    "comb5/realize-lower": (0, "12ff1a6346d5daa96ccd51ad9e421c8276ed87e0f29a9dbce8b546581159c4a1"),
+    "comb5/realize-upper": (0, "6ae017160dc4468c0c87e79f06566c41ed96fe9705d2e0439febc8c17e5b2ba7"),
+}
+
+
+def test_realize_matches_golden_digests_on_deep_combs(tmp_path, capsys):
+    from stripfol.cli import main
+
+    def run(argv):
+        return main(argv), capsys.readouterr().out
+
+    assert comb_digests(run, tmp_path) == GOLDEN_COMB

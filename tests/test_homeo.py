@@ -21,12 +21,14 @@ from stripfol.homeo import (
     roof_homeo,
     shrink_leaf,
     trapezoid_under_clearance,
+    _uk,
     uk_eval,
     uk_inverse,
 )
 
 from fixtures import horseshoe, kaplan5, open_strip
 from _gen import roof_samples
+from _oracles import pl_eval_reference, uk_eval_reference
 
 TOL = 1e-9
 
@@ -49,12 +51,61 @@ def test_uk_hits_breakpoints_exactly():
 
 
 def test_uk_rejects_non_increasing():
-    with pytest.raises(NonIncreasingInputError):
-        uk_eval(0, [1, 1], [0, 2])
-    with pytest.raises(NonIncreasingInputError):
-        uk_eval(0, [1, 2], [3, 3])
-    with pytest.raises(NonIncreasingInputError):
-        uk_eval(0, [], [])
+    for f in (uk_eval, uk_eval_reference):
+        with pytest.raises(NonIncreasingInputError):
+            f(0, [1, 1], [0, 2])
+        with pytest.raises(NonIncreasingInputError):
+            f(0, [1, 2], [3, 3])
+        with pytest.raises(NonIncreasingInputError):
+            f(0, [], [])
+        with pytest.raises(NonIncreasingInputError):
+            f(0, [1, 2], [0])
+
+
+def _outcome(f, *args):
+    """The value of ``f(*args)``, or the type of what it raises: at a single
+    knot a NaN raises ZeroDivisionError, in the kernels as in the references."""
+    try:
+        return f(*args)
+    except Exception as e:
+        return type(e)
+
+
+def _same(got, want) -> bool:
+    return got == want or (got != got and want != want)  # NaN to NaN
+
+
+def _knots(rng: random.Random, n: int) -> list[float]:
+    x = rng.uniform(-100.0, 100.0)
+    out = []
+    for _ in range(n):
+        out.append(x)
+        x += rng.choice((1e-9, 1e-3, 1.0, 37.0)) * rng.uniform(0.5, 1.5)
+    return out
+
+
+def _probes(rng: random.Random, knots: list[float]) -> list[float]:
+    """Every knot, a random point between each pair, beyond both ends, +-inf and NaN."""
+    between = [a + (b - a) * rng.random() for a, b in zip(knots, knots[1:])]
+    ends = [knots[0] - 1.0, knots[-1] + 1.0, knots[0] - 1e300, knots[-1] + 1e300]
+    return knots + between + ends + [math.inf, -math.inf, math.nan]
+
+
+def test_kernels_match_the_binary_search_references():
+    rng = random.Random(18)
+    for n in range(1, 65):
+        for _ in range(3):
+            bp, y, q = _knots(rng, n), _knots(rng, n), _knots(rng, n)
+            vals = [rng.uniform(-10.0, 10.0) for _ in range(n)]
+            f = PLFunction(tuple(bp), tuple(vals))
+            for x in _probes(rng, bp):
+                assert _same(_outcome(f, x), _outcome(pl_eval_reference, bp, vals, x)), (n, x)
+            for x in _probes(rng, y) + _probes(rng, q):
+                for args in ((x, y, q), (x, q, y), (x, y, list(y))):
+                    want = _outcome(uk_eval_reference, *args)
+                    assert _same(_outcome(uk_eval, *args), want), (n, args)
+                    if args[1] != args[2]:  # the unchecked stage kernel, off the identity
+                        assert _same(_outcome(_uk, *args), want), (n, args)
 
 
 increasing_lists = st.integers(1, 5).flatmap(
