@@ -264,22 +264,24 @@ def _reverse_side(intervals: tuple[Interval, ...]) -> tuple[Interval, ...]:
 def canonicalize(surface: StripedSurface) -> StripedSurface:
     """Merge every chain across its non-special gluings into a single strip.
 
-    A surface with nothing to merge, or with a cycle component (which is
-    terminal), is returned as it is.  Idempotent, and the leaf space of the
-    output is isomorphic to that of the input (point ids are preserved
-    verbatim).
+    A surface with nothing to merge, or that is one cycle (which is
+    terminal), is returned as it is, read from the surface without a leaf
+    space.  Idempotent, and the leaf space of the output is isomorphic to
+    that of the input (point ids are preserved verbatim).
     """
     if not is_connected(surface):
         raise DisconnectedSurfaceError("canonicalize requires a connected surface")
     # a seam merges when both of its intervals are alone on their sides (the
     # leaf space's non-special points): without one, every interior-mode
-    # component is a single strip and the surface is already canonical
+    # component is a single strip and the surface is already canonical.  A
+    # cycle component is the whole connected surface: every side holds one
+    # interval, and there are as many gluings, all merging, as strips.
     alone = {ivs[0].id for s in surface.strips for ivs in (s.lower, s.upper) if len(ivs) == 1}
+    if len(alone) == 2 * len(surface.strips) == 2 * len(surface.gluings):
+        return surface
     if not any(g.first in alone and g.second in alone for g in surface.gluings):
         return surface
     comps, _ = decompose(surface, Mode.INTERIOR)
-    if any(c.shape is Shape.CYCLE for c in comps):
-        return surface
 
     order = {sid: i for i, sid in enumerate(surface.strip_ids())}
     # a merged strip's id must not repeat any id of the one namespace
@@ -451,24 +453,31 @@ def canonical_code(surface: StripedSurface) -> bytes:
     return b"/".join(sorted(codes))
 
 
+def _invariants(surface: StripedSurface) -> tuple[int, list[tuple[int, int]]]:
+    """The boundary-leaf count and the sorted per-strip (shorter, longer) side
+    lengths: both read off the canonical code, so moves keep them."""
+    pairs = sorted([(m, n) if m <= n else (n, m) for m, n in [(len(s.lower), len(s.upper)) for s in surface.strips]])
+    return len(surface._interval_loc) - 2 * len(surface.gluings), pairs
+
+
 def is_isomorphic(a: StripedSurface, b: StripedSurface) -> bool:
     """Foliated-homeomorphism equivalence of two connected surfaces.
 
     Both are canonicalized (chains merged); equality of canonical codes then
-    decides equivalence under relabelings and strip flips.  Only ``a``'s
-    least rows are searched for; walks from ``b``'s least-length roots,
-    bounded by them, end it at the first that ties (a map of ``b`` onto
-    ``a``) or reads smaller.  After as many as ``a``'s search made, ``b``'s
-    own search over the other roots decides: a tie can only be among them.
+    decides equivalence under relabelings and strip flips.  A differing strip
+    count, boundary-leaf count or multiset of side-length pairs answers false
+    before any walk.  Only ``a``'s least rows are searched for; walks from
+    ``b``'s least-length roots, bounded by them, end it at the first that
+    ties (a map of ``b`` onto ``a``) or reads smaller.  After as many as
+    ``a``'s search made, ``b``'s own search over the other roots decides: a
+    tie can only be among them.
     """
     a, b = canonicalize(a), canonicalize(b)
-    if len(a.strips) != len(b.strips) or not a.strips:  # the empty surface is its own class
-        return len(a.strips) == len(b.strips)
+    if len(a.strips) != len(b.strips) or not a.strips or _invariants(a) != _invariants(b):
+        return not a.strips and not b.strips  # the empty surface is its own class
     table_a, table_b = _slot_table(a), _slot_table(b)
-    least, roots = _least_roots(table_a[0], a.strip_ids())
-    least_b, roots_b = _least_roots(table_b[0], b.strip_ids())
-    if least_b != least:
-        return False
+    roots = _least_roots(table_a[0], a.strip_ids())[1]
+    roots_b = _least_roots(table_b[0], b.strip_ids())[1]
     best, walks = _least_rows(table_a, roots)
     for root in roots_b[:walks]:
         walk = _rooted_rows(table_b, *root, best)

@@ -85,6 +85,7 @@ def connected_surface(rng: random.Random, n: int, max_intervals: int = 3) -> Str
     strips = []
     free: dict[str, str] = {}  # unglued interval id -> "strip:side"
     mine: list[list[str]] = []
+    on_side: dict[str, list[str]] = {}  # "strip:side" -> its interval ids
     for i in range(n):
         sid = f"s{i}"
         lower = [f"{sid}.l{k}" for k in range(rng.randint(1, max_intervals))]
@@ -93,6 +94,7 @@ def connected_surface(rng: random.Random, n: int, max_intervals: int = 3) -> Str
         free.update({iid: f"{sid}:l" for iid in lower})
         free.update({iid: f"{sid}:u" for iid in upper})
         mine.append(lower + upper)
+        on_side[f"{sid}:l"], on_side[f"{sid}:u"] = lower, upper
 
     gluings = []
 
@@ -105,16 +107,26 @@ def connected_surface(rng: random.Random, n: int, max_intervals: int = 3) -> Str
     for i in range(1, n):
         j = rng.choice(hosts)
         join(rng.choice(mine[i]), rng.choice([iid for iid in mine[j] if iid in free]))
-        hosts = [h for h in hosts if any(iid in free for iid in mine[h])] + [i]
+        if not any(iid in free for iid in mine[j]):  # i keeps one: it has two or more
+            hosts.remove(j)
+        hosts.append(i)
     rest = list(free)
     rng.shuffle(rest)
+    waiting = set(rest)
     while len(rest) >= 2:
         a = rest.pop()
+        waiting.remove(a)
         if rng.random() > 0.5:
             continue
-        partners = [k for k, b in enumerate(rest) if free[b] != free[a]]
-        if partners:
-            join(a, rest.pop(rng.choice(partners)))
+        # the partner is drawn among the rest off a's side, in order: the
+        # k-th of them is the k-th index of ``rest`` skipping the few on it
+        same = sorted([rest.index(b) for b in on_side[free[a]] if b in waiting])
+        if len(same) < len(rest):
+            k = rng.choice(range(len(rest) - len(same)))
+            for skipped in same:
+                k += skipped <= k
+            waiting.remove(rest[k])
+            join(a, rest.pop(k))
     return build_surface(strips, gluings)
 
 

@@ -688,11 +688,49 @@ def _code_verdict(a, b):
     return canonical_code(canonicalize(a)) == canonical_code(canonicalize(b))
 
 
+def _with_extra_interval(s, sid, side=0, iid=None):
+    """``s`` with one more unglued interval (``sid.extra`` unless ``iid`` is
+    given) at the end of side 0 (lower) or 1 (upper) of strip ``sid``."""
+    strips = []
+    for st in s.strips:
+        if st.id == sid:
+            sides = [[iv.id for iv in st.lower], [iv.id for iv in st.upper]]
+            sides[side].append(iid or f"{sid}.extra")
+            st = strip(sid, *sides)
+        strips.append(st)
+    return build_surface(strips, s.gluings)
+
+
 def _with_extra_boundary(s):
     """``s`` with one more unglued interval on its first strip's lower side."""
-    first = s.strips[0]
-    extended = strip(first.id, [*(iv.id for iv in first.lower), f"{first.id}.extra"], [iv.id for iv in first.upper])
-    return build_surface((extended, *s.strips[1:]), s.gluings)
+    return _with_extra_interval(s, s.strips[0].id)
+
+
+def _free_sides(s):
+    """(strip, side 0/1) of each side that carries no gluing: an interval added
+    there, or moved between two of them, leaves every seam as it was."""
+    glued = s._gluing_by_interval
+    return [(st.id, k) for st in s.strips for k, ivs in enumerate((st.lower, st.upper)) if not any(iv.id in glued for iv in ivs)]
+
+
+def _reject_pairs(s):
+    """Near misses of ``s`` that the reject invariants tell apart before any
+    walk: one more unglued interval on a free side, and that interval on
+    another free side instead."""
+    free = _free_sides(s)
+    if not free:
+        return []
+    extra = _with_extra_interval(s, *free[0], "extra")
+    return [(s, extra)] + [(extra, _with_extra_interval(s, *end, "extra")) for end in free[1:2]]
+
+
+def _kaplan5_reject_pairs():
+    # kaplan5's side-length pairs are (0, 1), (0, 2), (0, 2), (0, 2), (0, 1)
+    # and its lower sides are free: an interval on C's lower side makes one
+    # boundary leaf more and C's pair (1, 2); moved to A's it makes A's (1, 1)
+    k = kaplan5()
+    on_c, on_a = _with_extra_interval(k, "C", 0, "x"), _with_extra_interval(k, "A", 0, "x")
+    return [(k, on_c), (on_c, on_a)]
 
 
 def test_is_isomorphic_is_code_equality():
@@ -702,7 +740,7 @@ def test_is_isomorphic_is_code_equality():
     pairs = []
     for _ in range(60):
         a = random_surface(rng, max_strips=6, max_intervals=3)
-        pairs += [(a, random_moves(rng, a, 5)), (a, _with_extra_boundary(a))]
+        pairs += [(a, random_moves(rng, a, 5)), (a, _with_extra_boundary(a)), *_reject_pairs(a)]
         pairs.append((a, random_surface(rng, max_strips=6, max_intervals=3)))
         if a.gluings:
             pairs.append((a, _flip_one_seam(rng, a)))
@@ -723,6 +761,7 @@ def test_is_isomorphic_is_code_equality():
         pairs.append((_defect_ring(n, n), random_moves(rng, _defect_ring(n, n), 4)))
     empty = build_surface([], [])
     pairs += [(empty, empty), (empty, open_strip()), (empty, ring_surface(2))]
+    pairs += _kaplan5_reject_pairs()
     verdicts = []
     for a, b in pairs:
         verdicts.append(_code_verdict(a, b))
@@ -730,29 +769,96 @@ def test_is_isomorphic_is_code_equality():
     assert 90 < sum(verdicts) < len(pairs) - 200
 
 
+def _cycle_corpus(rng):
+    """Connected surfaces with and without a cycle component: rings, their
+    one-seam flips and moved copies, pieces of cyclic covers, enumerated
+    cycles and random surfaces."""
+    rings = [ring_surface(n, flags, width) for n in range(1, 9) for flags in ((P,), (R,), (P, R)) for width in (1, 2)]
+    rings += [_flip_one_seam(rng, ring) for ring in rings]
+    rings += [random_moves(rng, ring, 4) for ring in rings]
+    bases = rings[::5] + [random_surface(rng, max_strips=3, max_intervals=rng.choice((1, 2))) for _ in range(60)]
+    covers = [piece for base in bases for piece in components(cyclic_cover(rng, base, rng.choice((2, 3))))]
+    out = rings + covers + enumerate_cycle_surfaces(3)
+    out += [random_surface(rng, max_strips=6, max_intervals=rng.choice((1, 2, 3))) for _ in range(150)]
+    out += [connected_surface(rng, rng.randint(1, 8), rng.choice((1, 2))) for _ in range(150)]
+    return out
+
+
+def test_reject_invariants_survive_moves():
+    # the boundary-leaf count and the side-length pairs of the canonical form
+    # are read off the canonical code, so admissible moves keep them
+    import stripfol.decomposition as dec
+
+    rng = random.Random(53)
+    corpus = _cycle_corpus(rng) + [connected_surface(rng, rng.randint(1, 12), 3) for _ in range(100)]
+    for s in corpus:
+        inv = dec._invariants(canonicalize(s))
+        for _ in range(2):
+            assert dec._invariants(canonicalize(random_moves(rng, s, rng.randint(1, 6)))) == inv
+
+
+def _least_lengths(s):
+    return min(tuple(sorted((len(st.lower), len(st.upper)))) for st in s.strips)
+
+
+def _boundary_leaves(s):
+    return sum(len(st.lower) + len(st.upper) for st in s.strips) - 2 * len(s.gluings)
+
+
+def test_is_isomorphic_rejects_on_invariants_without_a_walk(monkeypatch):
+    # a differing boundary-leaf count or multiset of side-length pairs answers
+    # false before any slot table is built or root walked.  In each pair the
+    # merge structure, the canonical strip count and the least side lengths
+    # agree, so without the invariants both surfaces would be searched
+    import stripfol.decomposition as dec
+
+    (k, on_c), (_, on_a) = _kaplan5_reject_pairs()
+    big = connected_surface(random.Random(20), 5000)
+    big_t = _with_extra_interval(big, *_free_sides(big)[0])
+    for s, t in ((k, on_c), (on_c, on_a), (big, big_t)):
+        cs, ct = canonicalize(s), canonicalize(t)
+        assert len(cs.strips) == len(ct.strips) and _least_lengths(cs) == _least_lengths(ct)
+    assert _boundary_leaves(on_c) == _boundary_leaves(on_a)  # moved: only the pairs differ
+
+    calls = []
+    for name in ("_slot_table", "_rooted_rows"):
+        monkeypatch.setattr(dec, name, lambda *args, f=getattr(dec, name): calls.append(f) or f(*args))
+    assert not is_isomorphic(k, on_c) and not is_isomorphic(on_c, k)
+    assert not is_isomorphic(on_c, on_a) and not is_isomorphic(on_a, on_c)
+    assert not is_isomorphic(big, big_t)
+    assert calls == []
+
+
 def test_canonicalize_builds_a_leaf_space_only_to_merge(monkeypatch):
     # a seam merges when its intervals are alone on their sides: canonicalize
-    # reads that from the surface and builds a leaf space only to merge
+    # reads that from the surface and builds a leaf space only to merge a
+    # chain.  A whole-surface cycle, which is terminal, it reads from the
+    # counts of sides, intervals and gluings, and returns as it is: those
+    # are exactly the surfaces where decompose finds a cycle component
     import stripfol.decomposition as dec
 
     spaces = []
     build = dec.build_leaf_space
     monkeypatch.setattr(dec, "build_leaf_space", lambda s: spaces.append(s) or build(s))
     rng = random.Random(49)
-    merging = 0
-    for i in range(300):
-        if i % 2:
-            s = random_surface(rng, max_strips=6, max_intervals=rng.choice((1, 2, 3)))
-        else:
-            s = connected_surface(rng, rng.randint(1, 8), rng.choice((1, 2, 3)))
-        merges = any(p.kind is PointKind.NON_SPECIAL_GLUED for p in build(s).points)
+    surfaces = [
+        random_surface(rng, max_strips=6, max_intervals=rng.choice((1, 2, 3)))
+        if i % 2
+        else connected_surface(rng, rng.randint(1, 8), rng.choice((1, 2, 3)))
+        for i in range(300)
+    ]
+    surfaces += _cycle_corpus(random.Random(52))
+    seen = {"nothing merges": 0, "chain": 0, "cycle": 0}
+    for s in surfaces:
+        ls = build(s)
+        merges = any(p.kind is PointKind.NON_SPECIAL_GLUED for p in ls.points)
+        cycle = any(c.shape is Shape.CYCLE for c in decompose(s, Mode.INTERIOR, ls)[0])
         spaces.clear()
         out = canonicalize(s)
-        assert len(spaces) == merges
-        if not merges:
-            assert out is s
-        merging += merges
-    assert 60 < merging < 240
+        assert len(spaces) == (merges and not cycle)
+        assert (out is s) == (cycle or not merges)
+        seen["cycle" if cycle else "chain" if merges else "nothing merges"] += 1
+    assert min(seen.values()) > 200, seen
 
 
 def test_is_isomorphic_runs_one_canonical_search(monkeypatch):
