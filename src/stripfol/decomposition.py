@@ -1,12 +1,14 @@
 """Canonical decomposition and combinatorial classification of striped surfaces.
 
 Cutting a striped surface along its special (and optionally boundary)
-leaves splits it into chain and cycle components of the merge graph whose
-edges are the non-special gluings.  Chains are open / half-closed /
-closed strips; cycles are a cylinder or a Moebius band depending on the
-orientation monodromy around the cycle.  Merging chains yields a canonical
-representative, and the least rooted-traversal code over root strips and
-their flips decides foliated-homeomorphism equivalence.
+leaves splits it into the chain and cycle components of the merge graph,
+whose edges are the seams with both intervals alone on their sides.  One
+walk reads them off the surface; the leaf space gives only the cut points
+and closures.  Chains are open / half-closed / closed strips; cycles are a
+cylinder or a Moebius band by their orientation monodromy.  Merging chains
+yields a canonical representative (a cycle is returned as it is), and the
+least rooted-traversal code over root strips and their flips decides
+foliated-homeomorphism equivalence.
 """
 
 from collections import namedtuple
@@ -88,18 +90,65 @@ class ClosureStrip(namedtuple("ClosureStrip", "base_points side_parity")):
     __slots__ = ()
 
 
-def _merge_edges(ls: LeafSpace) -> dict[SideEnd, tuple[GluingSpec, SideEnd]]:
-    """Map each side-end consumed by a non-special gluing to (gluing, partner side-end)."""
-    gluing_by_id = ls.surface._gluing_by_id
-    ends_of = ls.ends_by_point
-    merging = PointKind.NON_SPECIAL_GLUED  # each read of an enum member from its class is a lookup
-    out: dict[SideEnd, tuple[GluingSpec, SideEnd]] = {}
-    for p in ls.points:
-        if p.kind is merging:
-            g = gluing_by_id[p.id]
-            a, b = ends_of[p.id]
-            out[a] = (g, b)
-            out[b] = (g, a)
+def _merge_seams(surface: StripedSurface) -> list[GluingSpec]:
+    """The merging seams, those whose two intervals are alone on their sides:
+    the leaf space's non-special points, read off the surface."""
+    alone = {ivs[0].id for s in surface.strips for ivs in (s.lower, s.upper) if len(ivs) == 1}
+    return [g for g in surface.gluings if g.first in alone and g.second in alone]
+
+
+def _merge_walk(surface: StripedSurface, seams: list[GluingSpec]) -> list[tuple]:
+    """Per component of the graph of ``seams``, in order of first strip: (shape,
+    strips, seam ids, lower end, upper end, monodromy) as in ``Component``.  A
+    chain runs from its end of smaller strip order; a cycle goes up first."""
+    loc = surface._interval_loc
+    edges: dict[SideEnd, tuple[GluingSpec, SideEnd]] = {}  # side-end -> (seam, partner side-end)
+    for g in seams:
+        a, b = loc[g.first][:2], loc[g.second][:2]
+        edges[a] = (g, b)
+        edges[b] = (g, a)
+    ids = surface.strip_ids()
+    order = dict(zip(ids, range(len(ids))))
+    CHAIN, CYCLE, LOWER, UPPER = Shape.CHAIN, Shape.CYCLE, Side.LOWER, Side.UPPER
+
+    seen: set[str] = set()
+    out: list[tuple] = []
+    for first in ids:  # the first strip of its component
+        if first in seen:
+            continue
+        # Up from ``first``, then down.  A walk that comes back to ``first``
+        # has gone round a cycle.  A strip without seams is the chain both of
+        # whose walks are empty.
+        walks = []
+        for side in (UPPER, LOWER):
+            strips, crossed = [], []
+            sign = 1
+            cur, exit_ = first, side
+            while (cur, exit_) in edges:
+                g, (cur, entered) = edges[cur, exit_]
+                crossed.append(g.id)
+                # a seam joining a lower to an upper side keeps the y direction
+                sign *= g.orientation.sign if entered is not exit_ else -g.orientation.sign
+                if cur == first:
+                    break
+                seen.add(cur)
+                strips.append((cur, entered is UPPER))
+                exit_ = entered.other
+            if cur == first and crossed:
+                break
+            walks.append((side, strips, crossed, (cur, exit_)))
+        if len(walks) < 2:  # the walk up went round: the cycle leaves ``first`` upward
+            out.append((CYCLE, ((first, False), *strips), tuple(crossed), None, None, sign))
+            continue
+        # The chain runs from its end of smaller strip order: that end's walk
+        # reversed, so with each flip flag negated, then ``first``, then the
+        # other walk.
+        up, down = walks
+        (head_side, head, head_seams, lower_end), (_, tail, tail_seams, upper_end) = (
+            (up, down) if order[up[3][0]] < order[down[3][0]] else (down, up)
+        )
+        strips = (*[(s, not f) for s, f in reversed(head)], (first, head_side is UPPER), *tail)
+        out.append((CHAIN, strips, (*reversed(head_seams), *tail_seams), lower_end, upper_end, None))
     return out
 
 
@@ -120,53 +169,14 @@ def decompose(
     boundary_cut = mode is Mode.WITH_BOUNDARY
     boundary = PointKind.BOUNDARY_LEAF
     cut = frozenset([p for p in ls.points if p.special or (boundary_cut and p.kind is boundary)])
-    edges = _merge_edges(ls)
     incidence = ls.incidence
     point = ls.point_by_id.__getitem__
-    order = dict(zip(ls.arcs, range(len(ls.arcs))))
-    new = tuple.__new__
-    CHAIN, CYCLE, LOWER, UPPER = Shape.CHAIN, Shape.CYCLE, Side.LOWER, Side.UPPER
 
-    seen: set[str] = set()
     comps: list[Component] = []
-    for first in ls.arcs:  # the first strip of its component
-        if first in seen:
+    for shape, strips, seams, lower_end, upper_end, sign in _merge_walk(surface, _merge_seams(surface)):
+        if shape is Shape.CYCLE:
+            comps.append(tuple.__new__(Component, (shape, strips, seams, mode, None, None, (), (), None, None, sign)))
             continue
-        # One walk across the merge seams: up from ``first``, then down.  A
-        # walk that comes back to ``first`` has gone round a cycle.  A strip
-        # without seams is the chain both of whose walks are empty.
-        walks = []
-        for side in (UPPER, LOWER):
-            strips, seams = [], []
-            sign = 1
-            cur, exit_ = first, side
-            while (cur, exit_) in edges:
-                g, (cur, entered) = edges[cur, exit_]
-                seams.append(g.id)
-                # a seam joining a lower to an upper side keeps the y direction
-                sign *= g.orientation.sign if entered is not exit_ else -g.orientation.sign
-                if cur == first:
-                    break
-                seen.add(cur)
-                strips.append((cur, entered is UPPER))
-                exit_ = entered.other
-            if cur == first and seams:
-                break
-            walks.append((side, strips, seams, (cur, exit_)))
-        if len(walks) < 2:  # the walk up went round: the cycle leaves ``first`` upward
-            record = (CYCLE, ((first, False), *strips), tuple(seams), mode, None, None, (), (), None, None, sign)
-            comps.append(new(Component, record))
-            continue
-        # The chain runs from its end of smaller strip order: that end's walk
-        # reversed, so with each flip flag negated, then ``first``, then the
-        # other walk.
-        up, down = walks
-        (head_side, head, head_seams, lower_end), (_, tail, tail_seams, upper_end) = (
-            (up, down) if order[up[3][0]] < order[down[3][0]] else (down, up)
-        )
-        strips = [(s, not f) for s, f in reversed(head)] if head else []
-        strips.append((first, head_side is UPPER))
-        strips += tail
         # No merge seam lies on an exposed side-end, so each point there is
         # special or a boundary leaf: all are cut, except that interior mode
         # keeps a boundary leaf alone on its side-end.
@@ -178,9 +188,8 @@ def decompose(
             else:
                 outer.append(((), pts[0].id))
         (low_pts, low_ret), (up_pts, up_ret) = outer
-        seams = (*reversed(head_seams), *tail_seams)
-        record = (CHAIN, tuple(strips), seams, mode, lower_end, upper_end, low_pts, up_pts, low_ret, up_ret, None)
-        comps.append(new(Component, record))
+        record = (shape, strips, seams, mode, lower_end, upper_end, low_pts, up_pts, low_ret, up_ret, None)
+        comps.append(tuple.__new__(Component, record))
     return comps, cut
 
 
@@ -247,13 +256,12 @@ def _toggle_incident(
     return tuple(out)
 
 
-def _reverse_side(intervals: tuple[Interval, ...]) -> tuple[Interval, ...]:
+def _reverse_side(intervals: tuple[Interval, ...], side: Side) -> tuple[Interval, ...]:
+    """The intervals of an h-flipped side, put on ``side``: reversed, endpoints mirrored."""
     out = []
     for k, iv in enumerate(reversed(intervals)):
-        ends = None
-        if iv.endpoints is not None:
-            ends = (-iv.endpoints[1], -iv.endpoints[0])
-        out.append(Interval(iv.id, iv.side, k, ends))
+        ends = None if iv.endpoints is None else (-iv.endpoints[1], -iv.endpoints[0])
+        out.append(Interval(iv.id, side, k, ends))
     return tuple(out)
 
 
@@ -264,38 +272,33 @@ def _reverse_side(intervals: tuple[Interval, ...]) -> tuple[Interval, ...]:
 def canonicalize(surface: StripedSurface) -> StripedSurface:
     """Merge every chain across its non-special gluings into a single strip.
 
-    A surface with nothing to merge, or that is one cycle (which is
-    terminal), is returned as it is, read from the surface without a leaf
-    space.  Idempotent, and the leaf space of the output is isomorphic to
-    that of the input (point ids are preserved verbatim).
+    The merge walk reads the chains off the surface, without a leaf space.  A
+    surface with no merging seam, or that is one cycle (which is terminal),
+    is returned as it is.  Idempotent, and the leaf space of the output is
+    isomorphic to that of the input (point ids are preserved verbatim).
     """
     if not is_connected(surface):
         raise DisconnectedSurfaceError("canonicalize requires a connected surface")
-    # a seam merges when both of its intervals are alone on their sides (the
-    # leaf space's non-special points): without one, every interior-mode
-    # component is a single strip and the surface is already canonical.  A
-    # cycle component is the whole connected surface: every side holds one
-    # interval, and there are as many gluings, all merging, as strips.
-    alone = {ivs[0].id for s in surface.strips for ivs in (s.lower, s.upper) if len(ivs) == 1}
-    if len(alone) == 2 * len(surface.strips) == 2 * len(surface.gluings):
+    # Without a merging seam every interior-mode component is a single strip.
+    # Each merging seam consumes two side-ends: as many seams as strips
+    # consume every side-end, and the connected surface is one cycle.
+    seams = _merge_seams(surface)
+    if not seams or len(seams) == len(surface.strips):
         return surface
-    if not any(g.first in alone and g.second in alone for g in surface.gluings):
-        return surface
-    comps, _ = decompose(surface, Mode.INTERIOR)
 
     order = {sid: i for i, sid in enumerate(surface.strip_ids())}
     # a merged strip's id must not repeat any id of the one namespace
     taken = {iv.id for iv in surface.intervals()} | {g.id for g in surface.gluings} | set(order)
     h_flipped: set[str] = set()
     merged: list[tuple[int, ModelStripSpec]] = []
-    for comp in comps:
-        ids = comp.strip_ids()
+    for _, strips, interfaces, lower_end, upper_end, _ in _merge_walk(surface, seams):
+        ids = [sid for sid, _ in strips]
         if len(ids) == 1:
             merged.append((order[ids[0]], surface.strip(ids[0])))
             continue
         # cumulative horizontal flip along the chain: one per reversing seam
         h = {ids[0]: False}
-        for gid, (prev, nxt) in zip(comp.interfaces, zip(ids, ids[1:])):
+        for gid, (prev, nxt) in zip(interfaces, zip(ids, ids[1:])):
             h[nxt] = h[prev] ^ (surface.gluing(gid).orientation is Orientation.REVERSING)
         h_flipped.update([sid for sid, flipped in h.items() if flipped])
 
@@ -303,19 +306,18 @@ def canonicalize(surface: StripedSurface) -> StripedSurface:
             sid, side = end
             ivs = surface.strip(sid).side_intervals(side)
             if h[sid]:
-                ivs = _reverse_side(ivs)
+                return _reverse_side(ivs, new_side)
             return tuple([Interval(iv.id, new_side, k, iv.endpoints) for k, iv in enumerate(ivs)])
 
         merged_id = "+".join(ids)
         while merged_id in taken:
             merged_id += "+"
         taken.add(merged_id)
-        lower, upper = contributed(comp.outer_lower, Side.LOWER), contributed(comp.outer_upper, Side.UPPER)
+        lower, upper = contributed(lower_end, Side.LOWER), contributed(upper_end, Side.UPPER)
         merged.append((order[ids[0]], ModelStripSpec(merged_id, lower, upper)))
 
     new_strips = [s for _, s in sorted(merged, key=lambda t: t[0])]
-
-    consumed = {gid for comp in comps for gid in comp.interfaces}
+    consumed = {g.id for g in seams}  # each inside a merged chain
     gluings = [g for g in surface.gluings if g.id not in consumed]
     return build_surface(new_strips, _toggle_incident(gluings, surface, h_flipped))
 

@@ -87,10 +87,9 @@ class PLFunction(namedtuple("PLFunction", "breakpoints values")):
         bp, vals = self
         if x <= bp[0]:
             return vals[0]
-        if x >= bp[-1]:
-            return vals[-1]
-        # the upper bound sends a NaN x to the last segment, so it gives nan
-        hi = bisect_right(bp, x, 0, len(bp) - 1)
+        if not x < bp[-1]:  # a NaN x too, which gives nan
+            return vals[-1] if x >= bp[-1] else x
+        hi = bisect_right(bp, x)
         lo = hi - 1
         t = (x - bp[lo]) / (bp[hi] - bp[lo])
         return vals[lo] + t * (vals[hi] - vals[lo])
@@ -121,9 +120,9 @@ def _uk(x: float, y: Sequence[float], q: Sequence[float]) -> float:
     """``uk_eval`` on knots whose lengths and order the caller has checked."""
     if x <= y[0]:
         return x - y[0] + q[0]
-    if x >= y[-1]:
+    if not x < y[-1]:  # a NaN x too, which gives nan
         return x - y[-1] + q[-1]
-    hi = bisect_right(y, x, 0, len(y) - 1)  # bounded as in PLFunction.__call__
+    hi = bisect_right(y, x)
     lo = hi - 1
     return q[lo] + (q[hi] - q[lo]) / (y[hi] - y[lo]) * (x - y[lo])
 

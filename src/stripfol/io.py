@@ -292,14 +292,13 @@ def render_svg(surface: StripedSurface) -> str:
     Coordinates print with two decimals; x maps to the page by
     ``_MARGIN + (x clamped to [lo, hi] - lo) * _X_SCALE``.
     """
-    from .decomposition import Mode, decompose
+    from .decomposition import _merge_seams, _merge_walk
 
-    # rows go piece by piece, each piece's components in order of first strip
+    # rows go piece by piece, each piece's merge components in order of first strip
     piece_of = {sid: i for i, part in enumerate(surface._partition) for sid in part}
-    comps, _ = decompose(surface, Mode.INTERIOR)
-    comps.sort(key=lambda c: piece_of[c.strips[0][0]])
+    walks = sorted(_merge_walk(surface, _merge_seams(surface)), key=lambda w: piece_of[w[1][0][0]])
     strip_by_id = surface._strip_by_id
-    rows = [strip_by_id[sid] for comp in comps for sid, _flipped in comp.strips]
+    rows = [strip_by_id[sid] for w in walks for sid, _flipped in w[1]]
 
     lo, hi = _draw_range(surface)
     lo, hi = max(lo, -_X_CLAMP), min(hi, _X_CLAMP + 1)

@@ -248,7 +248,7 @@ def h_flip(surface: StripedSurface, strip_id: str) -> StripedSurface:
     strips = []
     for s in surface.strips:
         if s.id == strip_id:
-            s = ModelStripSpec(s.id, _reverse_side(s.lower), _reverse_side(s.upper))
+            s = ModelStripSpec(s.id, _reverse_side(s.lower, Side.LOWER), _reverse_side(s.upper, Side.UPPER))
         strips.append(s)
     return build_surface(strips, _toggle_incident(surface.gluings, surface, {strip_id}))
 

@@ -43,6 +43,7 @@ from _gen import (
 )
 from _oracles import (
     ArcType,
+    _merge_edges,
     arc_component_types,
     automorphism_count,
     branch_and_bound_code,
@@ -829,17 +830,23 @@ def test_is_isomorphic_rejects_on_invariants_without_a_walk(monkeypatch):
     assert calls == []
 
 
-def test_canonicalize_builds_a_leaf_space_only_to_merge(monkeypatch):
-    # a seam merges when its intervals are alone on their sides: canonicalize
-    # reads that from the surface and builds a leaf space only to merge a
-    # chain.  A whole-surface cycle, which is terminal, it reads from the
-    # counts of sides, intervals and gluings, and returns as it is: those
-    # are exactly the surfaces where decompose finds a cycle component
+def test_canonicalize_iso_and_render_svg_build_no_leaf_space(monkeypatch):
+    # a seam merges when its intervals are alone on their sides: the merge
+    # walk reads the seams off the surface, so canonicalize, is_isomorphic
+    # and render_svg never build a leaf space.  A surface with nothing to
+    # merge, or one whole-surface cycle (which is terminal), comes back as it
+    # is: those are exactly the surfaces where decompose finds no chain of
+    # two or more strips, or a cycle component
     import stripfol.decomposition as dec
+    import stripfol.io as sio
+    import stripfol.leafspace as lsm
 
-    spaces = []
-    build = dec.build_leaf_space
-    monkeypatch.setattr(dec, "build_leaf_space", lambda s: spaces.append(s) or build(s))
+    def refuse(surface):
+        raise AssertionError("build_leaf_space reached")
+
+    build = lsm.build_leaf_space
+    for module in (dec, sio, lsm):
+        monkeypatch.setattr(module, "build_leaf_space", refuse)
     rng = random.Random(49)
     surfaces = [
         random_surface(rng, max_strips=6, max_intervals=rng.choice((1, 2, 3)))
@@ -853,12 +860,44 @@ def test_canonicalize_builds_a_leaf_space_only_to_merge(monkeypatch):
         ls = build(s)
         merges = any(p.kind is PointKind.NON_SPECIAL_GLUED for p in ls.points)
         cycle = any(c.shape is Shape.CYCLE for c in decompose(s, Mode.INTERIOR, ls)[0])
-        spaces.clear()
         out = canonicalize(s)
-        assert len(spaces) == (merges and not cycle)
         assert (out is s) == (cycle or not merges)
+        assert is_isomorphic(s, out)
+        sio.render_svg(s)
         seen["cycle" if cycle else "chain" if merges else "nothing merges"] += 1
     assert min(seen.values()) > 200, seen
+
+
+def test_merge_seams_equal_the_leaf_space_merge_edges():
+    # the merging seams read off the surface, as a side-end map, against the
+    # leaf space's non-special glued points, on surfaces that merge nothing,
+    # chains, cycles and disconnected ones
+    import stripfol.decomposition as dec
+
+    def seam_map(s):
+        out = {}
+        for g in dec._merge_seams(s):
+            a, b = s.side_end_of(g.first), s.side_end_of(g.second)
+            assert a not in out and b not in out  # a side-end is consumed once
+            out[a], out[b] = (g, b), (g, a)
+        return out
+
+    rng = random.Random(54)
+    surfaces = [
+        random_surface(rng, max_strips=8, max_intervals=1 if i % 3 == 0 else 3, p_glue=0.9, connected=i % 2 == 0)
+        for i in range(300)
+    ]
+    surfaces += [connected_surface(rng, rng.randint(1, 60), rng.choice((1, 2, 3))) for _ in range(100)]
+    surfaces += _cycle_corpus(random.Random(55))
+    surfaces += [disjoint_union(ring_surface(3, (R,)), random_surface(rng, max_strips=6), ring_surface(2, prefix="t"))]
+    seen = {"nothing merges": 0, "merges": 0, "cycle": 0, "split": 0}
+    for s in surfaces:
+        seams = seam_map(s)
+        assert seams == _merge_edges(build_leaf_space(s))
+        cycle = len(seams) == 2 * len(s.strips)
+        seen["cycle" if cycle else "merges" if seams else "nothing merges"] += 1
+        seen["split"] += len(s._partition) > 1
+    assert min(seen.values()) > 50, seen
 
 
 def test_is_isomorphic_runs_one_canonical_search(monkeypatch):
