@@ -217,10 +217,12 @@ def check_cycle_components(
         if set(cyc.strip_ids()) != set(surface.strip_ids()):
             violations.append("cycle component does not exhaust the surface")
     if cycles:
-        ls = build_leaf_space(surface)
-        for p in ls.points:
-            if p.special or p.kind is PointKind.BOUNDARY_LEAF:
-                violations.append(f"cycle surface carries cut leaf {p.id!r}")
+        # the leaf space's cut points, in its order, read off the surface: each
+        # glued point whose seam does not merge, then each unglued interval
+        merging = set(_merge_seams(surface))
+        cut = [g.id for g in surface.gluings if g not in merging]
+        cut += [iv.id for iv in surface.intervals() if iv.id not in surface._gluing_by_interval]
+        violations += [f"cycle surface carries cut leaf {pid!r}" for pid in cut]
     return CycleCheckReport(ok=not violations, violations=tuple(violations))
 
 

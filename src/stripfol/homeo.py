@@ -5,11 +5,14 @@ that straightens families of non-crossing curve graphs into vertical
 segments, trapezoids inscribed under a clearance function, affine-per-level
 maps between trapezoid roofs, a leaf-shrinking map, and their composite that
 realizes the closure of a half strip as a model half strip with marked base
-intervals.  All maps evaluate pointwise and carry numeric inverses; the
-working tolerance is ``TOL``.  Knot order is checked once, where knots are
-made: ``PLFunction`` on construction, ``uk_eval`` on each call, and a
-straightening stage at its level when built and at each lower level as it
-moves its curves there; the kernels that evaluate knots only search them.
+intervals.  Each map is a record of its data (a ``Straightening``, a
+``RoofMap``, a ``LeafShrink``) or, for the composite, a ``HalfStripMap`` of
+records, whose ``apply`` evaluates it pointwise and whose ``invert`` is its
+numeric inverse; the working tolerance is ``TOL``.  Knot order is checked
+once, where knots are made: ``PLFunction`` on construction, ``uk_eval`` on
+each call, and a straightening stage at its level when built and at each
+lower level as it moves its curves there; the kernels that evaluate knots
+only search them.
 """
 
 import math
@@ -190,72 +193,12 @@ class Trapezoid(namedtuple("Trapezoid", "alpha beta level_range base")):
     def top(self) -> float:
         return self.level_range[1]
 
-    def contains(self, x: float, y: float, tol: float = 0.0) -> bool:
-        alpha, beta, (c, d), _ = self
-        if not c < y <= d + tol:
-            return False
-        return alpha(y) - tol <= x <= beta(y) + tol
-
     def contains_closed(self, x: float, y: float, tol: float = 0.0) -> bool:
-        _, _, (c, _), base = self
+        """Whether (x, y) lies in the trapezoid or on its base, to within ``tol``."""
+        alpha, beta, (c, d), base = self
         if abs(y - c) <= tol and base is not None:
-            a, b = base
-            return a < x < b
-        return self.contains(x, y, tol)
-
-
-class Piece(namedtuple("Piece", "forward backward region target_region", defaults=(None, None))):
-    """One region of a piecewise level map, with its forward and backward maps.
-
-    A region of None covers every point not claimed by an earlier piece;
-    likewise a target region of None for the inverse.
-    """
-
-    __slots__ = ()
-
-
-class LevelMap:
-    """Piecewise-defined plane map sending levels to levels.
-
-    Pieces are tried in order: ``apply`` uses the first whose region holds,
-    ``invert`` the first whose target region holds.
-    """
-
-    def __init__(self, pieces: Sequence[Piece]):
-        self.pieces = tuple(pieces)
-
-    @staticmethod
-    def identity() -> "LevelMap":
-        ident = lambda x, y: (x, y)
-        return LevelMap([Piece(ident, ident)])
-
-    @staticmethod
-    def chain(maps: "Sequence[LevelMap]") -> "LevelMap":
-        maps = list(maps)
-
-        def forward(x: float, y: float) -> tuple[float, float]:
-            for m in maps:
-                x, y = m.apply(x, y)
-            return (x, y)
-
-        def backward(x: float, y: float) -> tuple[float, float]:
-            for m in reversed(maps):
-                x, y = m.invert(x, y)
-            return (x, y)
-
-        return LevelMap([Piece(forward, backward)])
-
-    def apply(self, x: float, y: float) -> tuple[float, float]:
-        for forward, _, region, _ in self.pieces:
-            if region is None or region(x, y):
-                return forward(x, y)
-        raise HomeoError(f"point ({x}, {y}) lies outside the map domain")
-
-    def invert(self, x: float, y: float) -> tuple[float, float]:
-        for _, backward, _, target_region in self.pieces:
-            if target_region is None or target_region(x, y):
-                return backward(x, y)
-        raise HomeoError(f"point ({x}, {y}) lies outside the map image")
+            return base[0] < x < base[1]
+        return c < y <= d + tol and alpha(y) - tol <= x <= beta(y) + tol
 
 
 CurveFn = Callable[[float], float]
@@ -287,7 +230,7 @@ def rectify_finite(
     s: float,
     c: float | None = None,
     samples: int = 64,
-) -> LevelMap:
+) -> "Straightening":
     """Straighten finitely many non-crossing curve graphs on (c, s].
 
     The map is level-preserving, fixed pointwise on the level s, and carries
@@ -296,68 +239,95 @@ def rectify_finite(
     return rectify_stages([(f, s) for f in funcs], floor=c, samples=samples)
 
 
-def rectify_stages(
-    staged: Sequence[tuple[CurveFn, float]],
-    floor: float | None = None,
-    samples: int = 64,
-) -> LevelMap:
-    """Compose stage rectifications, deepest stage last.
-
-    Each stage straightens every curve alive at its level (already-vertical
-    ones stay put); each stage map is the identity at and above its level.
+class Straightening(namedtuple("Straightening", "stages")):
+    """The staged straightening: per stage from the top, its level s, its curves
+    in their order at s, and their positions there.  Below s a stage moves its
+    curves, as the stages above moved them, back to those positions by u_k, and
+    raises GraphsIntersectError at a level where they leave their order.
     """
-    staged = list(staged)
-    if not staged:
-        return LevelMap.identity()
-    if floor is None:
-        floor = min(d for _, d in staged) - 1.0
-    _check_disjoint(staged, floor, samples)
 
-    levels = sorted({d for _, d in staged}, reverse=True)
-    stage_maps: list[LevelMap] = []
-    for s in levels:
-        alive = [f for f, d in staged if d >= s]
-        stage_maps.append(_make_stage(alive, LevelMap.chain(stage_maps), s))
-    return LevelMap.chain(stage_maps)
+    __slots__ = ()
 
-
-def _make_stage(curves: Sequence[CurveFn], prefix: LevelMap, s: float) -> LevelMap:
-    """Straighten ``curves``, as moved by ``prefix``, below level ``s``.
-
-    The curves keep their order at ``s`` on every lower level; a level where
-    that order breaks raises GraphsIntersectError.
-    """
-    at_s = [prefix.apply(f(s), s)[0] for f in curves]
-    order = sorted(range(len(curves)), key=at_s.__getitem__)
-    ordered = [curves[i] for i in order]
-    q = [at_s[i] for i in order]
-    for a, b in zip(q, q[1:]):
-        if not a < b:
-            raise GraphsIntersectError(f"stage curves collide at level {s}")
-
-    def vals_at(y: float) -> list[float]:
-        vals = [prefix.apply(f(y), y)[0] for f in ordered]
+    def _moved(self, n: int, y: float) -> tuple[float, ...]:
+        """Stage ``n``'s curves at level ``y``, as the stages above it move them."""
+        above = tuple.__new__(Straightening, (self.stages[:n],))  # hot: skip the Python-level __new__
+        vals = tuple([above.apply(f(y), y)[0] for f in self.stages[n][1]])
         for a, b in zip(vals, vals[1:]):
             if not a < b:
                 raise GraphsIntersectError(f"stage curves cross at level {y}")
         return vals
 
-    def forward(x: float, y: float) -> tuple[float, float]:
-        if y >= s:
+    def apply(self, x: float, y: float) -> tuple[float, float]:
+        for i, (s, _, q) in enumerate(self.stages):
+            if y >= s:  # so is every lower stage's level
+                break
+            vals = self._moved(i, y)
+            if vals != q:
+                x = _uk(x, vals, q)
+        return (x, y)
+
+    def invert(self, x: float, y: float) -> tuple[float, float]:
+        for i in range(len(self.stages) - 1, -1, -1):
+            s, _, q = self.stages[i]
+            if not y >= s:
+                vals = self._moved(i, y)
+                if vals != q:
+                    x = _uk(x, q, vals)
+        return (x, y)
+
+
+def rectify_stages(
+    staged: Sequence[tuple[CurveFn, float]],
+    floor: float | None = None,
+    samples: int = 64,
+) -> Straightening:
+    """Straighten each curve below its own level, deepest stage last.
+
+    A stage straightens every curve alive at its level (already-vertical ones
+    stay put), as the stages above it moved them there.
+    """
+    staged = list(staged)
+    if floor is None:
+        floor = min([d for _, d in staged], default=0.0) - 1.0
+    _check_disjoint(staged, floor, samples)
+
+    stages: list[tuple] = []
+    for s in sorted({d for _, d in staged}, reverse=True):
+        curves = [f for f, d in staged if d >= s]
+        above = Straightening(tuple(stages))
+        at_s = [above.apply(f(s), s)[0] for f in curves]
+        order = sorted(range(len(curves)), key=at_s.__getitem__)
+        q = tuple([at_s[i] for i in order])
+        for a, b in zip(q, q[1:]):
+            if not a < b:
+                raise GraphsIntersectError(f"stage curves collide at level {s}")
+        stages.append((s, tuple([curves[i] for i in order]), q))
+    return Straightening(tuple(stages))
+
+
+class LeafShrink(namedtuple("LeafShrink", "a b eps")):
+    """The map of ``shrink_leaf``."""
+
+    __slots__ = ()
+
+    def _squeeze(self, x: float) -> float:
+        a, b, _ = self
+        return (a + b) / 2.0 + ((b - a) / math.pi) * math.atan(x)
+
+    def apply(self, x: float, y: float) -> tuple[float, float]:
+        m = min(abs(y) / self.eps, 1.0)
+        if m >= 1.0:
             return (x, y)
-        vals = vals_at(y)
-        return (x if vals == q else _uk(x, vals, q), y)
+        return (m * x + (1.0 - m) * self._squeeze(x), y)
 
-    def backward(x: float, y: float) -> tuple[float, float]:
-        if y >= s:
+    def invert(self, x: float, y: float) -> tuple[float, float]:
+        m = min(abs(y) / self.eps, 1.0)
+        if m >= 1.0:
             return (x, y)
-        vals = vals_at(y)
-        return (x if vals == q else _uk(x, q, vals), y)
-
-    return LevelMap([Piece(forward, backward)])
+        return (_bisect_increasing(lambda t: m * t + (1.0 - m) * self._squeeze(t), x), y)
 
 
-def shrink_leaf(a: float, b: float, eps: float) -> LevelMap:
+def shrink_leaf(a: float, b: float, eps: float) -> LeafShrink:
     """Identity outside the band |y| < eps; squeezes level 0 onto (a, b).
 
     The level-0 restriction is the increasing bijection
@@ -368,26 +338,7 @@ def shrink_leaf(a: float, b: float, eps: float) -> LevelMap:
         raise BadIntervalError(f"need a < b, got ({a}, {b})")
     if not eps > 0:
         raise BadEpsError(f"need eps > 0, got {eps}")
-
-    def squeeze(x: float) -> float:
-        return (a + b) / 2.0 + ((b - a) / math.pi) * math.atan(x)
-
-    def mu(y: float) -> float:
-        return min(abs(y) / eps, 1.0)
-
-    def forward(x: float, y: float) -> tuple[float, float]:
-        m = mu(y)
-        if m >= 1.0:
-            return (x, y)
-        return (m * x + (1.0 - m) * squeeze(x), y)
-
-    def backward(x: float, y: float) -> tuple[float, float]:
-        m = mu(y)
-        if m >= 1.0:
-            return (x, y)
-        return (_bisect_increasing(lambda t: m * t + (1.0 - m) * squeeze(t), x), y)
-
-    return LevelMap([Piece(forward, backward)])
+    return LeafShrink(a, b, eps)
 
 
 def trapezoid_under_clearance(clearance: PLFunction, a: float, b: float, depth: int) -> Trapezoid:
@@ -426,24 +377,43 @@ def trapezoid_under_clearance(clearance: PLFunction, a: float, b: float, depth: 
     return Trapezoid(PLFunction.from_points(alpha_pts), PLFunction.from_points(beta_pts), (0.0, top), base=(a, b))
 
 
+class RoofMap(namedtuple("RoofMap", "source target sigma")):
+    """The map of ``roof_homeo``; a sigma of None is the affine level match."""
+
+    __slots__ = ()
+
+    def _level(self, y: float) -> float:
+        (_, _, (cs, ds), _), (_, _, (ct, dt), _), sigma = self
+        return ct + (y - cs) * ((dt - ct) / (ds - cs)) if sigma is None else sigma(y)
+
+    def apply(self, x: float, y: float) -> tuple[float, float]:
+        (alpha, beta, _, _), (gamma, delta, _, _), _ = self
+        s = self._level(y)
+        A, B = alpha(y), beta(y)
+        G, D = gamma(s), delta(s)
+        return (G + (D - G) * (x - A) / (B - A), s)
+
+    def invert(self, x: float, y: float) -> tuple[float, float]:
+        (alpha, beta, (cs, ds), _), (gamma, delta, (ct, dt), _), sigma = self
+        y_in = _bisect_increasing(sigma, y) if sigma is not None else cs + (y - ct) / ((dt - ct) / (ds - cs))
+        A, B = alpha(y_in), beta(y_in)
+        G, D = gamma(y), delta(y)
+        return (A + (B - A) * (x - G) / (D - G), y_in)
+
+
 def roof_homeo(
     source: Trapezoid,
     target: Trapezoid,
     sigma: PLFunction | CurveFn | None = None,
-) -> LevelMap:
+) -> RoofMap:
     """Extend a roof correspondence to a level-preserving trapezoid map.
 
     At each level the map is the affine stretch carrying [alpha, beta] of the
     source onto [gamma, delta] of the target at the sigma-matched level; when
     both trapezoids have finite bases the map extends to the closed bases.
     """
-    alpha, beta, (cs, ds), _ = source
-    gamma, delta, (ct, dt), _ = target
-    if sigma is None:
-        scale = (dt - ct) / (ds - cs)
-        sig: CurveFn = lambda y: ct + (y - cs) * scale
-    else:
-        sig = sigma
+    roof = RoofMap(source, target, sigma)
+    (cs, ds), (ct, dt), sig = source.level_range, target.level_range, roof._level
     if abs(sig(cs) - ct) > 1e-9 or abs(sig(ds) - dt) > 1e-9:
         raise LevelRangeMismatchError(
             "sigma must carry the source level range onto the target level range"
@@ -454,20 +424,7 @@ def roof_homeo(
         if prev is not None and not v > prev:
             raise LevelRangeMismatchError("sigma must be strictly increasing")
         prev = v
-
-    def forward(x: float, y: float) -> tuple[float, float]:
-        s = sig(y)
-        A, B = alpha(y), beta(y)
-        G, D = gamma(s), delta(s)
-        return (G + (D - G) * (x - A) / (B - A), s)
-
-    def backward(x: float, y: float) -> tuple[float, float]:
-        y_in = _bisect_increasing(sig, y) if sigma is not None else cs + (y - ct) / scale
-        A, B = alpha(y_in), beta(y_in)
-        G, D = gamma(y), delta(y)
-        return (A + (B - A) * (x - G) / (D - G), y_in)
-
-    return LevelMap([Piece(forward, backward)])
+    return roof
 
 
 class HalfStripChart(namedtuple("HalfStripChart", "rectangles base_intervals leaf_spans level_range")):
@@ -494,20 +451,47 @@ class HalfStripChart(namedtuple("HalfStripChart", "rectangles base_intervals lea
     _make = classmethod(lambda cls, fields: cls(*fields))  # as for PLFunction
 
 
+class HalfStripMap:
+    """eta of ``realize_half_strip``: the roof map of each chart rectangle onto
+    its collar, and the straightening, whose inverse covers the rest of the band
+    -1 < y <= 0; with no collar, the identity of the plane.  A plain class, not
+    a record: a caller may wrap ``apply`` and ``invert`` on an instance."""
+
+    def __init__(self, collars: tuple[RoofMap, ...], straightening: Straightening):
+        self.collars = collars
+        self.straightening = straightening
+
+    def apply(self, x: float, y: float) -> tuple[float, float]:
+        for roof in self.collars:
+            if roof.source.contains_closed(x, y):
+                # the level passes through verbatim, not through the level match
+                return (roof.apply(x, y)[0], y)
+        if -1.0 < y <= 0.0 or not self.collars:
+            return self.straightening.invert(x, y)
+        raise HomeoError(f"point ({x}, {y}) lies outside the map domain")
+
+    def invert(self, x: float, y: float) -> tuple[float, float]:
+        for roof in self.collars:
+            if roof.target.contains_closed(x, y, 1e-12):
+                return (roof.invert(x, y)[0], y)
+        return self.straightening.apply(x, y)
+
+
 def realize_half_strip(
     surface: StripedSurface,
     comp: Component,
     closure: ClosureStrip,
     depth: int = 4,
     samples: int = 64,
-) -> tuple[HalfStripChart, LevelMap]:
+) -> tuple[HalfStripChart, HalfStripMap]:
     """Realize the closure of one half of an open-strip chain component.
 
     Over each base leaf a trapezoid collar is inscribed in chart coordinates,
     rectified into a rectangle by staged straightening, and mapped back by
-    the affine roof extension; the resulting piecewise map eta is
-    level-preserving, agrees across piece boundaries, and sends each base
-    interval of the chart onto its leaf's interval coordinates.
+    the affine roof extension.  The map eta, the roof maps on the rectangles
+    and the inverse straightening elsewhere, is level-preserving, agrees
+    across rectangle boundaries, and sends each base interval of the chart
+    onto its leaf's interval coordinates.
     """
     if comp.shape is not Shape.CHAIN or classify_component(comp) is not StripClass.OPEN_STRIP:
         raise NotOpenStripComponentError(
@@ -516,7 +500,7 @@ def realize_half_strip(
     end = comp.outer_lower if closure.side_parity is Side.LOWER else comp.outer_upper
     k = len(closure.base_points)
     if k == 0:
-        return HalfStripChart((), (), ()), LevelMap.identity()
+        return HalfStripChart((), (), ()), HalfStripMap((), Straightening(()))
 
     # leaf coordinate intervals on the outer side-end, in interval order; an
     # unbounded leaf gets a unit span at its finite end, which keeps it
@@ -576,30 +560,8 @@ def realize_half_strip(
         tuple(rect_spans),
         tuple(leaf_spans),
     )
-
-    pieces = [
-        _collar_piece(Trapezoid(PLFunction.constant(a), PLFunction.constant(b), (-1.0, d), base=(a, b)), c)
+    roofs = [
+        roof_homeo(Trapezoid(PLFunction.constant(a), PLFunction.constant(b), (-1.0, d), base=(a, b)), c)
         for (a, b), d, c in zip(rect_spans, d_levels, collars)
     ]
-
-    def z_region(x: float, y: float) -> bool:
-        return -1.0 < y <= 0.0
-
-    pieces.append(Piece(straighten.invert, straighten.apply, region=z_region))
-    return chart, LevelMap(pieces)
-
-
-def _collar_piece(rect: Trapezoid, collar: Trapezoid) -> Piece:
-    """Roof map of a chart rectangle onto its collar over the same level range.
-
-    The level passes through verbatim instead of through the affine level
-    match of ``roof_homeo``.
-    """
-    (forward, backward, _, _), = roof_homeo(rect, collar).pieces
-    in_collar = collar.contains_closed
-    return Piece(
-        lambda x, y: (forward(x, y)[0], y),
-        lambda x, y: (backward(x, y)[0], y),
-        region=rect.contains_closed,
-        target_region=lambda x, y: in_collar(x, y, 1e-12),
-    )
+    return chart, HalfStripMap(tuple(roofs), straighten)

@@ -2,7 +2,8 @@
 automorphism counts, the leaf-space arc walker, the branch-and-bound
 canonical code, the unpruned rooted traversal, the reference dicts of the
 JSON documents, the member-search decomposition, the reference diagram
-writers, the reference load path and the reference realization kernels."""
+writers, the reference load path, the reference realization kernels and
+the closure staging of the straightening."""
 
 from __future__ import annotations
 
@@ -32,6 +33,7 @@ from stripfol.core import (
 )
 from stripfol.decomposition import (
     Component,
+    CycleCheckReport,
     Mode,
     Shape,
     check_cycle_components,
@@ -1037,3 +1039,91 @@ def uk_eval_reference(x: float, y, q) -> float:
         else:
             hi = mid
     return q[lo] + (q[hi] - q[lo]) / (y[hi] - y[lo]) * (x - y[lo])
+
+
+class _StageChain:
+    """Stage maps, each a (forward, backward) pair of closures: applied in
+    order, inverted in reverse order."""
+
+    def __init__(self, stages):
+        self.stages = list(stages)
+
+    def apply(self, x: float, y: float) -> tuple[float, float]:
+        for forward, _ in self.stages:
+            x, y = forward(x, y)
+        return (x, y)
+
+    def invert(self, x: float, y: float) -> tuple[float, float]:
+        for _, backward in reversed(self.stages):
+            x, y = backward(x, y)
+        return (x, y)
+
+
+def _stage_closures(curves, prefix: _StageChain, s: float):
+    """One stage of ``staged_rectify``: straighten ``curves``, as moved by
+    ``prefix``, below level ``s``, keeping their order at ``s``."""
+    from stripfol.homeo import GraphsIntersectError, _uk  # as in uk_eval_reference
+
+    at_s = [prefix.apply(f(s), s)[0] for f in curves]
+    order = sorted(range(len(curves)), key=at_s.__getitem__)
+    ordered = [curves[i] for i in order]
+    q = [at_s[i] for i in order]
+    for a, b in zip(q, q[1:]):
+        if not a < b:
+            raise GraphsIntersectError(f"stage curves collide at level {s}")
+
+    def vals_at(y: float) -> list[float]:
+        vals = [prefix.apply(f(y), y)[0] for f in ordered]
+        for a, b in zip(vals, vals[1:]):
+            if not a < b:
+                raise GraphsIntersectError(f"stage curves cross at level {y}")
+        return vals
+
+    def forward(x: float, y: float) -> tuple[float, float]:
+        if y >= s:
+            return (x, y)
+        vals = vals_at(y)
+        return (x if vals == q else _uk(x, vals, q), y)
+
+    def backward(x: float, y: float) -> tuple[float, float]:
+        if y >= s:
+            return (x, y)
+        vals = vals_at(y)
+        return (x if vals == q else _uk(x, q, vals), y)
+
+    return forward, backward
+
+
+def staged_rectify(staged, floor: float | None = None, samples: int = 64) -> _StageChain:
+    """``homeo.rectify_stages`` as a chain of closures, each stage closing over
+    the chain of the stages above it: the staging that the ``Straightening``
+    record replaced, kept as its reference."""
+    from stripfol.homeo import _check_disjoint
+
+    staged = list(staged)
+    if not staged:
+        return _StageChain([])
+    if floor is None:
+        floor = min(d for _, d in staged) - 1.0
+    _check_disjoint(staged, floor, samples)
+    stages = []
+    for s in sorted({d for _, d in staged}, reverse=True):
+        stages.append(_stage_closures([f for f, d in staged if d >= s], _StageChain(stages), s))
+    return _StageChain(stages)
+
+
+def check_cycle_components_reference(surface: StripedSurface, components) -> CycleCheckReport:
+    """``decomposition.check_cycle_components`` with the cut leaves taken from a
+    leaf space of their own, as before they were read off the surface."""
+    violations = []
+    cycles = [c for c in components if c.shape is Shape.CYCLE]
+    for cyc in cycles:
+        if len(components) != 1:
+            violations.append(f"cycle through {cyc.strip_ids()} coexists with other components")
+        if set(cyc.strip_ids()) != set(surface.strip_ids()):
+            violations.append("cycle component does not exhaust the surface")
+    if cycles:
+        for p in build_leaf_space(surface).points:
+            if p.special or p.kind is PointKind.BOUNDARY_LEAF:
+                violations.append(f"cycle surface carries cut leaf {p.id!r}")
+    return CycleCheckReport(ok=not violations, violations=tuple(violations))

@@ -261,16 +261,18 @@ def test_criterion_7_realization_coherence():
         chart, eta = realize_half_strip(k, comp, upper, depth=3, samples=48)
         assert len(chart.rectangles) == 2
 
-        z_piece = eta.pieces[-1]
-        for piece, (a, b, d) in zip(eta.pieces, chart.rectangles):
+        # each collar's roof map, level passed through, against the inverse
+        # straightening that eta uses off the rectangles
+        z_map = eta.straightening.invert
+        for roof, (a, b, d) in zip(eta.collars, chart.rectangles):
             for i in range(1, 25):
                 y = -1 + (d + 1) * i / 25
                 for x in (a, b):
-                    f1, f2 = piece.forward(x, y), z_piece.forward(x, y)
+                    f1, f2 = (roof.apply(x, y)[0], y), z_map(x, y)
                     assert abs(f1[0] - f2[0]) < TOL and abs(f1[1] - f2[1]) < TOL
             for i in range(26):
                 x = a + (b - a) * i / 25
-                f1, f2 = piece.forward(x, d), z_piece.forward(x, d)
+                f1, f2 = (roof.apply(x, d)[0], d), z_map(x, d)
                 assert abs(f1[0] - f2[0]) < TOL and abs(f1[1] - f2[1]) < TOL
 
         rng = random.Random(2028)

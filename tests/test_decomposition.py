@@ -29,6 +29,7 @@ from fixtures import (
     two_strip_chain,
 )
 from _gen import (
+    comb_surface,
     components,
     connected_surface,
     cyclic_cover,
@@ -47,6 +48,7 @@ from _oracles import (
     arc_component_types,
     automorphism_count,
     branch_and_bound_code,
+    check_cycle_components_reference,
     decompose_by_member_search,
     exhaustive_isomorphic,
     leafspace_invariants,
@@ -305,6 +307,73 @@ def test_cycle_never_coexists():
         s = random_surface(rng, max_strips=3, max_intervals=2)
         comps, _ = decompose(s, Mode.WITH_BOUNDARY)
         assert check_cycle_components(s, comps).ok
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: ring_surface(1), lambda: ring_surface(5), lambda: ring_surface(4, (P, R)), cylinder, moebius]
+)
+def test_decompose_cli_builds_one_leaf_space_for_a_cycle(make, tmp_path, monkeypatch, capsys):
+    import sys
+
+    from stripfol import cli, leafspace
+    from stripfol.io import serialize
+
+    path = tmp_path / "cycle.json"
+    path.write_text(serialize(make()))
+    calls = []
+    build = leafspace.build_leaf_space
+
+    def counted(surface):
+        calls.append(None)
+        return build(surface)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("stripfol") and getattr(module, "build_leaf_space", None) is build:
+            monkeypatch.setattr(module, "build_leaf_space", counted)
+    assert cli.main(["decompose", str(path)]) == 0
+    assert '"cycle_check_ok": true' in capsys.readouterr().out
+    assert len(calls) == 1
+
+
+def _whole_cycle(surface, sign=1):
+    """A cycle component through every strip of ``surface``, built by hand."""
+    strips = tuple([(sid, False) for sid in surface.strip_ids()])
+    return Component(Shape.CYCLE, strips, (), Mode.WITH_BOUNDARY, monodromy=sign)
+
+
+def test_cycle_check_violations_match_the_leaf_space_version():
+    ring = ring_surface(3)
+    (ring_cycle,), _ = decompose(ring)
+    (chain,), _ = decompose(open_strip())
+    cases = [
+        (ring, [ring_cycle, chain]),  # coexists
+        (disjoint_union(ring, ring_surface(2, prefix="q")), [ring_cycle]),  # does not exhaust
+        (ring_surface(3, width=2), [_whole_cycle(ring_surface(3, width=2))]),  # special glued leaves
+        (comb_surface(2), [_whole_cycle(comb_surface(2))]),  # boundary leaves
+        (horseshoe(), [_whole_cycle(horseshoe()), ring_cycle]),  # all three
+    ]
+    rng = random.Random(134)
+    for _ in range(200):
+        s = random_surface(rng, max_strips=4, max_intervals=3, connected=rng.random() < 0.8)
+        comps, _ = decompose(s)
+        cases += [(s, comps), (s, [_whole_cycle(s, -1)]), (s, [_whole_cycle(s), *comps])]
+    for surface, comps in cases:
+        assert check_cycle_components(surface, comps) == check_cycle_components_reference(surface, comps)
+    assert check_cycle_components(*cases[0]).violations == (
+        "cycle through ('r0', 'r1', 'r2') coexists with other components",
+    )
+    assert check_cycle_components(*cases[1]).violations == ("cycle component does not exhaust the surface",)
+    assert check_cycle_components(*cases[2]).violations == tuple(
+        [f"cycle surface carries cut leaf {gid!r}" for gid in ("rg0.0", "rg0.1", "rg1.0", "rg1.1", "rg2.0", "rg2.1")]
+    )
+    assert check_cycle_components(*cases[3]).violations == tuple(
+        [f"cycle surface carries cut leaf {iid!r}" for iid in ("S.l0", "S.l1", "S.u0", "S.u1")]
+    )
+    assert [v for v in check_cycle_components(*cases[4]).violations if "cut leaf" not in v] == [
+        "cycle through ('P', 'R') coexists with other components",
+        "cycle through ('r0', 'r1', 'r2') coexists with other components",
+        "cycle component does not exhaust the surface",
+    ]
 
 
 def test_monodromy_agrees_with_orientation_oracle():

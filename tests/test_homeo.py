@@ -10,6 +10,7 @@ from stripfol.homeo import (
     BadEpsError,
     BadIntervalError,
     GraphsIntersectError,
+    HomeoError,
     LevelRangeMismatchError,
     NonIncreasingInputError,
     NotOpenStripComponentError,
@@ -27,8 +28,8 @@ from stripfol.homeo import (
 )
 
 from fixtures import horseshoe, kaplan5, open_strip
-from _gen import roof_samples
-from _oracles import pl_eval_reference, uk_eval_reference
+from _gen import comb_surface, roof_samples
+from _oracles import pl_eval_reference, staged_rectify, uk_eval_reference
 
 TOL = 1e-9
 
@@ -255,6 +256,60 @@ def test_rectify_inverse_roundtrip():
         assert abs(x2 - x) < TOL and y2 == y
 
 
+def _curve_family(rng: random.Random):
+    """A random family of PL curves on [0, 1] with 1-5 stage levels, each
+    carrying a curve, and up to 10 curves in all, and the levels to probe it
+    at.  The curves do not cross, unless one spikes across its neighbour on a
+    narrow band; sometimes every curve is vertical."""
+    levels = sorted({round(rng.uniform(0.2, 1.0), 3) for _ in range(rng.randint(1, 5))})
+    n = rng.randint(len(levels), 10)
+    bps = sorted({0.0, 1.0, *[round(rng.uniform(0.0, 1.0), 3) for _ in range(rng.randint(0, 4))]})
+    vertical = rng.random() < 0.2
+    columns = []  # per breakpoint, the curves' values in increasing order
+    for _ in bps:
+        x = rng.uniform(-3.0, 3.0)
+        col = []
+        for _ in range(n):
+            col.append(round(x, 4))
+            x += rng.uniform(0.05, 1.5)
+        columns.append(columns[0] if vertical and columns else col)
+    curves = [PLFunction(tuple(bps), tuple([c[i] for c in columns])) for i in range(n)]
+    ys = [y for s in levels for y in (s + 0.05, s, s - 1e-9, s * rng.random())]
+    if n > 1 and rng.random() < 0.3:
+        i, y0 = rng.randrange(n - 1), round(rng.uniform(0.05, 0.95), 3)
+        f, g = curves[i], curves[i + 1]
+        spike = [(y0 - 0.01, f(y0 - 0.01)), (y0, g(y0) + 0.5), (y0 + 0.01, f(y0 + 0.01))]
+        curves[i] = PLFunction.from_points([(y, f(y)) for y in bps if abs(y - y0) > 0.01] + spike)
+        ys.append(y0)
+    depth = levels + [rng.choice(levels) for _ in range(n - len(levels))]
+    staged = list(zip(curves, depth))
+    rng.shuffle(staged)
+    return staged, ys
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except GraphsIntersectError:
+        return GraphsIntersectError
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_straightening_equals_closure_staging(seed):
+    rng = random.Random(f"straighten:{seed}")
+    staged, ys = _curve_family(rng)
+    samples = rng.choice((4, 16, 64))
+    new, ref = _outcome(rectify_stages, staged, 0.0, samples), _outcome(staged_rectify, staged, 0.0, samples)
+    if ref is GraphsIntersectError or new is GraphsIntersectError:
+        assert new is ref is GraphsIntersectError
+        return
+    for y in ys + [-0.25]:
+        xs = [f(y) for f, _ in rng.sample(staged, min(3, len(staged)))] + [rng.uniform(-6.0, 12.0)]
+        for x in xs:
+            assert _outcome(new.apply, x, y) == _outcome(ref.apply, x, y)
+            assert _outcome(new.invert, x, y) == _outcome(ref.invert, x, y)
+
+
 # ---------------------------------------------------------------------------
 # leaf shrinking
 
@@ -445,6 +500,44 @@ def test_realize_empty_closure_is_identity():
     assert eta.apply(2.5, -0.25) == (2.5, -0.25)
 
 
+def _every_eta():
+    """(k, eta) for each kind of eta realize_half_strip returns: the empty
+    closure, kaplan5's B, and the combs k = 1..4 on both sides."""
+    s = open_strip()
+    yield 0, realize_half_strip(s, *_component(s, "A", "lower"))[1]
+    k = kaplan5()
+    yield 2, realize_half_strip(k, *_component(k, "B"), depth=3, samples=48)[1]
+    for n in range(1, 5):
+        comb = comb_surface(n)
+        for side in ("lower", "upper"):
+            comp, closure = _component(comb, "S", side)
+            assert len(closure.base_points) == n
+            yield n, realize_half_strip(comb, comp, closure, depth=3, samples=16)[1]
+
+
+def test_eta_contract():
+    etas = list(_every_eta())
+    assert len(etas) == 10
+    for k, eta in etas:
+        # a tracer wraps apply and invert on each instance
+        apply, invert = eta.apply, eta.invert
+        calls = []
+        eta.apply = lambda x, y: calls.append("apply") or apply(x, y)
+        eta.invert = lambda x, y: calls.append("invert") or invert(x, y)
+        X, Y = eta.apply(0.25, -0.5)
+        assert eta.invert(X, Y) is not None and Y == -0.5
+        assert calls == ["apply", "invert"]
+        # y = 0.5 lies above every chart rectangle and outside -1 < y <= 0
+        if k == 0:
+            assert eta.apply(0.5, 0.5) == (0.5, 0.5)
+        else:
+            with pytest.raises(HomeoError):
+                eta.apply(0.5, 0.5)
+    # the wrappers stay on their own instances
+    _, fresh = next(_every_eta())
+    assert "apply" not in vars(fresh) and "invert" not in vars(fresh)
+
+
 def test_realize_rejects_cycles():
     from fixtures import cylinder
     from stripfol.decomposition import ClosureStrip
@@ -489,17 +582,19 @@ def test_realize_pieces_agree_on_shared_boundaries():
     k = kaplan5()
     comp, closure = _component(k, "B")
     chart, eta = realize_half_strip(k, comp, closure, depth=3, samples=48)
-    z_piece = eta.pieces[-1]
+    # each collar's roof map, level passed through, against the inverse
+    # straightening that eta uses off the rectangles
+    z_map = eta.straightening.invert
     worst = 0.0
-    for piece, (a, b, d) in zip(eta.pieces, chart.rectangles):
+    for roof, (a, b, d) in zip(eta.collars, chart.rectangles):
         for i in range(1, 30):
             y = -1 + (d + 1) * i / 30
             for x in (a, b):
-                f1, f2 = piece.forward(x, y), z_piece.forward(x, y)
+                f1, f2 = (roof.apply(x, y)[0], y), z_map(x, y)
                 worst = max(worst, abs(f1[0] - f2[0]), abs(f1[1] - f2[1]))
         for i in range(31):
             x = a + (b - a) * i / 30
-            f1, f2 = piece.forward(x, d), z_piece.forward(x, d)
+            f1, f2 = (roof.apply(x, d)[0], d), z_map(x, d)
             worst = max(worst, abs(f1[0] - f2[0]), abs(f1[1] - f2[1]))
     assert worst < TOL
 

@@ -13,7 +13,16 @@ import pytest
 
 from stripfol.core import Interval, Side, build_surface, glue, strip
 from stripfol.decomposition import CycleCheckReport, component_closures, decompose
-from stripfol.homeo import BadIntervalError, HalfStripChart, NonIncreasingInputError, PLFunction, Piece, Trapezoid
+from stripfol.homeo import (
+    BadIntervalError,
+    HalfStripChart,
+    LeafShrink,
+    NonIncreasingInputError,
+    PLFunction,
+    RoofMap,
+    Straightening,
+    Trapezoid,
+)
 from stripfol.io import parse, serialize
 from stripfol.leafspace import build_leaf_space
 
@@ -140,9 +149,9 @@ def test_structures_take_keywords_and_defaults():
     assert t == Trapezoid(alpha=zero, beta=one, level_range=(0.0, 1.0), base=None)
     assert _chart().level_range == (-1.0, 0.0)
     assert _chart(level_range=(-1.0, 1.0)).level_range == (-1.0, 1.0)
-    ident = lambda x, y: (x, y)  # noqa: E731
-    p = Piece(ident, ident)
-    assert p.region is None and p.target_region is None
+    assert RoofMap(target=t, source=t, sigma=None) == RoofMap(t, t, None)
+    assert LeafShrink(eps=0.5, a=-1.0, b=1.0) == LeafShrink(-1.0, 1.0, 0.5)
+    assert Straightening(stages=((0.0, (zero,), (0.0,)),)).stages[0][1] == (zero,)
     assert CycleCheckReport(ok=False, violations=("v",)).violations == ("v",)
 
 
@@ -182,6 +191,9 @@ def test_structures_refuse_assignment():
         (PLFunction((0.0, 1.0), (2.0, 3.0)), ("breakpoints", "values")),
         (Trapezoid(_ZERO, _ONE, (0.0, 1.0)), ("alpha", "level_range", "base")),
         (_chart(), ("rectangles", "level_range")),
+        (Straightening(()), ("stages",)),
+        (RoofMap(_ZERO, _ONE, None), ("source", "sigma")),
+        (LeafShrink(0.0, 1.0, 0.5), ("a", "eps")),
     ]
     for obj, names in fields:
         for attr in names + ("brand_new",):

@@ -130,7 +130,7 @@ def test_homeo_exports_resolve_to_homeo_objects():
     from stripfol import homeo
 
     names = (
-        "GraphsIntersectError HalfStripChart LevelMap NonIncreasingInputError PLFunction Trapezoid rectify_finite"
+        "GraphsIntersectError HalfStripChart HalfStripMap NonIncreasingInputError PLFunction Trapezoid rectify_finite"
         " rectify_stages realize_half_strip roof_homeo shrink_leaf trapezoid_under_clearance uk_eval uk_inverse"
     ).split()
     assert all(getattr(stripfol, name) is getattr(homeo, name) for name in names)
@@ -149,7 +149,7 @@ def test_homeo_exports_resolve_to_homeo_objects():
 def test_record_instances_have_no_dict():
     from stripfol.core import GluingSpec, Interval, ModelStripSpec, Orientation, Side
     from stripfol.decomposition import CycleCheckReport, component_closures, decompose
-    from stripfol.homeo import HalfStripChart, PLFunction, Piece, Trapezoid
+    from stripfol.homeo import HalfStripChart, LeafShrink, PLFunction, RoofMap, Trapezoid, realize_half_strip, rectify_stages
     from stripfol.leafspace import build_leaf_space
 
     from fixtures import horseshoe
@@ -168,7 +168,13 @@ def test_record_instances_have_no_dict():
         CycleCheckReport(True, ()),
         zero,
         Trapezoid(zero, one, (0.0, 1.0)),
-        Piece(None, None),
         HalfStripChart(((0.0, 1.0, -0.5),), ((0.0, 1.0),), ((2.0, 3.0),)),
+        rectify_stages([(zero, 0.0)]),
+        RoofMap(Trapezoid(zero, one, (0.0, 1.0)), Trapezoid(zero, one, (0.0, 1.0)), None),
+        LeafShrink(0.0, 1.0, 0.5),
     ]
     assert [type(r).__name__ for r in records if hasattr(r, "__dict__")] == []
+    # the one exception: eta keeps a __dict__, so that a tracer can wrap its
+    # apply and invert on each instance
+    lower, _, _ = component_closures(chain)
+    assert hasattr(realize_half_strip(horseshoe(), chain, lower)[1], "__dict__")
