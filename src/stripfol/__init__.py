@@ -61,8 +61,8 @@ __version__ = "0.1.0"
 # realize needs it.  Nothing is cached here, so each read returns homeo's
 # current attribute, even one patched after the first read.
 _HOMEO = frozenset(
-    "GraphsIntersectError HalfStripChart HalfStripMap NonIncreasingInputError PLFunction Trapezoid rectify_finite"
-    " rectify_stages realize_half_strip roof_homeo shrink_leaf trapezoid_under_clearance uk_eval uk_inverse".split()
+    "GraphsIntersectError HalfStripChart HalfStripMap NonIncreasingInputError PLFunction Trapezoid"
+    " rectify_stages realize_half_strip roof_homeo shrink_leaf trapezoid_under_clearance uk_eval".split()
 )
 
 

@@ -237,7 +237,7 @@ def _realize_rows(args, surface, comp, closure) -> list[str]:
             y = -1.0 + (j + 1) / n
             X, Y = eta.apply(x, y)
             rows.append(f"{x:.9g},{y:.9g},{X:.9g},{Y:.9g},{leaf_id(X, Y)}")
-    for (a, b, _), span in zip(chart.rectangles, chart.base_intervals):
+    for a, b, _ in chart.rectangles:
         for i in range(1, n):
             x = a + (b - a) * i / n
             X, Y = eta.apply(x, -1.0)

@@ -53,7 +53,7 @@ class StripClass(Enum):
 
 # chain classes by the number of retained (closed) extremes
 _CHAIN_CLASSES = (StripClass.OPEN_STRIP, StripClass.HALF_CLOSED_STRIP, StripClass.CLOSED_STRIP)
-_LOWER, _UPPER, _NO_OVERLAP = Side.LOWER, Side.UPPER, frozenset()  # read once, for component_closures
+_LOWER, _UPPER = Side.LOWER, Side.UPPER  # read once, for component_closures
 
 
 class NotAChainError(ValueError):
@@ -154,21 +154,21 @@ def _merge_walk(surface: StripedSurface, seams: list[GluingSpec]) -> list[tuple]
 
 def decompose(
     surface: StripedSurface, mode: Mode = Mode.WITH_BOUNDARY, ls: LeafSpace | None = None
-) -> tuple[list[Component], frozenset[LeafPoint]]:
+) -> tuple[list[Component], tuple[LeafPoint, ...]]:
     """Cut along special (and, per mode, boundary) leaves.
 
     Returns the components of the merge graph, each strip in exactly one, and
-    the set of cut points.  The components come in order of their first strip
-    in the surface.  A disconnected surface is accepted: each component lies
-    in one connected piece, so the result is the union of the pieces'
-    decompositions.  With ``Mode.INTERIOR`` the components are those of the
-    leaf space minus its special points.
+    the cut points, in the leaf space's point order.  The components come in
+    order of their first strip in the surface.  A disconnected surface is
+    accepted: each component lies in one connected piece, so the result is the
+    union of the pieces' decompositions.  With ``Mode.INTERIOR`` the
+    components are those of the leaf space minus its special points.
     """
     if ls is None:
         ls = build_leaf_space(surface)
     boundary_cut = mode is Mode.WITH_BOUNDARY
     boundary = PointKind.BOUNDARY_LEAF
-    cut = frozenset([p for p in ls.points if p.special or (boundary_cut and p.kind is boundary)])
+    cut = tuple([p for p in ls.points if p.special or (boundary_cut and p.kind is boundary)])
     incidence = ls.incidence
     point = ls.point_by_id.__getitem__
 
@@ -228,16 +228,16 @@ def check_cycle_components(
 
 def component_closures(
     comp: Component,
-) -> tuple[ClosureStrip, ClosureStrip, frozenset[LeafPoint]]:
+) -> tuple[ClosureStrip, ClosureStrip, tuple[LeafPoint, ...]]:
     """Closures of the two halves of a chain component, as base-leaf lists.
 
-    The overlap is the set of cut leaves bordering both extremes (the same
-    leaf can close the chain's lower and upper half at once).
+    The overlap holds the cut leaves bordering both extremes, in lower-side
+    interval order: the same leaf can close both halves at once.
     """
     if comp.shape is not Shape.CHAIN:
         raise NotAChainError("component closures are defined for chain components only")
     low, up = comp.outer_lower_points, comp.outer_upper_points
-    overlap = frozenset(low).intersection(up) if low and up else _NO_OVERLAP
+    overlap = tuple(filter(set(up).__contains__, low)) if low and up else ()
     return tuple.__new__(ClosureStrip, (low, _LOWER)), tuple.__new__(ClosureStrip, (up, _UPPER)), overlap
 
 

@@ -106,7 +106,7 @@ def uk_eval(x: float, y: Sequence[float], q: Sequence[float]) -> float:
     """Increasing piecewise-linear bijection of the line sending y_i to q_i.
 
     Affine on each [y_i, y_{i+1}], unit-slope translation beyond the extreme
-    breakpoints; the identity when y == q.
+    breakpoints; the identity when y == q.  Its inverse is ``uk_eval(x, q, y)``.
     """
     y = list(y)
     q = list(q)
@@ -128,10 +128,6 @@ def _uk(x: float, y: Sequence[float], q: Sequence[float]) -> float:
     hi = bisect_right(y, x)
     lo = hi - 1
     return q[lo] + (q[hi] - q[lo]) / (y[hi] - y[lo]) * (x - y[lo])
-
-
-def uk_inverse(x: float, y: Sequence[float], q: Sequence[float]) -> float:
-    return uk_eval(x, q, y)
 
 
 def _bisect_increasing(g: Callable[[float], float], target: float, tol: float = 1e-13) -> float:
@@ -223,20 +219,6 @@ def _check_disjoint(
                         f"curve graphs {i} and {j} meet near level {y}"
                     )
                 prev = diff
-
-
-def rectify_finite(
-    funcs: Sequence[CurveFn],
-    s: float,
-    c: float | None = None,
-    samples: int = 64,
-) -> "Straightening":
-    """Straighten finitely many non-crossing curve graphs on (c, s].
-
-    The map is level-preserving, fixed pointwise on the level s, and carries
-    the graph of each curve onto the vertical segment through its value at s.
-    """
-    return rectify_stages([(f, s) for f in funcs], floor=c, samples=samples)
 
 
 class Straightening(namedtuple("Straightening", "stages")):
@@ -377,76 +359,71 @@ def trapezoid_under_clearance(clearance: PLFunction, a: float, b: float, depth: 
     return Trapezoid(PLFunction.from_points(alpha_pts), PLFunction.from_points(beta_pts), (0.0, top), base=(a, b))
 
 
-class RoofMap(namedtuple("RoofMap", "source target sigma")):
-    """The map of ``roof_homeo``; a sigma of None is the affine level match."""
+class RoofMap(namedtuple("RoofMap", "source target")):
+    """The map of ``roof_homeo``."""
 
     __slots__ = ()
 
     def _level(self, y: float) -> float:
-        (_, _, (cs, ds), _), (_, _, (ct, dt), _), sigma = self
-        return ct + (y - cs) * ((dt - ct) / (ds - cs)) if sigma is None else sigma(y)
+        (_, _, (cs, ds), _), (_, _, (ct, dt), _) = self
+        return ct + (y - cs) * ((dt - ct) / (ds - cs))
 
     def apply(self, x: float, y: float) -> tuple[float, float]:
-        (alpha, beta, _, _), (gamma, delta, _, _), _ = self
+        (alpha, beta, _, _), (gamma, delta, _, _) = self
         s = self._level(y)
         A, B = alpha(y), beta(y)
         G, D = gamma(s), delta(s)
         return (G + (D - G) * (x - A) / (B - A), s)
 
     def invert(self, x: float, y: float) -> tuple[float, float]:
-        (alpha, beta, (cs, ds), _), (gamma, delta, (ct, dt), _), sigma = self
-        y_in = _bisect_increasing(sigma, y) if sigma is not None else cs + (y - ct) / ((dt - ct) / (ds - cs))
+        (alpha, beta, (cs, ds), _), (gamma, delta, (ct, dt), _) = self
+        y_in = cs + (y - ct) / ((dt - ct) / (ds - cs))
         A, B = alpha(y_in), beta(y_in)
         G, D = gamma(y), delta(y)
         return (A + (B - A) * (x - G) / (D - G), y_in)
 
 
-def roof_homeo(
-    source: Trapezoid,
-    target: Trapezoid,
-    sigma: PLFunction | CurveFn | None = None,
-) -> RoofMap:
+def roof_homeo(source: Trapezoid, target: Trapezoid) -> RoofMap:
     """Extend a roof correspondence to a level-preserving trapezoid map.
 
     At each level the map is the affine stretch carrying [alpha, beta] of the
-    source onto [gamma, delta] of the target at the sigma-matched level; when
-    both trapezoids have finite bases the map extends to the closed bases.
+    source onto [gamma, delta] of the target at the affinely matched level;
+    when both trapezoids have finite bases the map extends to the closed bases.
     """
-    roof = RoofMap(source, target, sigma)
-    (cs, ds), (ct, dt), sig = source.level_range, target.level_range, roof._level
-    if abs(sig(cs) - ct) > 1e-9 or abs(sig(ds) - dt) > 1e-9:
+    roof = RoofMap(source, target)
+    (cs, ds), (ct, dt), level = source.level_range, target.level_range, roof._level
+    if abs(level(cs) - ct) > 1e-9 or abs(level(ds) - dt) > 1e-9:
         raise LevelRangeMismatchError(
-            "sigma must carry the source level range onto the target level range"
+            "the level match must carry the source level range onto the target level range"
         )
     prev = None
     for i in range(65):
-        v = sig(cs + (ds - cs) * i / 64.0)
+        v = level(cs + (ds - cs) * i / 64.0)
         if prev is not None and not v > prev:
-            raise LevelRangeMismatchError("sigma must be strictly increasing")
+            raise LevelRangeMismatchError("the level match must be strictly increasing")
         prev = v
     return roof
 
 
-class HalfStripChart(namedtuple("HalfStripChart", "rectangles base_intervals leaf_spans level_range")):
+class HalfStripChart(namedtuple("HalfStripChart", "rectangles leaf_spans")):
     """Half model strip: the band R x (-1, 0] plus marked base intervals.
 
-    One half-open rectangle [a_i, b_i] x (-1, d_i] per base leaf, with its
-    open base interval J_i at level -1, and the span on the leaf's boundary
-    line that eta carries J_i onto.
+    One half-open rectangle [a_i, b_i] x (-1, d_i] per base leaf, whose open
+    base (a_i, b_i) at level -1 is the base interval J_i, and the span on the
+    leaf's boundary line that eta carries J_i onto.
     """
 
     __slots__ = ()
 
-    def __new__(cls, rectangles, base_intervals, leaf_spans, level_range=(-1.0, 0.0)) -> "HalfStripChart":
-        c, d = level_range
+    def __new__(cls, rectangles, leaf_spans) -> "HalfStripChart":
         spans = sorted((a, b) for a, b, _ in rectangles)
         for (a0, b0), (a1, b1) in zip(spans, spans[1:]):
             if not b0 < a1:
                 raise BadIntervalError("rectangle x-spans must be pairwise disjoint")
         for a, b, di in rectangles:
-            if not (a < b and c < di < d):
-                raise BadIntervalError("rectangle tops must lie strictly inside the level range")
-        return tuple.__new__(cls, (rectangles, base_intervals, leaf_spans, level_range))
+            if not (a < b and -1.0 < di < 0.0):
+                raise BadIntervalError("rectangle tops must lie strictly inside the band -1 < y < 0")
+        return tuple.__new__(cls, (rectangles, leaf_spans))
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # as for PLFunction
 
@@ -454,8 +431,9 @@ class HalfStripChart(namedtuple("HalfStripChart", "rectangles base_intervals lea
 class HalfStripMap:
     """eta of ``realize_half_strip``: the roof map of each chart rectangle onto
     its collar, and the straightening, whose inverse covers the rest of the band
-    -1 < y <= 0; with no collar, the identity of the plane.  A plain class, not
-    a record: a caller may wrap ``apply`` and ``invert`` on an instance."""
+    -1 < y <= 0; with no collar, the identity of the plane.  It refuses points
+    off its domain, and its inverse points off its image.  A plain class, not a
+    record: a caller may wrap ``apply`` and ``invert`` on an instance."""
 
     def __init__(self, collars: tuple[RoofMap, ...], straightening: Straightening):
         self.collars = collars
@@ -474,7 +452,9 @@ class HalfStripMap:
         for roof in self.collars:
             if roof.target.contains_closed(x, y, 1e-12):
                 return (roof.invert(x, y)[0], y)
-        return self.straightening.apply(x, y)
+        if -1.0 < y <= 0.0 or not self.collars:
+            return self.straightening.apply(x, y)
+        raise HomeoError(f"point ({x}, {y}) lies outside the map image")
 
 
 def realize_half_strip(
@@ -500,7 +480,7 @@ def realize_half_strip(
     end = comp.outer_lower if closure.side_parity is Side.LOWER else comp.outer_upper
     k = len(closure.base_points)
     if k == 0:
-        return HalfStripChart((), (), ()), HalfStripMap((), Straightening(()))
+        return HalfStripChart((), ()), HalfStripMap((), Straightening(()))
 
     # leaf coordinate intervals on the outer side-end, in interval order; an
     # unbounded leaf gets a unit span at its finite end, which keeps it
@@ -557,7 +537,6 @@ def realize_half_strip(
     ]
     chart = HalfStripChart(
         tuple([(a, b, d) for (a, b), d in zip(rect_spans, d_levels)]),
-        tuple(rect_spans),
         tuple(leaf_spans),
     )
     roofs = [

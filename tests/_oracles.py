@@ -2,13 +2,15 @@
 automorphism counts, the leaf-space arc walker, the branch-and-bound
 canonical code, the unpruned rooted traversal, the reference dicts of the
 JSON documents, the member-search decomposition, the reference diagram
-writers, the reference load path, the reference realization kernels and
-the closure staging of the straightening."""
+writers, the reference load path, the reference realization kernels, the
+closure staging of the straightening and the realization in exact rational
+arithmetic."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from itertools import permutations, product
 
 import json
@@ -609,7 +611,7 @@ def _outer_data(ls: LeafSpace, end, cut_ids: set[str], mode: Mode):
 
 
 def decompose_by_member_search(surface: StripedSurface, mode: Mode = Mode.WITH_BOUNDARY):
-    """(components, cut points), as ``decompose`` returns them."""
+    """(components, the set of cut points), as ``decompose`` finds them."""
     ls = build_leaf_space(surface)
     boundary_cut = mode is Mode.WITH_BOUNDARY
     cut = frozenset([p for p in ls.points if p.special or (boundary_cut and p.kind is PointKind.BOUNDARY_LEAF)])
@@ -1127,3 +1129,98 @@ def check_cycle_components_reference(surface: StripedSurface, components) -> Cyc
             if p.special or p.kind is PointKind.BOUNDARY_LEAF:
                 violations.append(f"cycle surface carries cut leaf {p.id!r}")
     return CycleCheckReport(ok=not violations, violations=tuple(violations))
+
+
+# ---------------------------------------------------------------------------
+# the realization in exact rational arithmetic
+
+
+def _exact_pl(pl) -> tuple[list[Fraction], list[Fraction]]:
+    return [Fraction(b) for b in pl.breakpoints], [Fraction(v) for v in pl.values]
+
+
+class ExactStraightening:
+    """``homeo.rectify_stages``'s map in closed form, in rational arithmetic.
+
+    The stages above a level y compose to one u_k: its knots are the raw
+    positions f(y) of the curves alive at y (those whose own level lies above
+    y), and its values their final positions, each curve's position at its
+    own level, where the stages above carried it.  Each stage's knots contain
+    every earlier stage's, so the composite is affine between them; a curve
+    that is vertical stays where it is.  Takes the ``(PLFunction, level)``
+    pairs that ``rectify_stages`` takes, converted exactly; ``apply`` and
+    ``invert`` return exact ``Fraction`` x values.  The reference kernels
+    ``pl_eval_reference`` and ``uk_eval_reference`` evaluate, exactly, on
+    ``Fraction``s.
+    """
+
+    def __init__(self, staged):
+        from stripfol.homeo import GraphsIntersectError  # as in uk_eval_reference
+
+        self._error = GraphsIntersectError
+        self.curves: list[tuple] = []  # (knots, values, level, final position), top level first
+        for f, d in sorted(staged, key=lambda c: -c[1]):
+            bp, vals = _exact_pl(f)
+            d = Fraction(d)
+            self.curves.append((bp, vals, d, self._forward(pl_eval_reference(bp, vals, d), d)))
+
+    def _knots(self, y: Fraction) -> tuple[list[Fraction], list[Fraction]]:
+        """The raw and final positions of the curves alive at ``y``, in final order."""
+        alive = sorted([(q, pl_eval_reference(bp, vals, y)) for bp, vals, d, q in self.curves if d > y])
+        finals, raws = [q for q, _ in alive], [r for _, r in alive]
+        for seq in (finals, raws):
+            for a, b in zip(seq, seq[1:]):
+                if not a < b:
+                    raise self._error(f"curves leave their order at level {y}")
+        return raws, finals
+
+    def _forward(self, x: Fraction, y: Fraction) -> Fraction:
+        raws, finals = self._knots(y)
+        return uk_eval_reference(x, raws, finals) if raws else x
+
+    def apply(self, x: float, y: float) -> Fraction:
+        return self._forward(Fraction(x), Fraction(y))
+
+    def invert(self, x: float, y: float) -> Fraction:
+        raws, finals = self._knots(Fraction(y))
+        return uk_eval_reference(Fraction(x), finals, raws) if raws else Fraction(x)
+
+    def positions(self) -> list[Fraction]:
+        """Each curve's final position, top level first, in ``staged`` order within a level."""
+        return [q for *_, q in self.curves]
+
+
+class ExactEta:
+    """``homeo.HalfStripMap`` evaluated exactly from its own data: each collar's
+    roof map, its rectangle onto its trapezoid at the level passed through,
+    and off the rectangles the exact straightening of the trapezoids' sides,
+    staged at their tops as ``realize_half_strip`` stages them.  A point goes
+    to the branch that the float map picks; ``apply`` and ``invert`` return
+    exact ``Fraction`` x values."""
+
+    def __init__(self, eta):
+        self.collars = eta.collars
+        staged = [(f, roof.target.top) for roof in eta.collars for f in (roof.target.alpha, roof.target.beta)]
+        self.straightening = ExactStraightening(staged)
+
+    @staticmethod
+    def _roof(roof, x: Fraction, y: Fraction, inverse: bool) -> Fraction:
+        (alpha, beta, _, _), (gamma, delta, _, _) = roof
+        A, B, G, D = [pl_eval_reference(*_exact_pl(f), y) for f in (alpha, beta, gamma, delta)]
+        return A + (B - A) * (x - G) / (D - G) if inverse else G + (D - G) * (x - A) / (B - A)
+
+    def apply(self, x: float, y: float) -> Fraction:
+        for roof in self.collars:
+            if roof.source.contains_closed(x, y):
+                return self._roof(roof, Fraction(x), Fraction(y), False)
+        if -1.0 < y <= 0.0 or not self.collars:
+            return self.straightening.invert(x, y)
+        raise ValueError(f"point ({x}, {y}) lies outside the map domain")
+
+    def invert(self, x: float, y: float) -> Fraction:
+        for roof in self.collars:
+            if roof.target.contains_closed(x, y, 1e-12):
+                return self._roof(roof, Fraction(x), Fraction(y), True)
+        if -1.0 < y <= 0.0 or not self.collars:
+            return self.straightening.apply(x, y)
+        raise ValueError(f"point ({x}, {y}) lies outside the map image")

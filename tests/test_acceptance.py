@@ -25,7 +25,7 @@ from stripfol.homeo import (
     PLFunction,
     Trapezoid,
     realize_half_strip,
-    rectify_finite,
+    rectify_stages,
     roof_homeo,
     shrink_leaf,
     uk_eval,
@@ -199,7 +199,7 @@ def test_criterion_6_homeo_engine_numerics():
             assert uk_eval(x1, y, y) == x1
 
         funcs = [lambda t: t, lambda t: 2 + 0.3 * math.sin(4 * t)]
-        m = rectify_finite(funcs, s=1.0, c=0.0, samples=128)
+        m = rectify_stages([(f, 1.0) for f in funcs], floor=0.0, samples=128)
         for f in funcs:
             for i in range(1, 50):
                 t = i / 50
@@ -229,7 +229,7 @@ def test_criterion_6_homeo_engine_numerics():
         dst = Trapezoid(
             PLFunction.constant(2.0), PLFunction.constant(4.0), (0.0, 2.0), base=(2, 4)
         )
-        rh = roof_homeo(src, dst, lambda y: 2 * y)
+        rh = roof_homeo(src, dst)  # the affine level match, 2 * y
         assert rh.apply(0.5, 0.5) == (3.0, 1.0)
         wedge = PLFunction((0.0, 0.5, 1.0), (0.0, 0.5, 0.0))
         from stripfol.homeo import trapezoid_under_clearance
@@ -283,7 +283,7 @@ def test_criterion_7_realization_coherence():
             assert Y == y
 
         spans = {"alpha": (0.0, 1.0), "beta": (2.0, 3.0)}
-        for p, (a, b) in zip(upper.base_points, chart.base_intervals):
+        for p, (a, b, _) in zip(upper.base_points, chart.rectangles):
             lo, hi = spans[p.id]
             for frac in [i / 40 for i in range(1, 40)]:
                 X, Y = eta.apply(a + (b - a) * frac, -1.0)

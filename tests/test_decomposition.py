@@ -1,7 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import stripfol
 from stripfol.core import Orientation, build_surface, glue, strip
 from stripfol.decomposition import (
     Component,
@@ -17,6 +22,7 @@ from stripfol.decomposition import (
     decompose,
     is_isomorphic,
 )
+from stripfol.io import serialize
 from stripfol.leafspace import PointKind, build_leaf_space
 
 from fixtures import (
@@ -74,7 +80,7 @@ def test_cylinder_and_moebius_classification():
     for fixture, expected in ((cylinder(), StripClass.CYLINDER), (moebius(), StripClass.MOEBIUS)):
         for mode in Mode:
             comps, cut = decompose(fixture, mode)
-            assert cut == frozenset()
+            assert cut == ()
             (c,) = comps
             assert c.shape is Shape.CYCLE
             assert classify_component(c) is expected
@@ -110,7 +116,7 @@ def test_pure_seam_chain_has_empty_cut():
         [glue("seam", "P.m", "Q.m")],
     )
     comps, cut = decompose(s, Mode.WITH_BOUNDARY)
-    assert cut == frozenset()
+    assert cut == ()
     (c,) = comps
     assert c.shape is Shape.CHAIN and len(c.strips) == 2
 
@@ -118,7 +124,7 @@ def test_pure_seam_chain_has_empty_cut():
 def test_interior_mode_retains_boundary_leaves():
     s = build_surface([strip("A", lower=["A.l0"], upper=["A.u0"])], [])
     comps, cut = decompose(s, Mode.INTERIOR)
-    assert cut == frozenset()
+    assert cut == ()
     (c,) = comps
     assert classify_component(c) is StripClass.CLOSED_STRIP
     assert c.retained_lower == "A.l0" and c.retained_upper == "A.u0"
@@ -143,14 +149,14 @@ def test_kaplan5_component_closures():
         lower, upper, overlap = component_closures(by_strip[sid])
         assert [p.id for p in lower.base_points] == []
         assert [p.id for p in upper.base_points] == want
-        assert overlap == frozenset()
+        assert overlap == ()
 
 
 def test_open_strip_closures_empty():
     comps, _ = decompose(open_strip(), Mode.WITH_BOUNDARY)
     lower, upper, overlap = component_closures(comps[0])
     assert lower.base_points == () and upper.base_points == ()
-    assert overlap == frozenset()
+    assert overlap == ()
 
 
 def test_horseshoe_overlap():
@@ -162,6 +168,55 @@ def test_horseshoe_overlap():
     assert [p.id for p in lower.base_points] == ["z", "P.l1"]
     assert [p.id for p in upper.base_points] == ["z"]
     assert {p.id for p in overlap} == {"z"}
+
+
+def _in_point_order(points, ls) -> bool:
+    rank = {p.id: i for i, p in enumerate(ls.points)}
+    return all(rank[a.id] < rank[b.id] for a, b in zip(points, points[1:]))
+
+
+def _two_leaf_horseshoe():
+    """The horseshoe with two leaves, z0 and z1, bordering both extremes."""
+    return build_surface(
+        [strip("P", lower=["P.l0", "P.l1", "P.l2"], upper=["P.m"]), strip("R", lower=["R.m"], upper=["R.u0", "R.u1"])],
+        [glue("m", "P.m", "R.m"), glue("z0", "P.l0", "R.u0"), glue("z1", "P.l1", "R.u1")],
+    )
+
+
+def test_cut_and_overlap_come_in_a_fixed_order():
+    # the cut in the leaf space's point order, the overlap in its lower side's
+    # interval order: tuples, not sets, which iterate in an order that follows
+    # the addresses of the PointKind members the points hash
+    rng = random.Random(31)
+    corpus = [kaplan5(), horseshoe(), _two_leaf_horseshoe(), two_strip_chain(), cylinder()]
+    corpus += [random_surface(rng, max_strips=6, max_intervals=3) for _ in range(150)]
+    for s in corpus:
+        ls = build_leaf_space(s)
+        for mode in Mode:
+            comps, cut = decompose(s, mode, ls)
+            boundary_cut = mode is Mode.WITH_BOUNDARY
+            assert type(cut) is tuple
+            assert cut == tuple(p for p in ls.points if p.special or (boundary_cut and p.kind is PointKind.BOUNDARY_LEAF))
+            for comp in comps:
+                if comp.shape is Shape.CHAIN:
+                    lower, upper, overlap = component_closures(comp)
+                    assert type(overlap) is tuple
+                    assert overlap == tuple(p for p in lower.base_points if p in upper.base_points)
+    # the same order in every process, the hash seed fixed
+    code = (
+        "import sys\n"
+        "from stripfol.decomposition import component_closures, decompose\n"
+        "from stripfol.io import parse\n"
+        "[c], cut = decompose(parse(sys.argv[1]))\n"
+        "print([p.id for p in cut], [p.id for p in component_closures(c)[2]])\n"
+    )
+    env = {**os.environ, "PYTHONHASHSEED": "0", "PYTHONPATH": str(Path(stripfol.__file__).parents[1])}
+    doc = serialize(_two_leaf_horseshoe())
+    outs = {
+        subprocess.run([sys.executable, "-c", code, doc], env=env, capture_output=True, text=True, check=True).stdout
+        for _ in range(4)
+    }
+    assert outs == {"['z0', 'z1', 'P.l2'] ['z0', 'z1']\n"}
 
 
 def test_decompose_is_union_of_piece_decompositions():
@@ -181,7 +236,8 @@ def test_decompose_is_union_of_piece_decompositions():
                 key=lambda c: min(order[sid] for sid in c.strip_ids()),
             )
             assert comps == want
-            assert cut == frozenset().union(*(piece_cut for _, piece_cut in per_piece))
+            assert set(cut) == set().union(*(piece_cut for _, piece_cut in per_piece))
+            assert _in_point_order(cut, build_leaf_space(s))
     assert split > 50
 
 
@@ -292,11 +348,13 @@ def test_one_walk_decompose_equals_member_search(mode):
     surfaces.append(connected_surface(rng, 700))
     seen = {"chains": 0, "cycles": 0, "split": 0}
     for s in surfaces:
-        got = decompose(s, mode)
-        assert got == decompose_by_member_search(s, mode)
-        assert all(type(c) is Component for c in got[0])
-        seen["chains"] += sum(c.shape is Shape.CHAIN and len(c.strips) > 1 for c in got[0])
-        seen["cycles"] += sum(c.shape is Shape.CYCLE for c in got[0])
+        comps, cut = decompose(s, mode)
+        want_comps, want_cut = decompose_by_member_search(s, mode)
+        assert comps == want_comps and set(cut) == want_cut
+        assert _in_point_order(cut, build_leaf_space(s))
+        assert all(type(c) is Component for c in comps)
+        seen["chains"] += sum(c.shape is Shape.CHAIN and len(c.strips) > 1 for c in comps)
+        seen["cycles"] += sum(c.shape is Shape.CYCLE for c in comps)
         seen["split"] += len(s._partition) > 1
     assert min(seen.values()) > 50, seen
 

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -10,13 +11,14 @@ from stripfol.homeo import (
     BadEpsError,
     BadIntervalError,
     GraphsIntersectError,
+    HalfStripMap,
     HomeoError,
     LevelRangeMismatchError,
     NonIncreasingInputError,
     NotOpenStripComponentError,
     PLFunction,
+    Straightening,
     Trapezoid,
-    rectify_finite,
     rectify_stages,
     realize_half_strip,
     roof_homeo,
@@ -24,12 +26,11 @@ from stripfol.homeo import (
     trapezoid_under_clearance,
     _uk,
     uk_eval,
-    uk_inverse,
 )
 
 from fixtures import horseshoe, kaplan5, open_strip
 from _gen import comb_surface, roof_samples
-from _oracles import pl_eval_reference, staged_rectify, uk_eval_reference
+from _oracles import ExactEta, ExactStraightening, pl_eval_reference, staged_rectify, uk_eval_reference
 
 TOL = 1e-9
 
@@ -135,7 +136,7 @@ def test_uk_strictly_increasing_and_invertible(yq, x1, x2):
         return
     lo, hi = min(x1, x2), max(x1, x2)
     assert uk_eval(lo, y, q) < uk_eval(hi, y, q)
-    assert abs(uk_inverse(uk_eval(x1, y, q), y, q) - x1) < 1e-6
+    assert abs(uk_eval(uk_eval(x1, y, q), q, y) - x1) < 1e-6
 
 
 @settings(max_examples=100, deadline=None)
@@ -154,17 +155,17 @@ def test_uk_identity_when_parameters_match(ys, x):
 # rectification
 
 
-def test_rectify_finite_worked_values():
-    m = rectify_finite([lambda y: y], s=1.0, c=0.0)
+def test_rectify_one_level_worked_values():
+    m = rectify_stages([(lambda y: y, 1.0)], floor=0.0)
     assert m.apply(0.5, 0.5) == (1.0, 0.5)
     assert m.apply(0.0, 0.5) == (0.5, 0.5)
     for x in (-3.0, 0.0, 2.5):
         assert m.apply(x, 1.0) == (x, 1.0)
 
 
-def test_rectify_finite_drives_graphs_vertical():
+def test_rectify_one_level_drives_graphs_vertical():
     funcs = [lambda y: y, lambda y: 2 + 0.5 * math.sin(3 * y), lambda y: -3 + y * y]
-    m = rectify_finite(funcs, s=1.0, c=0.0, samples=128)
+    m = rectify_stages([(f, 1.0) for f in funcs], floor=0.0, samples=128)
     for f in funcs:
         target = f(1.0)
         for i in range(1, 40):
@@ -174,9 +175,9 @@ def test_rectify_finite_drives_graphs_vertical():
             assert Y == y
 
 
-def test_rectify_finite_monotone_per_level():
+def test_rectify_one_level_monotone_per_level():
     funcs = [lambda y: y, lambda y: y + 1]
-    m = rectify_finite(funcs, s=1.0, c=0.0)
+    m = rectify_stages([(f, 1.0) for f in funcs], floor=0.0)
     rng = random.Random(0)
     for _ in range(200):
         y = rng.uniform(0.01, 1.0)
@@ -186,20 +187,20 @@ def test_rectify_finite_monotone_per_level():
         assert m.apply(a, y)[0] < m.apply(b, y)[0]
 
 
-def test_rectify_finite_detects_intersection():
+def test_rectify_one_level_detects_intersection():
     with pytest.raises(GraphsIntersectError):
-        rectify_finite([lambda y: y, lambda y: 1 - y], s=1.0, c=0.0)
+        rectify_stages([(lambda y: y, 1.0), (lambda y: 1 - y, 1.0)], floor=0.0)
 
 
-def test_rectify_stages_single_equals_finite():
+def test_rectify_stages_single_level_equals_closure_staging():
     f = lambda y: y * y
     staged = rectify_stages([(f, 1.0)], floor=0.0)
-    fin = rectify_finite([f], s=1.0, c=0.0)
+    ref = staged_rectify([(f, 1.0)], floor=0.0)
     rng = random.Random(1)
     for _ in range(100):
         x, y = rng.uniform(-4, 4), rng.uniform(0.01, 1.0)
         a = staged.apply(x, y)
-        b = fin.apply(x, y)
+        b = ref.apply(x, y)
         assert abs(a[0] - b[0]) < TOL and a[1] == b[1]
 
 
@@ -308,6 +309,59 @@ def test_straightening_equals_closure_staging(seed):
         for x in xs:
             assert _outcome(new.apply, x, y) == _outcome(ref.apply, x, y)
             assert _outcome(new.invert, x, y) == _outcome(ref.invert, x, y)
+
+
+# ---------------------------------------------------------------------------
+# against exact rational arithmetic
+
+EXACT_TOL = 1e-12  # relative to max(1, |exact|)
+
+
+def _exact_err(f, exact, x: float, y: float) -> float | None:
+    """The relative error of ``f(x, y)``'s x against the exact value, None
+    when both refuse the point, as at a level where curves cross."""
+    try:
+        want = exact(x, y)
+    except GraphsIntersectError:
+        with pytest.raises(GraphsIntersectError):
+            f(x, y)
+        return None
+    got, y_out = f(x, y)
+    assert y_out == y
+    return float(abs(Fraction(got) - want)) / max(1.0, float(abs(want)))
+
+
+def _worst(f, exact, points) -> float:
+    """The worst relative error of ``f`` over ``points``."""
+    return max([e for x, y in points if (e := _exact_err(f, exact, x, y)) is not None], default=0.0)
+
+
+def _move_position(m: Straightening, by: float) -> Straightening:
+    """``m`` with the first curve position of its deepest stage moved by ``by``."""
+    s, curves, q = m.stages[-1]
+    return Straightening(m.stages[:-1] + ((s, curves, (q[0] + by, *q[1:])),))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_exact_straightening_matches_rectify_stages(seed):
+    rng = random.Random(f"exact:{seed}")
+    staged, ys = _curve_family(rng)
+    try:
+        m = rectify_stages(staged, floor=0.0, samples=rng.choice((4, 16, 64)))
+    except GraphsIntersectError:
+        return
+    exact = ExactStraightening(staged)
+    points = [
+        (x, y)
+        for y in ys + [-0.25]
+        for x in [f(y) for f, _ in rng.sample(staged, min(3, len(staged)))] + [rng.uniform(-6.0, 12.0)]
+    ]
+    assert _worst(m.apply, exact.apply, points) <= EXACT_TOL
+    assert _worst(m.invert, exact.invert, points) <= EXACT_TOL
+    # one stage position moved by 1e-9 is caught where its curve runs below that stage
+    s, (f, *_), _ = m.stages[-1]
+    below = [(f(y), y) for y in (0.5 * s, 0.0, -0.25)]
+    assert _worst(_move_position(m, 1e-9).apply, exact.apply, below) > EXACT_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +496,7 @@ def _rect(a, b, c, d):
 
 
 def test_roof_homeo_worked_values():
-    m = roof_homeo(_rect(0, 1, 0, 1), _rect(2, 4, 0, 2), lambda y: 2 * y)
+    m = roof_homeo(_rect(0, 1, 0, 1), _rect(2, 4, 0, 2))  # the affine level match, 2 * y
     assert m.apply(0.5, 0.5) == (3.0, 1.0)
     assert m.apply(0.0, 1.0) == (2.0, 2.0)
 
@@ -461,7 +515,7 @@ def test_roof_homeo_maps_roof_to_roof():
     wedge = PLFunction((0.0, 0.5, 1.0), (0.0, 0.5, 0.0))
     src = trapezoid_under_clearance(wedge, 0.0, 1.0, 4)
     dst = _rect(3, 5, 0, src.top * 2)
-    m = roof_homeo(src, dst, lambda y: 2 * y)
+    m = roof_homeo(src, dst)  # the affine level match, 2 * y
     for x, y in roof_samples(src, 48):
         X, Y = m.apply(x, y)
         on_left = abs(X - dst.alpha(Y)) < TOL
@@ -471,14 +525,18 @@ def test_roof_homeo_maps_roof_to_roof():
 
 
 def test_roof_homeo_extends_to_closed_bases():
-    m = roof_homeo(_rect(0, 1, 0, 1), _rect(2, 4, 0, 2), lambda y: 2 * y)
+    m = roof_homeo(_rect(0, 1, 0, 1), _rect(2, 4, 0, 2))
     assert m.apply(0.0, 0.0) == (2.0, 0.0)
     assert m.apply(1.0, 0.0) == (4.0, 0.0)
 
 
 def test_roof_homeo_level_range_mismatch():
-    with pytest.raises(LevelRangeMismatchError):
-        roof_homeo(_rect(0, 1, 0, 1), _rect(2, 4, 0, 2), lambda y: y)
+    # the affine level match onto these target ranges rounds flat: 1e17 + i
+    # rounds to a multiple of 16, and i * 5e-324 / 64 to 0 or 5e-324
+    for c, d in ((1e17, 1e17 + 64), (0.0, 5e-324)):
+        target = _rect(2, 4, c, d)
+        with pytest.raises(LevelRangeMismatchError, match="strictly increasing"):
+            roof_homeo(_rect(0, 1, 0, 1), target)
 
 
 # ---------------------------------------------------------------------------
@@ -538,6 +596,30 @@ def test_eta_contract():
     assert "apply" not in vars(fresh) and "invert" not in vars(fresh)
 
 
+def test_eta_invert_refuses_points_off_its_image():
+    # eta's image is the band -1 < y <= 0 plus the collars' bases at y = -1:
+    # its inverse refuses the rest, as eta refuses what lies off its domain
+    for k, eta in _every_eta():
+        for x, y in ((0.5, 0.5), (0.5, -3.0)):
+            if k == 0:
+                assert eta.invert(x, y) == eta.apply(x, y) == (x, y)
+                continue
+            with pytest.raises(HomeoError):
+                eta.apply(x, y)
+            with pytest.raises(HomeoError):
+                eta.invert(x, y)
+    # kaplan5's B: the collar bases are the leaf spans (0, 1) and (2, 3)
+    k = kaplan5()
+    chart, eta = realize_half_strip(k, *_component(k, "B"), depth=3, samples=48)
+    with pytest.raises(HomeoError):
+        eta.invert(1.5, -1.0)
+    with pytest.raises(HomeoError):
+        eta.apply(chart.rectangles[0][0] - 1.0, -1.0)
+    for x in (0.5, 2.5):
+        X, Y = eta.invert(x, -1.0)
+        assert Y == -1.0 and eta.apply(X, Y)[0] == pytest.approx(x, abs=TOL)
+
+
 def test_realize_rejects_cycles():
     from fixtures import cylinder
     from stripfol.decomposition import ClosureStrip
@@ -556,7 +638,7 @@ def test_realize_kaplan5_b_component():
     assert len(chart.rectangles) == 2
 
     # base intervals land exactly on the leaf coordinates (0,1) and (2,3)
-    for (a, b), (lo, hi) in zip(chart.base_intervals, [(0.0, 1.0), (2.0, 3.0)]):
+    for (a, b, _), (lo, hi) in zip(chart.rectangles, [(0.0, 1.0), (2.0, 3.0)]):
         for frac in (0.001, 0.25, 0.5, 0.75, 0.999):
             X, Y = eta.apply(a + (b - a) * frac, -1.0)
             assert Y == -1.0
@@ -610,7 +692,7 @@ def test_realize_inverse_roundtrip():
         X, Y = eta.apply(x, y)
         x2, y2 = eta.invert(X, Y)
         assert abs(x2 - x) < TOL and abs(y2 - y) < TOL
-    for a, b in chart.base_intervals:
+    for a, b, _ in chart.rectangles:
         for frac in (0.1, 0.5, 0.9):
             x = a + (b - a) * frac
             X, Y = eta.apply(x, -1.0)
@@ -628,8 +710,8 @@ def test_realize_clamps_unbounded_base_leaves():
     (comp,) = comps
     lower, _, _ = component_closures(comp)
     chart, eta = realize_half_strip(s, comp, lower, depth=2, samples=24)
-    (span,) = chart.base_intervals
-    X, Y = eta.apply(sum(span) / 2, -1.0)
+    ((a, b, _),) = chart.rectangles
+    X, Y = eta.apply((a + b) / 2, -1.0)
     assert Y == -1.0
     assert 0.0 < X < 1.0  # default coordinates stand in for the full line
 
@@ -639,9 +721,54 @@ def test_realize_horseshoe_merged_chain():
     comps, _ = decompose(h, Mode.WITH_BOUNDARY)
     (comp,) = comps
     lower, upper, overlap = component_closures(comp)
-    assert {p.id for p in overlap} == {"z"}
+    assert [p.id for p in overlap] == ["z"]
     chart, eta = realize_half_strip(h, comp, lower, depth=3, samples=32)
     assert len(chart.rectangles) == 2
-    for (a, b) in chart.base_intervals:
+    for a, b, _ in chart.rectangles:
         X, Y = eta.apply((a + b) / 2, -1.0)
         assert Y == -1.0
+
+
+def _eta_points(chart, n: int) -> tuple[list, list]:
+    """Where the realize CLI evaluates eta with ``--samples n``: the grid over
+    the band, then the base of each rectangle, with its sides and top."""
+    xs_lo = min((a for a, _, _ in chart.rectangles), default=-1.0) - 1.0
+    xs_hi = max((b for _, b, _ in chart.rectangles), default=1.0) + 1.0
+    grid = [(xs_lo + (xs_hi - xs_lo) * i / (n - 1), -1.0 + (j + 1) / n) for i in range(n) for j in range(n)]
+    rects = []
+    for a, b, d in chart.rectangles:
+        rects += [(a + (b - a) * i / n, -1.0) for i in range(1, n)]
+        rects += [(a + (b - a) * i / n, d) for i in range(n + 1)]
+        rects += [(x, -1.0 + (d + 1.0) * j / n) for x in (a, b) for j in range(1, n)]
+    return grid, rects
+
+
+def test_exact_eta_matches_realize():
+    """eta against its exact values on the combs k = 1..6, both sides, and on
+    kaplan5's B, at the realize CLI's defaults (depth 3, samples 16); prints
+    the worst relative error per k."""
+    cases = [(n, comb_surface(n), "S", side) for n in range(1, 7) for side in ("lower", "upper")]
+    cases.append((2, kaplan5(), "B", "upper"))
+    worst: dict[int, tuple[float, float]] = {}
+    for k, surface, strip, side in cases:
+        chart, eta = realize_half_strip(surface, *_component(surface, strip, side), depth=3, samples=16)
+        assert len(chart.rectangles) == k
+        exact = ExactEta(eta)
+        # each rectangle spans the exact positions of its collar's two sides
+        q = exact.straightening.positions()
+        for (a, b, _), qa, qb in zip(chart.rectangles, q[::2], q[1::2]):
+            assert abs(Fraction(a) - qa) <= EXACT_TOL * max(1, abs(qa))
+            assert abs(Fraction(b) - qb) <= EXACT_TOL * max(1, abs(qb))
+        # eta at the grid and on the rectangles, its inverse at their images and at the grid
+        grid, rects = _eta_points(chart, 10)
+        points = grid + rects
+        images = [eta.apply(x, y) for x, y in points] + grid
+        errs = (_worst(eta.apply, exact.apply, points), _worst(eta.invert, exact.invert, images))
+        assert max(errs) <= EXACT_TOL, (k, side, errs)
+        worst[k] = tuple(map(max, zip(worst.get(k, (0.0, 0.0)), errs)))
+        if (k, side) == (3, "upper"):
+            moved = HalfStripMap(eta.collars, _move_position(eta.straightening, 1e-9))
+            assert _worst(moved.apply, exact.apply, points) > EXACT_TOL
+            assert _worst(moved.invert, exact.invert, images) > EXACT_TOL
+    for k, (apply_err, invert_err) in sorted(worst.items()):
+        print(f"EXACT k={k} apply={apply_err:.1e} invert={invert_err:.1e}")
