@@ -193,8 +193,7 @@ def _cmd_realize(args) -> int:
     surface = _load(args.file)
     if _refuse_disconnected(surface):
         return EXIT_INVALID
-    ls = build_leaf_space(surface)
-    comps, _ = decompose(surface, Mode.WITH_BOUNDARY, ls)
+    comps, _ = decompose(surface)
     comp = next((c for c in comps if args.component in c.strip_ids()), None)
     if comp is None:
         return _usage(f"no component contains strip {args.component!r}")

@@ -78,10 +78,6 @@ class BadEndpointsError(SurfaceError):
     rule = "BadEndpoints"
 
 
-class BadIndexError(SurfaceError):
-    rule = "BadIndex"
-
-
 class DisconnectedSurfaceError(SurfaceError):
     rule = "DisconnectedSurface"
 
@@ -95,20 +91,15 @@ class BadIdError(SurfaceError):
 _BAD_ID_CHAR = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
-class Interval(namedtuple("Interval", "id side index endpoints", defaults=(None,))):
-    """One open boundary interval of a strip, ordered left-to-right by ``index``
-    (a field that shadows ``tuple.index``).
+class Interval(namedtuple("Interval", "id endpoints", defaults=(None,))):
+    """One open boundary interval of a strip.  Its side and its place k in
+    left-to-right order are where it sits in its strip's side tuples.
 
     ``endpoints`` are optional extended reals (``-inf``/``+inf`` allowed); when
-    absent, the interval with index k occupies ``(2k, 2k+1)``.
+    absent, the interval at place k occupies ``(2k, 2k+1)``.
     """
 
     __slots__ = ()
-
-    def effective_endpoints(self) -> tuple[float, float]:
-        if self.endpoints is not None:
-            return self.endpoints
-        return (2.0 * self.index, 2.0 * self.index + 1.0)
 
 
 class ModelStripSpec(namedtuple("ModelStripSpec", "id lower upper", defaults=((), ()))):
@@ -146,17 +137,17 @@ def strip(
 ) -> ModelStripSpec:
     """Build a strip spec from interval ids (optionally with endpoints)."""
 
-    def make(side: Side, items) -> tuple[Interval, ...]:
+    def make(items) -> tuple[Interval, ...]:
         out = []
-        for k, item in enumerate(items):
+        for item in items:
             if isinstance(item, str):
-                out.append(Interval(item, side, k))
+                out.append(Interval(item))
             else:
                 iid, ends = item
-                out.append(Interval(iid, side, k, (float(ends[0]), float(ends[1]))))
+                out.append(Interval(iid, (float(ends[0]), float(ends[1]))))
         return tuple(out)
 
-    return ModelStripSpec(strip_id, make(Side.LOWER, lower), make(Side.UPPER, upper))
+    return ModelStripSpec(strip_id, make(lower), make(upper))
 
 
 def glue(
@@ -253,6 +244,12 @@ class StripedSurface:
         strip_id, side, index = self._interval_loc[interval_id]
         return self._strip_by_id[strip_id].side_intervals(side)[index]
 
+    def endpoints(self, interval_id: str) -> tuple[float, float]:
+        """An interval's endpoints, or ``(2k, 2k+1)`` for the default one at place k."""
+        strip_id, side, k = self._interval_loc[interval_id]
+        ends = self._strip_by_id[strip_id].side_intervals(side)[k].endpoints
+        return (2.0 * k, 2.0 * k + 1.0) if ends is None else ends
+
     def side_end_of(self, interval_id: str) -> SideEnd:
         strip_id, side, _ = self._interval_loc[interval_id]
         return (strip_id, side)
@@ -296,7 +293,7 @@ def build_surface(
 
     Raises a :class:`SurfaceError` subclass naming the violated rule:
     DuplicateId, UnknownIntervalRef, DoubleGluing, SelfGluing, SameSideGluing,
-    BadEndpoints, BadIndex or BadId.
+    BadEndpoints or BadId.
     """
     strips = tuple(strips)
     gluings = tuple(gluings)
@@ -315,16 +312,11 @@ def build_surface(
         add(sid)
         strip_by_id[sid] = s
         for side, ivs in ((lower_side, lower), (upper_side, upper)):
-            # a side's index and endpoint faults come before its repeated ids
+            # a side's endpoint faults come before its repeated ids
             dup = None
             explicit = 0
             k = 0
-            for iid, iv_side, index, ends in ivs:
-                if iv_side is not side or index != k:
-                    raise BadIndexError(
-                        f"interval {iid!r} on ({sid}, {side.value}) must carry "
-                        f"side={side.value}, index={k}"
-                    )
+            for iid, ends in ivs:
                 if iid in seen_ids and dup is None:
                     dup = iid
                 add(iid)

@@ -63,7 +63,7 @@ class NotAChainError(ValueError):
 class Component(
     namedtuple(
         "Component",
-        "shape strips interfaces mode outer_lower outer_upper outer_lower_points outer_upper_points"
+        "shape strips interfaces outer_lower outer_upper outer_lower_points outer_upper_points"
         " retained_lower retained_upper monodromy",
         defaults=(None, None, (), (), None, None, None),
     )
@@ -175,7 +175,7 @@ def decompose(
     comps: list[Component] = []
     for shape, strips, seams, lower_end, upper_end, sign in _merge_walk(surface, _merge_seams(surface)):
         if shape is Shape.CYCLE:
-            comps.append(tuple.__new__(Component, (shape, strips, seams, mode, None, None, (), (), None, None, sign)))
+            comps.append(tuple.__new__(Component, (shape, strips, seams, None, None, (), (), None, None, sign)))
             continue
         # No merge seam lies on an exposed side-end, so each point there is
         # special or a boundary leaf: all are cut, except that interior mode
@@ -188,7 +188,7 @@ def decompose(
             else:
                 outer.append(((), pts[0].id))
         (low_pts, low_ret), (up_pts, up_ret) = outer
-        record = (shape, strips, seams, mode, lower_end, upper_end, low_pts, up_pts, low_ret, up_ret, None)
+        record = (shape, strips, seams, lower_end, upper_end, low_pts, up_pts, low_ret, up_ret, None)
         comps.append(tuple.__new__(Component, record))
     return comps, cut
 
@@ -258,12 +258,12 @@ def _toggle_incident(
     return tuple(out)
 
 
-def _reverse_side(intervals: tuple[Interval, ...], side: Side) -> tuple[Interval, ...]:
-    """The intervals of an h-flipped side, put on ``side``: reversed, endpoints mirrored."""
+def _reverse_side(intervals: tuple[Interval, ...]) -> tuple[Interval, ...]:
+    """The intervals of an h-flipped side: reversed, endpoints mirrored."""
     out = []
-    for k, iv in enumerate(reversed(intervals)):
+    for iv in reversed(intervals):
         ends = None if iv.endpoints is None else (-iv.endpoints[1], -iv.endpoints[0])
-        out.append(Interval(iv.id, side, k, ends))
+        out.append(Interval(iv.id, ends))
     return tuple(out)
 
 
@@ -304,18 +304,16 @@ def canonicalize(surface: StripedSurface) -> StripedSurface:
             h[nxt] = h[prev] ^ (surface.gluing(gid).orientation is Orientation.REVERSING)
         h_flipped.update([sid for sid, flipped in h.items() if flipped])
 
-        def contributed(end: SideEnd, new_side: Side) -> tuple[Interval, ...]:
+        def contributed(end: SideEnd) -> tuple[Interval, ...]:
             sid, side = end
             ivs = surface.strip(sid).side_intervals(side)
-            if h[sid]:
-                return _reverse_side(ivs, new_side)
-            return tuple([Interval(iv.id, new_side, k, iv.endpoints) for k, iv in enumerate(ivs)])
+            return _reverse_side(ivs) if h[sid] else ivs
 
         merged_id = "+".join(ids)
         while merged_id in taken:
             merged_id += "+"
         taken.add(merged_id)
-        lower, upper = contributed(lower_end, Side.LOWER), contributed(upper_end, Side.UPPER)
+        lower, upper = contributed(lower_end), contributed(upper_end)
         merged.append((order[ids[0]], ModelStripSpec(merged_id, lower, upper)))
 
     new_strips = [s for _, s in sorted(merged, key=lambda t: t[0])]
@@ -431,11 +429,11 @@ def _least_rows(table, roots: list[tuple[str, int, int]]) -> tuple[list[list[int
     return best[0], walks
 
 
-def _least_roots(sides, piece) -> tuple[tuple[int, int], list[tuple[str, int, int]]]:
-    """The least (side, other side) lengths in a piece, and every root whose walk opens with them."""
+def _least_roots(sides, piece) -> list[tuple[str, int, int]]:
+    """Every root of a piece whose walk opens with the least (side, other side) lengths."""
     lengths = {(sid, v): (len(sides[sid][v]), len(sides[sid][1 - v])) for sid in piece for v in (0, 1)}
     least = min(lengths.values())
-    return least, [(sid, h, v) for (sid, v), n in lengths.items() if n == least for h in (0, 1)]
+    return [(sid, h, v) for (sid, v), n in lengths.items() if n == least for h in (0, 1)]
 
 
 def canonical_code(surface: StripedSurface) -> bytes:
@@ -452,7 +450,7 @@ def canonical_code(surface: StripedSurface) -> bytes:
     table = _slot_table(surface)
     codes = []
     for piece in surface._partition:
-        rows = _least_rows(table, _least_roots(table[0], piece)[1])[0]
+        rows = _least_rows(table, _least_roots(table[0], piece))[0]
         codes.append("|".join([str(row)[1:-1] for row in rows]).replace(" ", "").encode("ascii"))
     return b"/".join(sorted(codes))
 
@@ -480,8 +478,8 @@ def is_isomorphic(a: StripedSurface, b: StripedSurface) -> bool:
     if len(a.strips) != len(b.strips) or not a.strips or _invariants(a) != _invariants(b):
         return not a.strips and not b.strips  # the empty surface is its own class
     table_a, table_b = _slot_table(a), _slot_table(b)
-    roots = _least_roots(table_a[0], a.strip_ids())[1]
-    roots_b = _least_roots(table_b[0], b.strip_ids())[1]
+    roots = _least_roots(table_a[0], a.strip_ids())
+    roots_b = _least_roots(table_b[0], b.strip_ids())
     best, walks = _least_rows(table_a, roots)
     for root in roots_b[:walks]:
         walk = _rooted_rows(table_b, *root, best)

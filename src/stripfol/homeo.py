@@ -488,7 +488,7 @@ def realize_half_strip(
     leaf_spans: list[tuple[float, float]] = []
     for p in closure.base_points:
         member = next(m for m in p.members if surface.side_end_of(m) == end)
-        lo, hi = surface.interval(member).effective_endpoints()
+        lo, hi = surface.endpoints(member)
         if not math.isfinite(lo):
             lo = hi - 1.0 if math.isfinite(hi) else 0.0
         if not math.isfinite(hi):

@@ -85,7 +85,6 @@ def parse(text: str) -> StripedSurface:
             raise ParseError(f"'{key}' must be a list", path=key)
 
     new = tuple.__new__
-    sides = (("lower", Side.LOWER), ("upper", Side.UPPER))
     strips = []
     for i, srec in enumerate(doc.get("strips", [])):
         if type(srec) is not dict or "id" not in srec:
@@ -94,7 +93,7 @@ def parse(text: str) -> StripedSurface:
         if type(sid) is not str:
             raise _not_a_string(sid, f"strips[{i}].id")
         spec = [sid]
-        for side_name, side in sides:
+        for side_name in ("lower", "upper"):
             recs = srec.get(side_name, [])
             if type(recs) is not list:
                 raise ParseError(f"'{side_name}' must be a list", path=f"strips[{i}]")
@@ -114,7 +113,7 @@ def parse(text: str) -> StripedSurface:
                     raise _not_a_string(rec["id"], f"strips[{i}].{side_name}[{len(ivs)}].id")
                 else:
                     raise ParseError("interval record needs an 'id'", path=f"strips[{i}].{side_name}[{len(ivs)}]")
-                ivs.append(new(Interval, (iid, side, len(ivs), ends)))
+                ivs.append(new(Interval, (iid, ends)))
             spec.append(tuple(ivs))
         strips.append(new(ModelStripSpec, spec))
 
@@ -316,7 +315,7 @@ def render_svg(surface: StripedSurface) -> str:
         body.append(f'<rect x="{text[x_lo]}" y="{text[y0]}{rect}')
         body.append(f'{label}{y0 + 16:.2f}" font-size="12">{_xml_text(spec.id)}</text>')
 
-    # interval geometry (its endpoints, or the index of default ones) ->
+    # interval geometry (its endpoints, or the place k of default ones) ->
     # its page x texts, midpoint and the x texts of its arrows, if unbounded
     segments: dict = {}
     seg_pos: dict[str, tuple[float, float]] = {}
@@ -324,11 +323,11 @@ def render_svg(surface: StripedSurface) -> str:
         y0 = _MARGIN + i * (_BAND_H + _BAND_GAP)
         for ivs, yy in ((spec.upper, y0), (spec.lower, y0 + _BAND_H)):
             y = text[yy]
-            for iv in ivs:
-                key = iv.endpoints or iv.index
+            for k, iv in enumerate(ivs):
+                key = iv.endpoints or k
                 seg = segments.get(key)
                 if seg is None:
-                    x0, x1 = iv.endpoints or (2.0 * iv.index, 2.0 * iv.index + 1.0)
+                    x0, x1 = iv.endpoints or (2.0 * k, 2.0 * k + 1.0)
                     gx0 = _MARGIN + (min(max(x0, lo), hi) - lo) * _X_SCALE
                     gx1 = _MARGIN + (min(max(x1, lo), hi) - lo) * _X_SCALE
                     seg = segments[key] = (

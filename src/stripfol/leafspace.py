@@ -95,19 +95,8 @@ def build_leaf_space(surface: StripedSurface) -> LeafSpace:
     )
 
 
-def closure_ids(ls: LeafSpace, point: LeafPoint | str) -> set[str]:
-    """Ids of the Hausdorff closure of `point`.
-
-    Combinatorially: the point itself plus every other point sharing one of
-    its incident side-ends.  The tests check it against a brute-force
-    finite-basis computation.
-    """
-    pid = point if isinstance(point, str) else point.id
-    return {pid}.union(*(ls.incidence[end] for end in ls.ends_of(pid)))
-
-
 def sorted_closures(ls: LeafSpace) -> dict[str, tuple[str, ...]]:
-    """Point id -> the sorted ids of its Hausdorff closure, as ``closure_ids``.
+    """Point id -> the sorted ids of its Hausdorff closure, as ``hausdorff_closure``.
 
     A point whose closure is the point set of one of its side-ends (a
     boundary leaf, or a glued point alone on its other side-end) shares that
@@ -127,15 +116,23 @@ def sorted_closures(ls: LeafSpace) -> dict[str, tuple[str, ...]]:
     return out
 
 
-def hausdorff_closure(ls: LeafSpace, point: LeafPoint | str) -> frozenset[LeafPoint]:
-    """All points no neighborhood of which is disjoint from some neighborhood of `point`."""
-    return frozenset(ls.point(i) for i in closure_ids(ls, point))
+def hausdorff_closure(ls: LeafSpace, point: LeafPoint | str) -> tuple[LeafPoint, ...]:
+    """All points no neighborhood of which is disjoint from some neighborhood
+    of `point`, in sorted-id order.
+
+    Combinatorially: the point itself plus every other point sharing one of
+    its incident side-ends.  The tests check it against a brute-force
+    finite-basis computation.
+    """
+    pid = point if isinstance(point, str) else point.id
+    ids = {pid}.union(*(ls.incidence[end] for end in ls.ends_of(pid)))
+    return tuple([ls.point(i) for i in sorted(ids)])
 
 
 def is_special(ls: LeafSpace, point: LeafPoint | str) -> bool:
     return (ls.point(point) if isinstance(point, str) else point).special
 
 
-def special_points(ls: LeafSpace) -> frozenset[LeafPoint]:
-    """Points whose Hausdorff closure is not a singleton."""
-    return frozenset(p for p in ls.points if p.special)
+def special_points(ls: LeafSpace) -> tuple[LeafPoint, ...]:
+    """Points whose Hausdorff closure is not a singleton, in point order."""
+    return tuple([p for p in ls.points if p.special])

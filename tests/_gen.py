@@ -248,7 +248,7 @@ def h_flip(surface: StripedSurface, strip_id: str) -> StripedSurface:
     strips = []
     for s in surface.strips:
         if s.id == strip_id:
-            s = ModelStripSpec(s.id, _reverse_side(s.lower, Side.LOWER), _reverse_side(s.upper, Side.UPPER))
+            s = ModelStripSpec(s.id, _reverse_side(s.lower), _reverse_side(s.upper))
         strips.append(s)
     return build_surface(strips, _toggle_incident(surface.gluings, surface, {strip_id}))
 
@@ -258,9 +258,7 @@ def v_flip(surface: StripedSurface, strip_id: str) -> StripedSurface:
     strips = []
     for s in surface.strips:
         if s.id == strip_id:
-            lower = tuple([iv._replace(side=Side.LOWER) for iv in s.upper])
-            upper = tuple([iv._replace(side=Side.UPPER) for iv in s.lower])
-            s = ModelStripSpec(s.id, lower, upper)
+            s = ModelStripSpec(s.id, s.upper, s.lower)
         strips.append(s)
     return build_surface(strips, surface.gluings)
 

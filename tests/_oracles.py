@@ -20,7 +20,6 @@ from stripfol.core import (
     _BAD_ID_CHAR,
     BadEndpointsError,
     BadIdError,
-    BadIndexError,
     DoubleGluingError,
     DuplicateIdError,
     GluingSpec,
@@ -44,7 +43,7 @@ from stripfol.decomposition import (
     decompose,
 )
 from stripfol.io import _BAND_GAP, _BAND_H, _MARGIN, _X_CLAMP, _X_SCALE, ParseError, _dot_quoted, _xml_text
-from stripfol.leafspace import LeafSpace, PointKind, build_leaf_space, closure_ids, hausdorff_closure, is_special
+from stripfol.leafspace import LeafSpace, PointKind, build_leaf_space, hausdorff_closure, is_special
 
 from _gen import components
 
@@ -526,7 +525,7 @@ def leafspace_reference(ls: LeafSpace) -> dict:
                 "members": list(p.members),
                 "kind": p.kind.value,
                 "special": p.special,
-                "hausdorff_closure": sorted(closure_ids(ls, p)),
+                "hausdorff_closure": sorted(q.id for q in hausdorff_closure(ls, p)),
             }
             for p in ls.points
         ],
@@ -666,7 +665,6 @@ def _trace_component(ls, start, edges, cut_ids, mode, seen, order) -> Component:
             shape=Shape.CHAIN,
             strips=tuple(strips),
             interfaces=tuple(interfaces),
-            mode=mode,
             outer_lower=outer_lower,
             outer_upper=outer_upper,
             outer_lower_points=low_pts,
@@ -694,7 +692,6 @@ def _trace_component(ls, start, edges, cut_ids, mode, seen, order) -> Component:
         shape=Shape.CYCLE,
         strips=tuple(strips),
         interfaces=tuple(interfaces),
-        mode=mode,
         monodromy=sign,
     )
 
@@ -727,7 +724,7 @@ def render_dot_reference(ls: LeafSpace | StripedSurface) -> str:
     for p in ls.points:
         if not p.special:  # its closure is the point alone
             continue
-        for qid in sorted(closure_ids(ls, p)):
+        for qid in sorted(q.id for q in hausdorff_closure(ls, p)):
             if qid == p.id:
                 continue
             key = (p.id, qid) if p.id < qid else (qid, p.id)
@@ -742,7 +739,7 @@ def render_dot_reference(ls: LeafSpace | StripedSurface) -> str:
 def _draw_range(surface: StripedSurface) -> tuple[float, float]:
     lo, hi = 0.0, 1.0
     for iv in surface.intervals():
-        x0, x1 = iv.effective_endpoints()
+        x0, x1 = surface.endpoints(iv.id)
         if math.isfinite(x0):
             lo = min(lo, x0)
         if math.isfinite(x1):
@@ -783,7 +780,7 @@ def render_svg_reference(surface: StripedSurface) -> str:
         y0 = _MARGIN + i * (_BAND_H + _BAND_GAP)
         for ivs, yy in ((spec.upper, y0), (spec.lower, y0 + _BAND_H)):
             for iv in ivs:
-                x0, x1 = iv.effective_endpoints()
+                x0, x1 = surface.endpoints(iv.id)
                 gx0 = _MARGIN + (min(max(x0, lo), hi) - lo) * _X_SCALE
                 gx1 = _MARGIN + (min(max(x1, lo), hi) - lo) * _X_SCALE
                 body.append(
@@ -867,14 +864,14 @@ def parse_reference(text: str) -> StripedSurface:
         if type(sid) is not str:
             raise _not_a_string(sid, f"strips[{i}].id")
         sides = []
-        for side_name, side in (("lower", Side.LOWER), ("upper", Side.UPPER)):
+        for side_name in ("lower", "upper"):
             recs = srec.get(side_name, [])
             if type(recs) is not list:
                 raise ParseError(f"'{side_name}' must be a list", path=f"strips[{i}]")
             ivs = []
             for k, rec in enumerate(recs):
                 if type(rec) is str:
-                    ivs.append(Interval(rec, side, k, None))
+                    ivs.append(Interval(rec, None))
                     continue
                 if type(rec) is not dict or "id" not in rec:
                     raise ParseError("interval record needs an 'id'", path=f"strips[{i}].{side_name}[{k}]")
@@ -886,7 +883,7 @@ def parse_reference(text: str) -> StripedSurface:
                     if type(ends) is not list or len(ends) != 2:
                         raise ParseError("endpoints must be a [x0, x1] pair", path=f"strips[{i}].{side_name}[{k}]")
                     ends = (_num_reference(ends[0], i, side_name, k, 0), _num_reference(ends[1], i, side_name, k, 1))
-                ivs.append(Interval(iid, side, k, ends))
+                ivs.append(Interval(iid, ends))
             sides.append(tuple(ivs))
         strips.append(ModelStripSpec(sid, *sides))
 
@@ -947,15 +944,10 @@ def build_surface_reference(strips, gluings=()) -> StripedSurface:
         seen_ids.add(sid)
         strip_by_id[sid] = s
         for side, ivs in ((Side.LOWER, s.lower), (Side.UPPER, s.upper)):
-            # a side's index and endpoint faults come before its repeated ids
+            # a side's endpoint faults come before its repeated ids
             dup = None
             explicit = 0
-            for k, (iid, iv_side, index, ends) in enumerate(ivs):
-                if iv_side is not side or index != k:
-                    raise BadIndexError(
-                        f"interval {iid!r} on ({sid}, {side.value}) must carry "
-                        f"side={side.value}, index={k}"
-                    )
+            for k, (iid, ends) in enumerate(ivs):
                 if iid in seen_ids and dup is None:
                     dup = iid
                 seen_ids.add(iid)

@@ -103,6 +103,24 @@ def horseshoe() -> StripedSurface:
     )
 
 
+def mirrored_chain() -> StripedSurface:
+    """A two-strip chain across a reversing seam whose far strip R carries
+    explicit endpoints on its exposed upper side, one end infinite and one
+    -0.0.  Canonicalization flips R, so it reverses and mirrors them; the
+    leaf z joining R to the near strip P toggles to reversing."""
+    inf = float("inf")
+    return build_surface(
+        [
+            strip("P", lower=["P.l0", "P.l1"], upper=["P.m"]),
+            strip("R", lower=["R.m"], upper=[("R.u0", (-inf, -0.0)), ("R.u1", (0.5, 2.0))]),
+        ],
+        [
+            glue("m", "P.m", "R.m", Orientation.REVERSING),
+            glue("z", "P.l0", "R.u1"),
+        ],
+    )
+
+
 def hostile_ids() -> StripedSurface:
     """A connected surface whose ids hold JSON escapes, non-ASCII characters
     and U+2028, and whose endpoints are infinite, signed zero, subnormal,

@@ -27,7 +27,7 @@ def test_kaplan5_builds():
     k = kaplan5()
     assert k.strip_ids() == ("A", "B", "C", "D", "E")
     assert len(k.gluings) == 4
-    assert k.side_end_of("B.u1") == ("B", Side.UPPER) and k.interval("B.u1").index == 1
+    assert k.side_end_of("B.u1") == ("B", Side.UPPER) and k.strip("B").upper.index(k.interval("B.u1")) == 1
 
 
 def test_empty_strip_is_valid():
@@ -90,10 +90,10 @@ def test_bad_endpoints_rejected():
 
 def test_full_line_interval_and_defaults():
     c = cylinder()
-    assert c.interval("A.l").effective_endpoints() == (-math.inf, math.inf)
+    assert c.endpoints("A.l") == (-math.inf, math.inf)
     k = kaplan5()
-    assert k.interval("B.u0").effective_endpoints() == (0.0, 1.0)
-    assert k.interval("B.u1").effective_endpoints() == (2.0, 3.0)
+    assert k.endpoints("B.u0") == (0.0, 1.0)
+    assert k.endpoints("B.u1") == (2.0, 3.0)
 
 
 def test_validate_class_f_kaplan5():

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -30,6 +31,7 @@ from fixtures import (
     horseshoe,
     kaplan5,
     kaplan5_mirror,
+    mirrored_chain,
     moebius,
     open_strip,
     two_strip_chain,
@@ -396,7 +398,7 @@ def test_decompose_cli_builds_one_leaf_space_for_a_cycle(make, tmp_path, monkeyp
 def _whole_cycle(surface, sign=1):
     """A cycle component through every strip of ``surface``, built by hand."""
     strips = tuple([(sid, False) for sid in surface.strip_ids()])
-    return Component(Shape.CYCLE, strips, (), Mode.WITH_BOUNDARY, monodromy=sign)
+    return Component(Shape.CYCLE, strips, (), monodromy=sign)
 
 
 def test_cycle_check_violations_match_the_leaf_space_version():
@@ -490,6 +492,58 @@ def test_canonicalize_idempotent_and_leafspace_invariant():
         assert leafspace_invariants(build_leaf_space(s)) == leafspace_invariants(
             build_leaf_space(c1)
         )
+
+
+# serialize(canonicalize(mirrored_chain())), recorded when each interval
+# still stored its side and index
+_MIRRORED_CHAIN_CANON = """{
+  "strips": [
+    {
+      "id": "P+R",
+      "lower": [
+        {
+          "id": "P.l0"
+        },
+        {
+          "id": "P.l1"
+        }
+      ],
+      "upper": [
+        {
+          "id": "R.u1",
+          "endpoints": [
+            -2,
+            -0.5
+          ]
+        },
+        {
+          "id": "R.u0",
+          "endpoints": [
+            0,
+            "+inf"
+          ]
+        }
+      ]
+    }
+  ],
+  "gluings": [
+    {
+      "id": "z",
+      "a": "P.l0",
+      "b": "R.u1",
+      "orientation": "reversing"
+    }
+  ]
+}
+"""
+
+
+def test_canonicalize_mirrors_the_explicit_endpoints_of_a_flipped_strip():
+    merged = canonicalize(mirrored_chain())
+    assert serialize(merged) == _MIRRORED_CHAIN_CANON
+    # the text prints -0.0 and 0.0 alike: the mirrored -0.0 is +0.0
+    assert merged.strips[0].upper[1].endpoints == (0.0, math.inf)
+    assert math.copysign(1.0, merged.strips[0].upper[1].endpoints[0]) == 1.0
 
 
 def test_canonicalize_reversing_seam_keeps_class():
@@ -1047,7 +1101,7 @@ def test_is_isomorphic_runs_one_canonical_search(monkeypatch):
     # 8,000 roots; no root is walked twice
     flipped = canonicalize(_flip_one_seam(random.Random(51), ring))
     table = dec._slot_table(flipped)
-    roots = dec._least_roots(table[0], flipped.strip_ids())[1]
+    roots = dec._least_roots(table[0], flipped.strip_ids())
     rest = dec._least_rows(table, roots[search:])[1]
     walks.clear()
     assert not is_isomorphic(ring, flipped)

@@ -24,7 +24,6 @@ from stripfol.core import (
     GluingSpec,
     Interval,
     ModelStripSpec,
-    Side,
     build_surface,
     is_connected,
     validate_class_f,
@@ -67,7 +66,7 @@ def _surfaces(draw):
                 xs = sorted(draw(st.lists(_ends, min_size=2 * len(ivs), max_size=2 * len(ivs), unique=True)))
             sides.append(
                 tuple(
-                    Interval(new[iv.id], iv.side, k, None if xs is None else (xs[2 * k], xs[2 * k + 1]))
+                    Interval(new[iv.id], None if xs is None else (xs[2 * k], xs[2 * k + 1]))
                     for k, iv in enumerate(ivs)
                 )
             )
@@ -157,7 +156,7 @@ def test_integral_endpoints_are_ints_below_1e16_only():
     # float.__repr__ writes every digit below 1e16 and an exponent from
     # there on, where an int would spell out up to 309 digits
     ends = [(-1e300, -1e16), (-9999999999999998.0, 1e15), (2.0**53 + 1.0, 1e16), (1.5e16, 1e300)]
-    lower = tuple(Interval(f"i{k}", Side.LOWER, k, e) for k, e in enumerate(ends))
+    lower = tuple(Interval(f"i{k}", e) for k, e in enumerate(ends))
     s = build_surface([ModelStripSpec("A", lower)])
     text = serialize(s)
     tokens = [line.strip().rstrip(",") for line in text.splitlines() if line.strip()[:1] in "-0123456789"]

@@ -288,7 +288,8 @@ def _curve_family(rng: random.Random):
     return staged, ys
 
 
-def _outcome(f, *args):
+def _intersect_outcome(f, *args):
+    """The value of ``f(*args)``, or GraphsIntersectError if it raises that."""
     try:
         return f(*args)
     except GraphsIntersectError:
@@ -300,15 +301,16 @@ def test_straightening_equals_closure_staging(seed):
     rng = random.Random(f"straighten:{seed}")
     staged, ys = _curve_family(rng)
     samples = rng.choice((4, 16, 64))
-    new, ref = _outcome(rectify_stages, staged, 0.0, samples), _outcome(staged_rectify, staged, 0.0, samples)
+    new = _intersect_outcome(rectify_stages, staged, 0.0, samples)
+    ref = _intersect_outcome(staged_rectify, staged, 0.0, samples)
     if ref is GraphsIntersectError or new is GraphsIntersectError:
         assert new is ref is GraphsIntersectError
         return
     for y in ys + [-0.25]:
         xs = [f(y) for f, _ in rng.sample(staged, min(3, len(staged)))] + [rng.uniform(-6.0, 12.0)]
         for x in xs:
-            assert _outcome(new.apply, x, y) == _outcome(ref.apply, x, y)
-            assert _outcome(new.invert, x, y) == _outcome(ref.invert, x, y)
+            assert _intersect_outcome(new.apply, x, y) == _intersect_outcome(ref.apply, x, y)
+            assert _intersect_outcome(new.invert, x, y) == _intersect_outcome(ref.invert, x, y)
 
 
 # ---------------------------------------------------------------------------

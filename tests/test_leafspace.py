@@ -1,7 +1,13 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import stripfol
 from stripfol.core import Side, build_surface, glue, strip
 from stripfol.decomposition import Mode, Shape, StripClass, classify_component, decompose
+from stripfol.io import serialize
 from stripfol.leafspace import (
     PointKind,
     build_leaf_space,
@@ -60,13 +66,47 @@ def test_kaplan5_special_points():
     assert all(p.kind is PointKind.SPECIAL for p in ls.points)
 
 
+def test_special_points_and_closures_come_in_a_fixed_order():
+    # special points in the leaf space's point order, each closure in id
+    # order: tuples, not frozensets, which iterate in an order that follows
+    # the addresses of the PointKind members the points hash
+    rng = random.Random(41)
+    corpus = [kaplan5(), cylinder(), open_strip()]
+    corpus += [random_surface(rng, max_strips=6, max_intervals=3) for _ in range(100)]
+    for s in corpus:
+        ls = build_leaf_space(s)
+        assert special_points(ls) == tuple(p for p in ls.points if p.special)
+        for p in ls.points:
+            closure = hausdorff_closure(ls, p)
+            assert type(closure) is tuple
+            assert [q.id for q in closure] == sorted(q.id for q in closure)
+    # the same order in every process, the hash seed fixed
+    code = (
+        "import sys\n"
+        "from stripfol.io import parse\n"
+        "from stripfol.leafspace import build_leaf_space, hausdorff_closure, special_points\n"
+        "ls = build_leaf_space(parse(sys.argv[1]))\n"
+        "print([p.id for p in special_points(ls)], [[q.id for q in hausdorff_closure(ls, p)] for p in ls.points])\n"
+    )
+    env = {**os.environ, "PYTHONHASHSEED": "0", "PYTHONPATH": str(Path(stripfol.__file__).parents[1])}
+    doc = serialize(kaplan5())
+    outs = {
+        subprocess.run([sys.executable, "-c", code, doc], env=env, capture_output=True, text=True, check=True).stdout
+        for _ in range(4)
+    }
+    assert outs == {
+        "['alpha', 'beta', 'gamma', 'delta'] "
+        "[['alpha', 'beta'], ['alpha', 'beta', 'gamma'], ['beta', 'delta', 'gamma'], ['delta', 'gamma']]\n"
+    }
+
+
 def test_single_unglued_interval_point():
     s = build_surface([strip("A", upper=["A.u0"])], [])
     ls = build_leaf_space(s)
     (p,) = ls.points
     assert p.kind is PointKind.BOUNDARY_LEAF
-    assert hausdorff_closure(ls, p) == frozenset({p})
-    assert special_points(ls) == frozenset()
+    assert hausdorff_closure(ls, p) == (p,)
+    assert special_points(ls) == ()
 
 
 def test_cylinder_leaf_space_is_circle():
@@ -74,7 +114,7 @@ def test_cylinder_leaf_space_is_circle():
     (p,) = ls.points
     assert p.kind is PointKind.NON_SPECIAL_GLUED
     assert ls.ends_of(p) == (("A", Side.LOWER), ("A", Side.UPPER))
-    assert special_points(ls) == frozenset()
+    assert special_points(ls) == ()
     [comp] = arc_components(cylinder())
     assert comp.shape is Shape.CYCLE
     assert comp.strip_ids() == ("A",)

@@ -11,8 +11,8 @@ import random
 
 import pytest
 
-from stripfol.core import Interval, Side, build_surface, glue, strip
-from stripfol.decomposition import CycleCheckReport, component_closures, decompose
+from stripfol.core import Interval, build_surface, glue, strip
+from stripfol.decomposition import Component, CycleCheckReport, component_closures, decompose
 from stripfol.homeo import (
     BadIntervalError,
     HalfStripChart,
@@ -32,8 +32,8 @@ from _gen import random_moves, random_surface
 
 def _records():
     """(record, tuple of its fields, repr at the frozen-dataclass commit)."""
-    iv = Interval("a", Side.LOWER, 0)
-    iv2 = Interval("b", Side.UPPER, 1, (float("-inf"), 1.5))
+    iv = Interval("a")
+    iv2 = Interval("b", (float("-inf"), 1.5))
     spec = strip("A", ["a"], [("b", (0, 1))])
     g = glue("g", "a", "b", "reversing")
     alpha = build_leaf_space(kaplan5()).point("alpha")
@@ -43,31 +43,29 @@ def _records():
     z = "LeafPoint(id='z', members=('P.l0', 'R.u0'), kind=<PointKind.SPECIAL: 'special'>, special=True)"
     pl1 = "LeafPoint(id='P.l1', members=('P.l1',), kind=<PointKind.BOUNDARY_LEAF: 'boundary-leaf'>, special=True)"
     return [
-        (iv, (iv.id, iv.side, iv.index, iv.endpoints),
-         "Interval(id='a', side=<Side.LOWER: 'lower'>, index=0, endpoints=None)"),
-        (iv2, (iv2.id, iv2.side, iv2.index, iv2.endpoints),
-         "Interval(id='b', side=<Side.UPPER: 'upper'>, index=1, endpoints=(-inf, 1.5))"),
+        (iv, (iv.id, iv.endpoints), "Interval(id='a', endpoints=None)"),
+        (iv2, (iv2.id, iv2.endpoints), "Interval(id='b', endpoints=(-inf, 1.5))"),
         (spec, (spec.id, spec.lower, spec.upper),
-         "ModelStripSpec(id='A', lower=(Interval(id='a', side=<Side.LOWER: 'lower'>, index=0, endpoints=None),), "
-         "upper=(Interval(id='b', side=<Side.UPPER: 'upper'>, index=0, endpoints=(0.0, 1.0)),))"),
+         "ModelStripSpec(id='A', lower=(Interval(id='a', endpoints=None),), "
+         "upper=(Interval(id='b', endpoints=(0.0, 1.0)),))"),
         (g, (g.id, g.first, g.second, g.orientation),
          "GluingSpec(id='g', first='a', second='b', orientation=<Orientation.REVERSING: 'reversing'>)"),
         (alpha, (alpha.id, alpha.members, alpha.kind, alpha.special),
          "LeafPoint(id='alpha', members=('A.u0', 'B.u0'), kind=<PointKind.SPECIAL: 'special'>, special=True)"),
         (chain,
-         (chain.shape, chain.strips, chain.interfaces, chain.mode, chain.outer_lower, chain.outer_upper,
+         (chain.shape, chain.strips, chain.interfaces, chain.outer_lower, chain.outer_upper,
           chain.outer_lower_points, chain.outer_upper_points, chain.retained_lower, chain.retained_upper,
           chain.monodromy),
          "Component(shape=<Shape.CHAIN: 'chain'>, strips=(('P', False), ('R', False)), interfaces=('m',), "
-         "mode=<Mode.WITH_BOUNDARY: 'with-boundary'>, outer_lower=('P', <Side.LOWER: 'lower'>), "
+         "outer_lower=('P', <Side.LOWER: 'lower'>), "
          f"outer_upper=('R', <Side.UPPER: 'upper'>), outer_lower_points=({z}, {pl1}), "
          f"outer_upper_points=({z},), retained_lower=None, retained_upper=None, monodromy=None)"),
         (cycle,
-         (cycle.shape, cycle.strips, cycle.interfaces, cycle.mode, cycle.outer_lower, cycle.outer_upper,
+         (cycle.shape, cycle.strips, cycle.interfaces, cycle.outer_lower, cycle.outer_upper,
           cycle.outer_lower_points, cycle.outer_upper_points, cycle.retained_lower, cycle.retained_upper,
           cycle.monodromy),
          "Component(shape=<Shape.CYCLE: 'cycle'>, strips=(('A', False),), interfaces=('seam',), "
-         "mode=<Mode.WITH_BOUNDARY: 'with-boundary'>, outer_lower=None, outer_upper=None, "
+         "outer_lower=None, outer_upper=None, "
          "outer_lower_points=(), outer_upper_points=(), retained_lower=None, retained_upper=None, monodromy=-1)"),
         (lower, (lower.base_points, lower.side_parity),
          f"ClosureStrip(base_points=({z}, {pl1}), side_parity=<Side.LOWER: 'lower'>)"),
@@ -118,10 +116,9 @@ def test_structures_print_and_hash_as_before():
     # the reprs the frozen-dataclass versions printed
     s = _surface()
     assert repr(s) == (
-        "StripedSurface(strips=(ModelStripSpec(id='A', lower=(Interval(id='a', side=<Side.LOWER: 'lower'>, "
-        "index=0, endpoints=None),), upper=(Interval(id='b', side=<Side.UPPER: 'upper'>, index=0, "
-        "endpoints=(0.0, 1.0)),)), ModelStripSpec(id='B', lower=(Interval(id='c', side=<Side.LOWER: 'lower'>, "
-        "index=0, endpoints=None),), upper=())), gluings=(GluingSpec(id='g', first='b', second='c', "
+        "StripedSurface(strips=(ModelStripSpec(id='A', lower=(Interval(id='a', endpoints=None),), "
+        "upper=(Interval(id='b', endpoints=(0.0, 1.0)),)), ModelStripSpec(id='B', "
+        "lower=(Interval(id='c', endpoints=None),), upper=())), gluings=(GluingSpec(id='g', first='b', second='c', "
         "orientation=<Orientation.REVERSING: 'reversing'>),))"
     )
     assert hash(s) == hash((s.strips, s.gluings))
@@ -147,6 +144,9 @@ def test_structures_take_keywords_and_defaults():
     assert t == Trapezoid(alpha=zero, beta=one, level_range=(0.0, 1.0), base=None)
     assert HalfStripChart(leaf_spans=((2.0, 3.0),), rectangles=((0.0, 1.0, -0.5),)) == _chart()
     assert RoofMap(target=t, source=t) == RoofMap(t, t)
+    assert Interval(endpoints=(0.0, 1.0), id="a") == Interval("a", (0.0, 1.0))
+    assert Interval._fields == ("id", "endpoints")
+    assert "mode" not in Component._fields
     assert RoofMap._fields == ("source", "target")
     assert HalfStripChart._fields == ("rectangles", "leaf_spans")
     assert LeafShrink(eps=0.5, a=-1.0, b=1.0) == LeafShrink(-1.0, 1.0, 0.5)

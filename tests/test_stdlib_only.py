@@ -147,7 +147,7 @@ def test_homeo_exports_resolve_to_homeo_objects():
 
 
 def test_record_instances_have_no_dict():
-    from stripfol.core import GluingSpec, Interval, ModelStripSpec, Orientation, Side
+    from stripfol.core import GluingSpec, Interval, ModelStripSpec, Orientation
     from stripfol.decomposition import CycleCheckReport, component_closures, decompose
     from stripfol.homeo import HalfStripChart, LeafShrink, PLFunction, RoofMap, Trapezoid, realize_half_strip, rectify_stages
     from stripfol.leafspace import build_leaf_space
@@ -158,7 +158,7 @@ def test_record_instances_have_no_dict():
     [chain], _ = decompose(horseshoe())
     zero, one = PLFunction.constant(0.0), PLFunction.constant(1.0)
     records = [
-        Interval("a", Side.LOWER, 0),
+        Interval("a"),
         ModelStripSpec("A"),
         GluingSpec("g", "a", "b", Orientation.PRESERVING),
         ls,
