@@ -101,11 +101,10 @@ def _cmd_validate(args) -> int:
 
 def _cmd_leafspace(args) -> int:
     surface = _load(args.file)
-    ls = build_leaf_space(surface)
     if args.format == "dot":
-        sys.stdout.write(render(ls, "dot"))
+        sys.stdout.write(render(surface, "dot"))
     else:
-        sys.stdout.write(leafspace_json(ls))
+        sys.stdout.write(leafspace_json(build_leaf_space(surface)))
     return EXIT_OK
 
 
@@ -117,7 +116,7 @@ def _cmd_decompose(args) -> int:
     surface = _load(args.file)
     if _refuse_disconnected(surface):
         return EXIT_INVALID
-    mode = Mode.INTERIOR if args.mode == "interior" else Mode.WITH_BOUNDARY
+    mode = Mode(args.mode)
     ls = build_leaf_space(surface)
     comps, cut = decompose(surface, mode, ls)
     order = _point_order(ls)

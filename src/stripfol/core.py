@@ -116,16 +116,6 @@ class GluingSpec(namedtuple("GluingSpec", "id first second orientation")):
 
     __slots__ = ()
 
-    def members(self) -> tuple[str, str]:
-        return (self.first, self.second)
-
-    def other(self, interval_id: str) -> str:
-        if interval_id == self.first:
-            return self.second
-        if interval_id == self.second:
-            return self.first
-        raise KeyError(f"interval {interval_id!r} not part of gluing {self.id!r}")
-
 
 SideEnd = tuple[str, Side]  # (strip id, side)
 
@@ -176,16 +166,14 @@ class StripedSurface:
     _strip_by_id: dict[str, ModelStripSpec]
     _interval_loc: dict[str, tuple[str, Side, int]]
     _gluing_by_interval: dict[str, GluingSpec]
-    _gluing_by_id: dict[str, GluingSpec]
 
-    def __init__(self, strips, gluings, strip_by_id, interval_loc, gluing_by_interval, gluing_by_id) -> None:
+    def __init__(self, strips, gluings, strip_by_id, interval_loc, gluing_by_interval) -> None:
         vars(self).update(
             strips=strips,
             gluings=gluings,
             _strip_by_id=strip_by_id,
             _interval_loc=interval_loc,
             _gluing_by_interval=gluing_by_interval,
-            _gluing_by_id=gluing_by_id,
         )
 
     def __setattr__(self, name: str, value) -> None:
@@ -240,10 +228,6 @@ class StripedSurface:
         # up in CPython's free lists until the next full collection
         return tuple([s.id for s in self.strips])
 
-    def interval(self, interval_id: str) -> Interval:
-        strip_id, side, index = self._interval_loc[interval_id]
-        return self._strip_by_id[strip_id].side_intervals(side)[index]
-
     def endpoints(self, interval_id: str) -> tuple[float, float]:
         """An interval's endpoints, or ``(2k, 2k+1)`` for the default one at place k."""
         strip_id, side, k = self._interval_loc[interval_id]
@@ -253,9 +237,6 @@ class StripedSurface:
     def side_end_of(self, interval_id: str) -> SideEnd:
         strip_id, side, _ = self._interval_loc[interval_id]
         return (strip_id, side)
-
-    def gluing(self, gluing_id: str) -> GluingSpec:
-        return self._gluing_by_id[gluing_id]
 
     def gluing_of(self, interval_id: str) -> GluingSpec | None:
         return self._gluing_by_interval.get(interval_id)
@@ -329,14 +310,12 @@ def build_surface(
             if dup is not None:
                 raise DuplicateIdError(f"interval id {dup!r} appears twice")
 
-    gluing_by_id: dict[str, GluingSpec] = {}
     gluing_by_interval: dict[str, GluingSpec] = {}
     for g in gluings:
         gid, first, second, _ = g
         if gid in seen_ids:
             raise DuplicateIdError(f"gluing id {gid!r} appears twice")
         add(gid)
-        gluing_by_id[gid] = g
         if first == second:
             raise SelfGluingError(f"gluing {gid!r} pairs interval {first!r} with itself")
         a, b = interval_loc.get(first), interval_loc.get(second)
@@ -355,11 +334,11 @@ def build_surface(
 
     # each such character is unprintable, and isprintable scans faster
     if not (ids := "".join(seen_ids)).isprintable() and _BAD_ID_CHAR.search(ids):
-        bad = next(i for i in (*strip_by_id, *interval_loc, *gluing_by_id) if _BAD_ID_CHAR.search(i))
+        bad = next(i for i in (*strip_by_id, *interval_loc, *[g.id for g in gluings]) if _BAD_ID_CHAR.search(i))
         char = ord(_BAD_ID_CHAR.search(bad).group())
         raise BadIdError(f"id {bad!r} holds U+{char:04X}, which SVG or UTF-8 output cannot carry")
 
-    return StripedSurface(strips, gluings, strip_by_id, interval_loc, gluing_by_interval, gluing_by_id)
+    return StripedSurface(strips, gluings, strip_by_id, interval_loc, gluing_by_interval)
 
 
 def validate_class_f(surface: StripedSurface) -> dict:
@@ -376,7 +355,9 @@ def validate_class_f(surface: StripedSurface) -> dict:
         "glued_leaves": [
             {
                 "id": g.id,
-                "collars": [{"strip": s, "side": side.value} for s, side in map(surface.side_end_of, g.members())],
+                "collars": [
+                    {"strip": s, "side": side.value} for s, side in map(surface.side_end_of, (g.first, g.second))
+                ],
                 "distinct": True,
             }
             for g in surface.gluings

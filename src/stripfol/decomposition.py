@@ -97,10 +97,10 @@ def _merge_seams(surface: StripedSurface) -> list[GluingSpec]:
     return [g for g in surface.gluings if g.first in alone and g.second in alone]
 
 
-def _merge_walk(surface: StripedSurface, seams: list[GluingSpec]) -> list[tuple]:
-    """Per component of the graph of ``seams``, in order of first strip: (shape,
-    strips, seam ids, lower end, upper end, monodromy) as in ``Component``.  A
-    chain runs from its end of smaller strip order; a cycle goes up first."""
+def _merge_walk(surface: StripedSurface, seams: list[GluingSpec]) -> list[Component]:
+    """The components of the graph of ``seams``, in order of first strip, their
+    cut-leaf fields at their defaults.  A chain runs from its end of smaller
+    strip order; a cycle goes up first."""
     loc = surface._interval_loc
     edges: dict[SideEnd, tuple[GluingSpec, SideEnd]] = {}  # side-end -> (seam, partner side-end)
     for g in seams:
@@ -112,7 +112,7 @@ def _merge_walk(surface: StripedSurface, seams: list[GluingSpec]) -> list[tuple]
     CHAIN, CYCLE, LOWER, UPPER = Shape.CHAIN, Shape.CYCLE, Side.LOWER, Side.UPPER
 
     seen: set[str] = set()
-    out: list[tuple] = []
+    out: list[Component] = []
     for first in ids:  # the first strip of its component
         if first in seen:
             continue
@@ -138,7 +138,7 @@ def _merge_walk(surface: StripedSurface, seams: list[GluingSpec]) -> list[tuple]
                 break
             walks.append((side, strips, crossed, (cur, exit_)))
         if len(walks) < 2:  # the walk up went round: the cycle leaves ``first`` upward
-            out.append((CYCLE, ((first, False), *strips), tuple(crossed), None, None, sign))
+            out.append(Component(CYCLE, ((first, False), *strips), tuple(crossed), monodromy=sign))
             continue
         # The chain runs from its end of smaller strip order: that end's walk
         # reversed, so with each flip flag negated, then ``first``, then the
@@ -148,7 +148,7 @@ def _merge_walk(surface: StripedSurface, seams: list[GluingSpec]) -> list[tuple]
             (up, down) if order[up[3][0]] < order[down[3][0]] else (down, up)
         )
         strips = (*[(s, not f) for s, f in reversed(head)], (first, head_side is UPPER), *tail)
-        out.append((CHAIN, strips, (*reversed(head_seams), *tail_seams), lower_end, upper_end, None))
+        out.append(Component(CHAIN, strips, (*reversed(head_seams), *tail_seams), lower_end, upper_end))
     return out
 
 
@@ -162,8 +162,10 @@ def decompose(
     order of their first strip in the surface.  A disconnected surface is
     accepted: each component lies in one connected piece, so the result is the
     union of the pieces' decompositions.  With ``Mode.INTERIOR`` the
-    components are those of the leaf space minus its special points.
+    components are those of the leaf space minus its special points.  ``mode``
+    may be given by its value; another value raises ``ValueError``.
     """
+    mode = Mode(mode)
     if ls is None:
         ls = build_leaf_space(surface)
     boundary_cut = mode is Mode.WITH_BOUNDARY
@@ -172,24 +174,22 @@ def decompose(
     incidence = ls.incidence
     point = ls.point_by_id.__getitem__
 
-    comps: list[Component] = []
-    for shape, strips, seams, lower_end, upper_end, sign in _merge_walk(surface, _merge_seams(surface)):
-        if shape is Shape.CYCLE:
-            comps.append(tuple.__new__(Component, (shape, strips, seams, None, None, (), (), None, None, sign)))
+    comps = _merge_walk(surface, _merge_seams(surface))
+    for i, comp in enumerate(comps):
+        if comp.shape is Shape.CYCLE:
             continue
         # No merge seam lies on an exposed side-end, so each point there is
         # special or a boundary leaf: all are cut, except that interior mode
         # keeps a boundary leaf alone on its side-end.
         outer = []
-        for end in (lower_end, upper_end):
+        for end in (comp.outer_lower, comp.outer_upper):
             pts = tuple(map(point, incidence[end]))
             if boundary_cut or len(pts) != 1 or pts[0].special:
                 outer.append((pts, None))
             else:
                 outer.append(((), pts[0].id))
         (low_pts, low_ret), (up_pts, up_ret) = outer
-        record = (shape, strips, seams, lower_end, upper_end, low_pts, up_pts, low_ret, up_ret, None)
-        comps.append(tuple.__new__(Component, record))
+        comps[i] = Component(*comp[:5], low_pts, up_pts, low_ret, up_ret)
     return comps, cut
 
 
@@ -291,17 +291,18 @@ def canonicalize(surface: StripedSurface) -> StripedSurface:
     order = {sid: i for i, sid in enumerate(surface.strip_ids())}
     # a merged strip's id must not repeat any id of the one namespace
     taken = {iv.id for iv in surface.intervals()} | {g.id for g in surface.gluings} | set(order)
+    reversing = {g.id for g in seams if g.orientation is Orientation.REVERSING}
     h_flipped: set[str] = set()
     merged: list[tuple[int, ModelStripSpec]] = []
-    for _, strips, interfaces, lower_end, upper_end, _ in _merge_walk(surface, seams):
-        ids = [sid for sid, _ in strips]
+    for comp in _merge_walk(surface, seams):
+        ids = comp.strip_ids()
         if len(ids) == 1:
             merged.append((order[ids[0]], surface.strip(ids[0])))
             continue
         # cumulative horizontal flip along the chain: one per reversing seam
         h = {ids[0]: False}
-        for gid, (prev, nxt) in zip(interfaces, zip(ids, ids[1:])):
-            h[nxt] = h[prev] ^ (surface.gluing(gid).orientation is Orientation.REVERSING)
+        for gid, (prev, nxt) in zip(comp.interfaces, zip(ids, ids[1:])):
+            h[nxt] = h[prev] ^ (gid in reversing)
         h_flipped.update([sid for sid, flipped in h.items() if flipped])
 
         def contributed(end: SideEnd) -> tuple[Interval, ...]:
@@ -313,7 +314,7 @@ def canonicalize(surface: StripedSurface) -> StripedSurface:
         while merged_id in taken:
             merged_id += "+"
         taken.add(merged_id)
-        lower, upper = contributed(lower_end), contributed(upper_end)
+        lower, upper = contributed(comp.outer_lower), contributed(comp.outer_upper)
         merged.append((order[ids[0]], ModelStripSpec(merged_id, lower, upper)))
 
     new_strips = [s for _, s in sorted(merged, key=lambda t: t[0])]

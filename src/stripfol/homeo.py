@@ -130,7 +130,7 @@ def _uk(x: float, y: Sequence[float], q: Sequence[float]) -> float:
     return q[lo] + (q[hi] - q[lo]) / (y[hi] - y[lo]) * (x - y[lo])
 
 
-def _bisect_increasing(g: Callable[[float], float], target: float, tol: float = 1e-13) -> float:
+def _bisect_increasing(g: Callable[[float], float], target: float) -> float:
     lo, hi = -1.0, 1.0
     span = 1.0
     for _ in range(200):
@@ -150,7 +150,7 @@ def _bisect_increasing(g: Callable[[float], float], target: float, tol: float = 
         raise HomeoError("target above the image of the map")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if hi - lo < tol:
+        if hi - lo < 1e-13:
             return mid
         if g(mid) < target:
             lo = mid

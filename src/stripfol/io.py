@@ -12,6 +12,9 @@ Ids are JSON strings.  Parsing is strict: malformed JSON raises
 :class:`ParseError` with position, schema and validation failures name the
 offending rule and ids.  Each JSON document written equals
 ``json.dumps(document, indent=2)`` byte for byte.
+
+``render(surface, fmt)`` draws a surface: ``render_svg`` its strips and
+gluings, ``render_dot`` the graph of its leaf space, which it takes built.
 """
 
 from __future__ import annotations
@@ -216,11 +219,9 @@ def _xml_text(id_: str) -> str:
 _SIDE_TEXT = {s: s.value for s in Side}
 
 
-def render_dot(ls: LeafSpace | StripedSurface) -> str:
+def render_dot(ls: LeafSpace) -> str:
     """Leaf-space graph: strip and point nodes, solid incidence edges,
     dashed edges between non-separated point pairs."""
-    if isinstance(ls, StripedSurface):
-        ls = build_leaf_space(ls)
     quoted: dict[str, str] = {}
     lines = ["graph leafspace {"]
     for sid in ls.arcs:
@@ -295,9 +296,9 @@ def render_svg(surface: StripedSurface) -> str:
 
     # rows go piece by piece, each piece's merge components in order of first strip
     piece_of = {sid: i for i, part in enumerate(surface._partition) for sid in part}
-    walks = sorted(_merge_walk(surface, _merge_seams(surface)), key=lambda w: piece_of[w[1][0][0]])
+    comps = sorted(_merge_walk(surface, _merge_seams(surface)), key=lambda c: piece_of[c.strips[0][0]])
     strip_by_id = surface._strip_by_id
-    rows = [strip_by_id[sid] for w in walks for sid, _flipped in w[1]]
+    rows = [strip_by_id[sid] for c in comps for sid, _flipped in c.strips]
 
     lo, hi = _draw_range(surface)
     lo, hi = max(lo, -_X_CLAMP), min(hi, _X_CLAMP + 1)
@@ -365,11 +366,11 @@ def render_svg(surface: StripedSurface) -> str:
     return "\n".join([head] + body + ["</svg>"]) + "\n"
 
 
-def render(obj: StripedSurface | LeafSpace, fmt: str = "svg") -> str:
+def render(surface: StripedSurface, fmt: str = "svg") -> str:
     if fmt == "svg":
-        return render_svg(obj.surface if isinstance(obj, LeafSpace) else obj)
+        return render_svg(surface)
     if fmt == "dot":
-        return render_dot(obj)
+        return render_dot(build_leaf_space(surface))
     raise ValueError(f"unknown render format {fmt!r}")
 
 

@@ -5,7 +5,8 @@ one-manifold: one open arc per strip (parametrizing its interior leaves) and
 one point per glued or unglued boundary interval class.  This module builds
 that skeleton, computes Hausdorff closures of points and finds the special
 points.  The components of the non-special part are the interior-mode
-components of :func:`stripfol.decomposition.decompose`.
+components of :func:`stripfol.decomposition.decompose`, which reads them off
+the surface by its merge walk.
 """
 
 from collections import namedtuple
@@ -33,10 +34,11 @@ class LeafPoint(namedtuple("LeafPoint", "id members kind special")):
     __slots__ = ()
 
 
-class LeafSpace(namedtuple("LeafSpace", "surface arcs points incidence point_by_id ends_by_point")):
+class LeafSpace(namedtuple("LeafSpace", "arcs points incidence point_by_id ends_by_point")):
     """Arcs (one per strip), points, and the side-end incidence lists:
-    ``incidence`` maps each SideEnd to its point ids in interval-index order.
-    ``point_by_id`` and ``ends_by_point`` are indexes, built by build_leaf_space."""
+    ``incidence`` maps each SideEnd to its point ids in interval order.
+    ``point_by_id`` and ``ends_by_point`` are indexes, built by build_leaf_space.
+    The surface is not kept: a caller that needs it holds it."""
 
     __slots__ = ()
 
@@ -90,9 +92,7 @@ def build_leaf_space(surface: StripedSurface) -> LeafSpace:
         ends_by_point[iid] = (end,)
         points.append(new(LeafPoint, (iid, (iid,), BOUNDARY, len(incidence[end]) > 1)))
 
-    return new(
-        LeafSpace, (surface, surface.strip_ids(), tuple(points), incidence, {p.id: p for p in points}, ends_by_point)
-    )
+    return new(LeafSpace, (surface.strip_ids(), tuple(points), incidence, {p.id: p for p in points}, ends_by_point))
 
 
 def sorted_closures(ls: LeafSpace) -> dict[str, tuple[str, ...]]:

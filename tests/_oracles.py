@@ -143,6 +143,35 @@ def _interval_map(a: StripedSurface, b: StripedSurface, perm: dict, flips: dict)
     return mapping
 
 
+def is_isomorphism(a: StripedSurface, b: StripedSurface, perm: dict, flips: dict) -> bool:
+    """Whether the strip bijection ``perm`` with the (h, v) ``flips`` carries ``a`` onto ``b``.
+
+    Each side keeps its interval count; an unglued interval goes to an
+    unglued one, and both intervals of a gluing go to the two of one gluing,
+    whose seam flag is the first's toggled once per h-flipped end.
+    """
+    if sorted(perm) != sorted(a.strip_ids()) or sorted(perm.values()) != sorted(b.strip_ids()):
+        return False
+    mapping = _interval_map(a, b, perm, flips)
+    if mapping is None:
+        return False
+    for iv in a.intervals():
+        ga = a.gluing_of(iv.id)
+        gb = b.gluing_of(mapping[iv.id])
+        if (ga is None) != (gb is None):
+            return False
+        if ga is None:
+            continue
+        if {mapping[ga.first], mapping[ga.second]} != {gb.first, gb.second}:
+            return False
+        h1 = flips[a.side_end_of(ga.first)[0]][0]
+        h2 = flips[a.side_end_of(ga.second)[0]][0]
+        want_rev = (ga.orientation is Orientation.REVERSING) ^ h1 ^ h2
+        if (gb.orientation is Orientation.REVERSING) != want_rev:
+            return False
+    return True
+
+
 def _isomorphisms(a: StripedSurface, b: StripedSurface):
     """Yield every strip bijection with flips that carries ``a`` onto ``b``.
 
@@ -157,28 +186,7 @@ def _isomorphisms(a: StripedSurface, b: StripedSurface):
         perm = dict(zip(a_ids, target))
         for flip_choice in product(((False, False), (False, True), (True, False), (True, True)), repeat=len(a_ids)):
             flips = dict(zip(a_ids, flip_choice))
-            mapping = _interval_map(a, b, perm, flips)
-            if mapping is None:
-                continue
-            ok = True
-            for iv in a.intervals():
-                ga = a.gluing_of(iv.id)
-                gb = b.gluing_of(mapping[iv.id])
-                if (ga is None) != (gb is None):
-                    ok = False
-                    break
-                if ga is None:
-                    continue
-                if mapping[ga.other(iv.id)] != gb.other(mapping[iv.id]):
-                    ok = False
-                    break
-                h1 = flips[a.side_end_of(ga.first)[0]][0]
-                h2 = flips[a.side_end_of(ga.second)[0]][0]
-                want_rev = (ga.orientation is Orientation.REVERSING) ^ h1 ^ h2
-                if (gb.orientation is Orientation.REVERSING) != want_rev:
-                    ok = False
-                    break
-            if ok:
+            if is_isomorphism(a, b, perm, flips):
                 yield perm, flips
 
 
@@ -346,7 +354,7 @@ def _assignment_row(surface, sides, loc, placed_pos, placement, p):
             if g is None:
                 row.append(("i",))
                 continue
-            other = g.other(iid)
+            other = g.second if iid == g.first else g.first
             o_sid, o_side_nat, o_slot_nat = loc[other]
             if o_sid not in placed_pos:
                 row.append(("z",))
@@ -584,12 +592,13 @@ def decompose_reference(surface: StripedSurface, mode: Mode) -> dict:
 # least one.  A differential reference for ``stripfol.decomposition.decompose``.
 
 
-def _merge_edges(ls: LeafSpace) -> dict:
+def _merge_edges(surface: StripedSurface, ls: LeafSpace) -> dict:
     """Map each side-end consumed by a non-special gluing to (gluing, partner side-end)."""
+    gluing = {g.id: g for g in surface.gluings}
     out = {}
     for p in ls.points:
         if p.kind is PointKind.NON_SPECIAL_GLUED:
-            g = ls.surface.gluing(p.id)
+            g = gluing[p.id]
             a, b = ls.ends_of(p)
             out[a] = (g, b)
             out[b] = (g, a)
@@ -615,7 +624,7 @@ def decompose_by_member_search(surface: StripedSurface, mode: Mode = Mode.WITH_B
     boundary_cut = mode is Mode.WITH_BOUNDARY
     cut = frozenset([p for p in ls.points if p.special or (boundary_cut and p.kind is PointKind.BOUNDARY_LEAF)])
     cut_ids = {p.id for p in cut}
-    edges = _merge_edges(ls)
+    edges = _merge_edges(surface, ls)
 
     order = {sid: i for i, sid in enumerate(surface.strip_ids())}
     seen: set[str] = set()
@@ -702,11 +711,9 @@ def _trace_component(ls, start, edges, cut_ids, mode, seen, order) -> Component:
 # once.  Each diagram must equal its reference byte for byte.
 
 
-def render_dot_reference(ls: LeafSpace | StripedSurface) -> str:
+def render_dot_reference(ls: LeafSpace) -> str:
     """Leaf-space graph: strip and point nodes, solid incidence edges,
     dashed edges between non-separated point pairs."""
-    if isinstance(ls, StripedSurface):
-        ls = build_leaf_space(ls)
     quoted: dict[str, str] = {}
     lines = ["graph leafspace {"]
     for sid in ls.arcs:
@@ -959,14 +966,12 @@ def build_surface_reference(strips, gluings=()) -> StripedSurface:
             if dup is not None:
                 raise DuplicateIdError(f"interval id {dup!r} appears twice")
 
-    gluing_by_id = {}
     gluing_by_interval = {}
     for g in gluings:
         gid, first, second, _ = g
         if gid in seen_ids:
             raise DuplicateIdError(f"gluing id {gid!r} appears twice")
         seen_ids.add(gid)
-        gluing_by_id[gid] = g
         if first == second:
             raise SelfGluingError(f"gluing {gid!r} pairs interval {first!r} with itself")
         for iid in (first, second):
@@ -983,11 +988,11 @@ def build_surface_reference(strips, gluings=()) -> StripedSurface:
             )
 
     if _BAD_ID_CHAR.search("".join(seen_ids)):
-        bad = next(i for i in (*strip_by_id, *interval_loc, *gluing_by_id) if _BAD_ID_CHAR.search(i))
+        bad = next(i for i in (*strip_by_id, *interval_loc, *[g.id for g in gluings]) if _BAD_ID_CHAR.search(i))
         char = ord(_BAD_ID_CHAR.search(bad).group())
         raise BadIdError(f"id {bad!r} holds U+{char:04X}, which SVG or UTF-8 output cannot carry")
 
-    return StripedSurface(strips, gluings, strip_by_id, interval_loc, gluing_by_interval, gluing_by_id)
+    return StripedSurface(strips, gluings, strip_by_id, interval_loc, gluing_by_interval)
 
 
 def pl_eval_reference(bp, vals, x: float) -> float:

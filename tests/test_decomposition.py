@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,8 @@ from stripfol.decomposition import (
     NotAChainError,
     Shape,
     StripClass,
+    _merge_seams,
+    _merge_walk,
     canonical_code,
     canonicalize,
     check_cycle_components,
@@ -27,6 +30,7 @@ from stripfol.io import serialize
 from stripfol.leafspace import PointKind, build_leaf_space
 
 from fixtures import (
+    all_fixtures,
     cylinder,
     horseshoe,
     kaplan5,
@@ -52,6 +56,7 @@ from _gen import (
 )
 from _oracles import (
     ArcType,
+    _isomorphisms,
     _merge_edges,
     arc_component_types,
     automorphism_count,
@@ -59,6 +64,7 @@ from _oracles import (
     check_cycle_components_reference,
     decompose_by_member_search,
     exhaustive_isomorphic,
+    is_isomorphism,
     leafspace_invariants,
     least_root_walks,
     orientability_by_propagation,
@@ -110,6 +116,17 @@ def test_nonspecial_seam_is_not_cut():
     assert c.shape is Shape.CHAIN
     assert c.strip_ids() == ("P", "Q")
     assert c.interfaces == ("seam",)
+
+
+def test_decompose_reads_a_mode_by_its_value():
+    # the CLI's spellings select their modes, as glue reads an orientation's
+    s = two_strip_chain()
+    for mode in Mode:
+        assert decompose(s, mode.value) == decompose(s, mode)
+    assert [p.id for p in decompose(s, "with-boundary")[1]] == ["P.l0", "Q.u0"]
+    assert [p.id for p in decompose(s, "interior")[1]] == []
+    with pytest.raises(ValueError):
+        decompose(s, "all")
 
 
 def test_pure_seam_chain_has_empty_cut():
@@ -355,6 +372,11 @@ def test_one_walk_decompose_equals_member_search(mode):
         assert comps == want_comps and set(cut) == want_cut
         assert _in_point_order(cut, build_leaf_space(s))
         assert all(type(c) is Component for c in comps)
+        # the merge walk yields the same records, their cut-leaf fields at their defaults
+        walk = _merge_walk(s, _merge_seams(s))
+        assert all(type(c) is Component for c in walk)
+        blank = {"outer_lower_points": (), "outer_upper_points": (), "retained_lower": None, "retained_upper": None}
+        assert walk == [c._replace(**blank) for c in comps]
         seen["chains"] += sum(c.shape is Shape.CHAIN and len(c.strips) > 1 for c in comps)
         seen["cycles"] += sum(c.shape is Shape.CYCLE for c in comps)
         seen["split"] += len(s._partition) > 1
@@ -866,6 +888,43 @@ def test_is_isomorphic_agrees_with_exhaustive_search():
         assert exhaustive_isomorphic(ca, canonicalize(scrambled))
 
 
+def test_is_isomorphism_accepts_the_maps_found_and_rejects_their_near_misses():
+    # every map the exhaustive search yields passes the one-map check; one
+    # strip's h or v flag toggled, or two strips' images swapped, fails it
+    # unless the search yields that map too
+    rng = random.Random(48)
+    pairs = [(s, t) for s in all_fixtures().values() for t in (s, random_moves(rng, s, 4))]
+    for _ in range(12):
+        base = random_surface(rng, max_strips=2, max_intervals=2)
+        # at most 4 strips: a cover of one strip by 5 copies can have all
+        # 5! * 4**5 maps as automorphisms, and each has 20 near misses
+        cover = cyclic_cover(rng, base, rng.choice((2, 3)) if len(base.strips) == 1 else 2)
+        pairs.append((cover, random_moves(rng, cover, 4)))
+    accepted = rejected = 0
+    for a, b in pairs:
+        found = list(_isomorphisms(a, b))
+        assert found, "each pair is a surface and a moved copy"
+        keys = {(tuple(perm.items()), tuple(flips.items())) for perm, flips in found}
+        for perm, flips in found:
+            assert is_isomorphism(a, b, perm, flips)
+            accepted += 1
+            variants = []
+            for sid, (h, v) in flips.items():
+                variants += [(perm, {**flips, sid: (not h, v)}), (perm, {**flips, sid: (h, not v)})]
+            for x, y in combinations(perm, 2):
+                variants.append(({**perm, x: perm[y], y: perm[x]}, flips))
+            for vperm, vflips in variants:
+                yielded = (tuple(vperm.items()), tuple(vflips.items())) in keys
+                assert is_isomorphism(a, b, vperm, vflips) == yielded
+                rejected += not yielded
+        # a map that sends two strips to one is refused
+        if len(a.strips) > 1:
+            perm, flips = found[0]
+            x, y = a.strip_ids()[:2]
+            assert not is_isomorphism(a, b, {**perm, x: perm[y]}, flips)
+    assert accepted > 400 and rejected > 200, (accepted, rejected)
+
+
 def _code_verdict(a, b):
     return canonical_code(canonicalize(a)) == canonical_code(canonicalize(b))
 
@@ -1074,7 +1133,7 @@ def test_merge_seams_equal_the_leaf_space_merge_edges():
     seen = {"nothing merges": 0, "merges": 0, "cycle": 0, "split": 0}
     for s in surfaces:
         seams = seam_map(s)
-        assert seams == _merge_edges(build_leaf_space(s))
+        assert seams == _merge_edges(s, build_leaf_space(s))
         cycle = len(seams) == 2 * len(s.strips)
         seen["cycle" if cycle else "merges" if seams else "nothing merges"] += 1
         seen["split"] += len(s._partition) > 1

@@ -26,7 +26,7 @@ def _check_diagrams(surface) -> None:
     assert render_svg(surface) == render_svg_reference(surface)
     ls = build_leaf_space(surface)
     assert render_dot(ls) == render_dot_reference(ls)
-    assert render(surface, "dot") == render_dot_reference(surface)
+    assert render(surface, "dot") == render_dot_reference(ls)
 
 
 @settings(max_examples=300, deadline=None)

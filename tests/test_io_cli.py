@@ -168,7 +168,7 @@ def test_gluing_ids_synthesized_when_absent():
 
 
 def test_kaplan5_dot_counts():
-    dot = render_dot(kaplan5())
+    dot = render_dot(build_leaf_space(kaplan5()))
     node_lines = [l for l in dot.splitlines() if "[shape=" in l]
     assert len(node_lines) == 9
     edges = [l for l in dot.splitlines() if " -- " in l]
@@ -181,7 +181,7 @@ def test_kaplan5_dot_counts():
 
 
 def test_cylinder_dot_counts():
-    dot = render_dot(cylinder())
+    dot = render_dot(build_leaf_space(cylinder()))
     node_lines = [l for l in dot.splitlines() if "[shape=" in l]
     assert len(node_lines) == 2
     edges = [l for l in dot.splitlines() if " -- " in l]
@@ -462,6 +462,23 @@ def test_cli_render(fixture_dir, capsys):
         capsys, "render", str(fixture_dir / "kaplan5.json"), "--format", "dot"
     )
     assert code == 0 and out.startswith("graph")
+
+
+def test_cli_leafspace_and_render_print_the_same_dot(fixture_dir, tmp_path, capsys):
+    # both commands write the leaf-space graph, on every fixture and on a
+    # surface of two pieces
+    split = build_surface(
+        [strip("A", upper=["A.u0", "A.u1"]), strip("B", lower=["B.l0"]), strip("C", ["C.l0"], ["C.u0"])],
+        [glue("g", "A.u0", "B.l0"), glue("h", "C.l0", "C.u0", "reversing")],
+    )
+    assert len(split._partition) == 2
+    (tmp_path / "split.json").write_text(serialize(split))
+    paths = [fixture_dir / f"{name}.json" for name in all_fixtures()] + [tmp_path / "split.json"]
+    for path in paths:
+        code, leafspace = run_cli(capsys, "leafspace", str(path), "--format", "dot")
+        assert code == 0 and leafspace.startswith("graph leafspace {")
+        assert run_cli(capsys, "render", str(path), "--format", "dot") == (0, leafspace)
+        assert leafspace == render_dot(build_leaf_space(parse(path.read_text())))
 
 
 def test_cli_realize_csv(fixture_dir, capsys):

@@ -2,7 +2,7 @@
 
 ``parse`` and ``build_surface`` read each record in one tight loop.  On every
 document they must do what ``parse_reference`` (the loops as they read
-before) does: build an equal surface whose four id indexes hold the same
+before) does: build an equal surface whose three id indexes hold the same
 entries in the same order, or refuse with the same error class, the same
 text and the same ``ParseError.path``.
 """
@@ -24,7 +24,7 @@ from test_dumps import EDGE_CASES, _surfaces
 from test_io_cli import _documents, _mutants
 from test_refusals import PARSE_REFUSALS, SURFACE_REFUSALS
 
-_INDEXES = ("_strip_by_id", "_interval_loc", "_gluing_by_interval", "_gluing_by_id")
+_INDEXES = ("_strip_by_id", "_interval_loc", "_gluing_by_interval")
 
 
 def _check_load(text: str) -> None:

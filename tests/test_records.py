@@ -24,7 +24,7 @@ from stripfol.homeo import (
     Trapezoid,
 )
 from stripfol.io import parse, serialize
-from stripfol.leafspace import build_leaf_space
+from stripfol.leafspace import LeafSpace, build_leaf_space
 
 from fixtures import horseshoe, kaplan5, moebius
 from _gen import random_moves, random_surface
@@ -147,6 +147,7 @@ def test_structures_take_keywords_and_defaults():
     assert Interval(endpoints=(0.0, 1.0), id="a") == Interval("a", (0.0, 1.0))
     assert Interval._fields == ("id", "endpoints")
     assert "mode" not in Component._fields
+    assert LeafSpace._fields == ("arcs", "points", "incidence", "point_by_id", "ends_by_point")
     assert RoofMap._fields == ("source", "target")
     assert HalfStripChart._fields == ("rectangles", "leaf_spans")
     assert LeafShrink(eps=0.5, a=-1.0, b=1.0) == LeafShrink(-1.0, 1.0, 0.5)
