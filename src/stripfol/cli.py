@@ -73,7 +73,7 @@ def _refuse_disconnected(surface, **which) -> bool:
 
 def _point_order(ls) -> dict:
     """Point id -> rank in first-incidence order: by strip position, side,
-    interval index, the order in which build_leaf_space fills the incidence."""
+    interval place, the order in which build_leaf_space fills the incidence."""
     first = dict.fromkeys([pid for pids in ls.incidence.values() for pid in pids])
     return dict(zip(first, range(len(first))))
 
@@ -214,7 +214,7 @@ def _realize_rows(args, surface, comp, closure) -> list[str]:
     """The CSV rows of ``realize``: an interior grid, then the base leaves."""
     from .homeo import realize_half_strip
 
-    chart, eta = realize_half_strip(surface, comp, closure, depth=args.depth, samples=args.samples)
+    chart, eta = realize_half_strip(surface, comp, closure, depth=args.depth)
     n = args.samples
     rows = ["x_in,y_in,x_out,y_out,leaf_id"]
 

@@ -263,7 +263,7 @@ def _check_endpoints(strip_id: str, side: Side, intervals: tuple[Interval, ...],
         if not prev.endpoints[1] <= nxt.endpoints[0]:
             raise BadEndpointsError(
                 f"intervals {prev.id!r} and {nxt.id!r} on ({strip_id}, {side.value}) "
-                "overlap or are out of index order"
+                "overlap or are out of order"
             )
 
 

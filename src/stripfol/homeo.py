@@ -8,11 +8,12 @@ realizes the closure of a half strip as a model half strip with marked base
 intervals.  Each map is a record of its data (a ``Straightening``, a
 ``RoofMap``, a ``LeafShrink``) or, for the composite, a ``HalfStripMap`` of
 records, whose ``apply`` evaluates it pointwise and whose ``invert`` is its
-numeric inverse; the working tolerance is ``TOL``.  Knot order is checked
-once, where knots are made: ``PLFunction`` on construction, ``uk_eval`` on
-each call, and a straightening stage at its level when built and at each
-lower level as it moves its curves there; the kernels that evaluate knots
-only search them.
+numeric inverse; the working tolerance is ``TOL``.  Curves are
+``PLFunction``s: ``Trapezoid`` and ``rectify_stages`` check exactly, at the
+breakpoints, that theirs do not cross.  Knot order is checked once, where
+knots are made: ``PLFunction`` on construction, ``uk_eval`` on each call, and
+a straightening stage at its level when built and at each lower level as it
+moves its curves there; the kernels that evaluate knots only search them.
 """
 
 import math
@@ -159,12 +160,21 @@ def _bisect_increasing(g: Callable[[float], float], target: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _below(f: PLFunction, g: PLFunction, lo: float, hi: float) -> bool:
+    """Whether f < g on (lo, hi].  f - g is affine between the breakpoints of
+    either curve, so f <= g at lo and f < g at each breakpoint in (lo, hi) and
+    at hi decide it exactly."""
+    xs = [x for x in (*f.breakpoints, *g.breakpoints) if lo < x < hi]
+    return f(lo) <= g(lo) and all(f(x) < g(x) for x in (*xs, hi))
+
+
 class Trapezoid(namedtuple("Trapezoid", "alpha beta level_range base")):
     """Region between two curve graphs over a half-open level interval (c, d].
 
-    ``alpha``/``beta`` give x as a function of the level; the roof is the two
-    side curves plus the upper base at level d; ``base`` is the open limit
-    interval at level c, when the side curves converge to finite endpoints.
+    ``alpha``/``beta`` are PL curves giving x as a function of the level,
+    with alpha < beta on (c, d]; the roof is the two side curves plus the
+    upper base at level d; ``base`` is the open limit interval at level c,
+    when the side curves converge to finite endpoints.
     """
 
     __slots__ = ()
@@ -173,10 +183,8 @@ class Trapezoid(namedtuple("Trapezoid", "alpha beta level_range base")):
         c, d = level_range
         if not c < d:
             raise BadIntervalError("trapezoid level range must satisfy c < d")
-        for i in range(1, 65):
-            y = c + (d - c) * i / 64.0
-            if not alpha(y) < beta(y):
-                raise BadIntervalError(f"alpha(y) < beta(y) fails at level {y}")
+        if not _below(alpha, beta, c, d):
+            raise BadIntervalError(f"alpha(y) < beta(y) fails on levels ({c}, {d}]")
         if base is not None:
             a, b = base
             if not (abs(alpha(c) - a) <= 1e-9 and abs(beta(c) - b) <= 1e-9):
@@ -197,35 +205,23 @@ class Trapezoid(namedtuple("Trapezoid", "alpha beta level_range base")):
         return c < y <= d + tol and alpha(y) - tol <= x <= beta(y) + tol
 
 
-CurveFn = Callable[[float], float]
-
-
-def _check_disjoint(
-    curves: Sequence[tuple[CurveFn, float]], floor: float, samples: int
-) -> None:
+def _check_disjoint(curves: Sequence[tuple[PLFunction, float]], floor: float) -> None:
+    """Refuse two curves that meet or cross on (floor, min of their levels]."""
     for i in range(len(curves)):
         for j in range(i + 1, len(curves)):
-            f, df = curves[i]
-            g, dg = curves[j]
+            (f, df), (g, dg) = curves[i], curves[j]
             top = min(df, dg)
-            if top <= floor:
-                continue
-            prev = None
-            for k in range(1, samples + 1):
-                y = floor + (top - floor) * k / samples
-                diff = f(y) - g(y)
-                if diff == 0.0 or (prev is not None and (diff > 0) != (prev > 0)):
-                    raise GraphsIntersectError(
-                        f"curve graphs {i} and {j} meet near level {y}"
-                    )
-                prev = diff
+            if top > floor and not (_below(f, g, floor, top) or _below(g, f, floor, top)):
+                raise GraphsIntersectError(f"curve graphs {i} and {j} meet on levels ({floor}, {top}]")
 
 
 class Straightening(namedtuple("Straightening", "stages")):
     """The staged straightening: per stage from the top, its level s, its curves
     in their order at s, and their positions there.  Below s a stage moves its
-    curves, as the stages above moved them, back to those positions by u_k, and
-    raises GraphsIntersectError at a level where they leave their order.
+    curves, as the stages above moved them, back to those positions by u_k.
+    The build refuses curves that cross above its floor; ``_moved`` raises
+    GraphsIntersectError where float rounding, or a level below the floor,
+    ties two moved curves, so that ``_uk`` never gets tied knots.
     """
 
     __slots__ = ()
@@ -258,20 +254,18 @@ class Straightening(namedtuple("Straightening", "stages")):
         return (x, y)
 
 
-def rectify_stages(
-    staged: Sequence[tuple[CurveFn, float]],
-    floor: float | None = None,
-    samples: int = 64,
-) -> Straightening:
+def rectify_stages(staged: Sequence[tuple[PLFunction, float]], floor: float | None = None) -> Straightening:
     """Straighten each curve below its own level, deepest stage last.
 
     A stage straightens every curve alive at its level (already-vertical ones
-    stay put), as the stages above it moved them there.
+    stay put), as the stages above it moved them there.  Two curves that meet
+    on (floor, the lower of their levels] raise GraphsIntersectError; a tie at
+    the floor is allowed.  The floor defaults to one below the lowest level.
     """
     staged = list(staged)
     if floor is None:
         floor = min([d for _, d in staged], default=0.0) - 1.0
-    _check_disjoint(staged, floor, samples)
+    _check_disjoint(staged, floor)
 
     stages: list[tuple] = []
     for s in sorted({d for _, d in staged}, reverse=True):
@@ -471,7 +465,8 @@ def realize_half_strip(
     the affine roof extension.  The map eta, the roof maps on the rectangles
     and the inverse straightening elsewhere, is level-preserving, agrees
     across rectangle boundaries, and sends each base interval of the chart
-    onto its leaf's interval coordinates.
+    onto its leaf's interval coordinates.  ``samples`` has no effect: the
+    collar sides are checked exactly, at their breakpoints.
     """
     if comp.shape is not Shape.CHAIN or classify_component(comp) is not StripClass.OPEN_STRIP:
         raise NotOpenStripComponentError(
@@ -529,7 +524,7 @@ def realize_half_strip(
         collars.append(Trapezoid(to_chart(trap.alpha), to_chart(trap.beta), (-1.0, d_levels[i]), base=(L, R)))
 
     staged = [(f, c.top) for c in collars for f in (c.alpha, c.beta)]
-    straighten = rectify_stages(staged, floor=-1.0, samples=samples)
+    straighten = rectify_stages(staged, floor=-1.0)
 
     rect_spans = [
         (straighten.apply(c.alpha(c.top), c.top)[0], straighten.apply(c.beta(c.top), c.top)[0])

@@ -549,7 +549,7 @@ def decompose_reference(surface: StripedSurface, mode: Mode) -> dict:
     """The report of ``stripfol decompose`` on a connected surface.
 
     Cut and overlap points go in first-incidence order: by strip position,
-    side, interval index.
+    side, interval place.
     """
     ls = build_leaf_space(surface)
     order = {}
@@ -933,7 +933,7 @@ def _check_endpoints_reference(strip_id: str, side: Side, intervals, explicit: i
         if not prev.endpoints[1] <= nxt.endpoints[0]:
             raise BadEndpointsError(
                 f"intervals {prev.id!r} and {nxt.id!r} on ({strip_id}, {side.value}) "
-                "overlap or are out of index order"
+                "overlap or are out of order"
             )
 
 
@@ -1093,7 +1093,7 @@ def _stage_closures(curves, prefix: _StageChain, s: float):
     return forward, backward
 
 
-def staged_rectify(staged, floor: float | None = None, samples: int = 64) -> _StageChain:
+def staged_rectify(staged, floor: float | None = None) -> _StageChain:
     """``homeo.rectify_stages`` as a chain of closures, each stage closing over
     the chain of the stages above it: the staging that the ``Straightening``
     record replaced, kept as its reference."""
@@ -1104,7 +1104,7 @@ def staged_rectify(staged, floor: float | None = None, samples: int = 64) -> _St
         return _StageChain([])
     if floor is None:
         floor = min(d for _, d in staged) - 1.0
-    _check_disjoint(staged, floor, samples)
+    _check_disjoint(staged, floor)
     stages = []
     for s in sorted({d for _, d in staged}, reverse=True):
         stages.append(_stage_closures([f for f, d in staged if d >= s], _StageChain(stages), s))
@@ -1134,6 +1134,33 @@ def check_cycle_components_reference(surface: StripedSurface, components) -> Cyc
 
 def _exact_pl(pl) -> tuple[list[Fraction], list[Fraction]]:
     return [Fraction(b) for b in pl.breakpoints], [Fraction(v) for v in pl.values]
+
+
+def crossing_pairs_exact(staged, floor: float) -> list[tuple[int, int]]:
+    """The pairs ``(i, j)``, i < j, of ``staged``'s ``(PLFunction, level)``
+    curves that meet on (floor, the lower of their levels], in rational
+    arithmetic: the difference of the two curves is affine on each piece
+    between the floor, the breakpoints of either curve and that level, so
+    each piece is solved for its zero.  A zero at the floor itself is allowed,
+    as ``homeo._check_disjoint`` allows it."""
+    floor = Fraction(floor)
+    exact = [(_exact_pl(f), Fraction(d)) for f, d in staged]
+    pairs = []
+    for i in range(len(exact)):
+        for j in range(i + 1, len(exact)):
+            (f, df), (g, dg) = exact[i], exact[j]
+            top = min(df, dg)
+            if not top > floor:
+                continue
+            xs = sorted({floor, top, *[x for x in f[0] + g[0] if floor < x < top]})
+            diff = [pl_eval_reference(*f, x) - pl_eval_reference(*g, x) for x in xs]
+            for x0, x1, d0, d1 in zip(xs, xs[1:], diff, diff[1:]):
+                # the zero of the piece, or the whole piece when it is flat at 0
+                zero = x0 + d0 * (x1 - x0) / (d0 - d1) if d0 != d1 else (x1 if d0 == 0 else None)
+                if zero is not None and x0 < zero <= x1:
+                    pairs.append((i, j))
+                    break
+    return pairs
 
 
 class ExactStraightening:

@@ -198,8 +198,9 @@ def test_criterion_6_homeo_engine_numerics():
             assert uk_eval(x1, y, q) < uk_eval(x2, y, q)
             assert uk_eval(x1, y, y) == x1
 
-        funcs = [lambda t: t, lambda t: 2 + 0.3 * math.sin(4 * t)]
-        m = rectify_stages([(f, 1.0) for f in funcs], floor=0.0, samples=128)
+        wave = [(i / 128, 2 + 0.3 * math.sin(4 * i / 128)) for i in range(129)]
+        funcs = [PLFunction((0.0, 1.0), (0.0, 1.0)), PLFunction.from_points(wave)]
+        m = rectify_stages([(f, 1.0) for f in funcs], floor=0.0)
         for f in funcs:
             for i in range(1, 50):
                 t = i / 50

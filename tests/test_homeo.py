@@ -24,13 +24,21 @@ from stripfol.homeo import (
     roof_homeo,
     shrink_leaf,
     trapezoid_under_clearance,
+    _check_disjoint,
     _uk,
     uk_eval,
 )
 
 from fixtures import horseshoe, kaplan5, open_strip
 from _gen import comb_surface, roof_samples
-from _oracles import ExactEta, ExactStraightening, pl_eval_reference, staged_rectify, uk_eval_reference
+from _oracles import (
+    ExactEta,
+    ExactStraightening,
+    crossing_pairs_exact,
+    pl_eval_reference,
+    staged_rectify,
+    uk_eval_reference,
+)
 
 TOL = 1e-9
 
@@ -155,8 +163,18 @@ def test_uk_identity_when_parameters_match(ys, x):
 # rectification
 
 
+def _line(a: float, b: float) -> PLFunction:
+    """The curve y -> a + b * y on [0, 1]."""
+    return PLFunction((0.0, 1.0), (a, a + b))
+
+
+def _interpolant(g) -> PLFunction:
+    """``g`` interpolated at the 129 knots i / 128 of [0, 1]."""
+    return PLFunction.from_points([(i / 128, g(i / 128)) for i in range(129)])
+
+
 def test_rectify_one_level_worked_values():
-    m = rectify_stages([(lambda y: y, 1.0)], floor=0.0)
+    m = rectify_stages([(_line(0.0, 1.0), 1.0)], floor=0.0)
     assert m.apply(0.5, 0.5) == (1.0, 0.5)
     assert m.apply(0.0, 0.5) == (0.5, 0.5)
     for x in (-3.0, 0.0, 2.5):
@@ -164,8 +182,8 @@ def test_rectify_one_level_worked_values():
 
 
 def test_rectify_one_level_drives_graphs_vertical():
-    funcs = [lambda y: y, lambda y: 2 + 0.5 * math.sin(3 * y), lambda y: -3 + y * y]
-    m = rectify_stages([(f, 1.0) for f in funcs], floor=0.0, samples=128)
+    funcs = [_line(0.0, 1.0), _interpolant(lambda y: 2 + 0.5 * math.sin(3 * y)), _interpolant(lambda y: -3 + y * y)]
+    m = rectify_stages([(f, 1.0) for f in funcs], floor=0.0)
     for f in funcs:
         target = f(1.0)
         for i in range(1, 40):
@@ -176,7 +194,7 @@ def test_rectify_one_level_drives_graphs_vertical():
 
 
 def test_rectify_one_level_monotone_per_level():
-    funcs = [lambda y: y, lambda y: y + 1]
+    funcs = [_line(0.0, 1.0), _line(1.0, 1.0)]
     m = rectify_stages([(f, 1.0) for f in funcs], floor=0.0)
     rng = random.Random(0)
     for _ in range(200):
@@ -189,11 +207,15 @@ def test_rectify_one_level_monotone_per_level():
 
 def test_rectify_one_level_detects_intersection():
     with pytest.raises(GraphsIntersectError):
-        rectify_stages([(lambda y: y, 1.0), (lambda y: 1 - y, 1.0)], floor=0.0)
+        rectify_stages([(_line(0.0, 1.0), 1.0), (_line(1.0, -1.0), 1.0)], floor=0.0)
+    # a curve that touches another at one of its breakpoints, without crossing
+    touch = PLFunction((0.0, 0.5, 1.0), (0.0, 1.0, 0.0))
+    with pytest.raises(GraphsIntersectError):
+        rectify_stages([(touch, 1.0), (PLFunction.constant(1.0), 1.0)], floor=0.0)
 
 
 def test_rectify_stages_single_level_equals_closure_staging():
-    f = lambda y: y * y
+    f = _interpolant(lambda y: y * y)
     staged = rectify_stages([(f, 1.0)], floor=0.0)
     ref = staged_rectify([(f, 1.0)], floor=0.0)
     rng = random.Random(1)
@@ -205,9 +227,9 @@ def test_rectify_stages_single_level_equals_closure_staging():
 
 
 def test_rectify_stages_two_levels():
-    f1 = lambda y: 0.2 * math.sin(5 * y)
-    f2 = lambda y: 3 + y
-    staged = rectify_stages([(f1, 1.0), (f2, 0.5)], floor=0.0, samples=128)
+    f1 = _interpolant(lambda y: 0.2 * math.sin(5 * y))
+    f2 = _line(3.0, 1.0)
+    staged = rectify_stages([(f1, 1.0), (f2, 0.5)], floor=0.0)
     for i in range(1, 30):
         y = i / 30
         X, _ = staged.apply(f1(y), y)
@@ -220,8 +242,8 @@ def test_rectify_stages_two_levels():
 
 
 def test_stage_maps_fixed_at_and_above_their_level():
-    f1 = lambda y: 0.0
-    f2 = lambda y: 5.0 + 2 * y
+    f1 = PLFunction.constant(0.0)
+    f2 = _line(5.0, 2.0)
     staged = rectify_stages([(f1, 1.0), (f2, 0.5)], floor=0.0)
     # the composite above level 0.5 comes from stage one alone, which is the
     # identity at its own level 1.0
@@ -230,14 +252,23 @@ def test_stage_maps_fixed_at_and_above_their_level():
 
 
 def test_rectify_stages_detects_swap_between_samples():
-    # f2 dips below f1 only on (0.325, 0.425), between the disjointness
-    # samples at 0.25 and 0.5, so the construction-time check passes
-    f1 = lambda y: 0.0
-    f2 = lambda y: 1.0 - 4.0 * max(0.0, 1.0 - abs(y - 0.375) / 0.05)
-    staged = rectify_stages([(f1, 1.0), (f2, 1.0)], floor=0.0, samples=4)
-    assert staged.apply(0.5, 0.75) == (0.5, 0.75)
+    # f2 dips below f1 only on (0.37925, 0.38675), between the levels 0.375
+    # and 0.390625 that a check sampling 64 levels looks at; the build refuses it
+    f1 = PLFunction.constant(0.0)
+    f2 = PLFunction((0.0, 0.378, 0.383, 0.388, 1.0), (1.0, 1.0, -3.0, 1.0, 1.0))
     with pytest.raises(GraphsIntersectError):
-        staged.apply(0.5, 0.375)
+        rectify_stages([(f1, 1.0), (f2, 1.0)], floor=0.0)
+
+
+def test_rectify_stages_floor_allows_a_tie_and_refuses_a_swap():
+    # the two collar sides of abutting leaf spans meet at the floor
+    tie = [(_line(0.0, 1.0), 1.0), (_line(0.0, 2.0), 1.0)]
+    assert rectify_stages(tie, floor=0.0).apply(0.25, 0.25) == (1.0, 0.25)
+    # f starts right of g at the floor and crosses it by level 0.001, below
+    # the lowest of 64 levels that a sampled check looks at
+    f = PLFunction((0.0, 0.001, 1.0), (0.5, 0.0, 0.0))
+    with pytest.raises(GraphsIntersectError):
+        rectify_stages([(f, 1.0), (PLFunction.constant(0.25), 1.0)], floor=0.0)
 
 
 def test_rectify_stages_empty_is_identity():
@@ -246,9 +277,7 @@ def test_rectify_stages_empty_is_identity():
 
 
 def test_rectify_inverse_roundtrip():
-    staged = rectify_stages(
-        [(lambda y: y, 1.0), (lambda y: 4 - 0.5 * y, 0.75)], floor=0.0
-    )
+    staged = rectify_stages([(_line(0.0, 1.0), 1.0), (_line(4.0, -0.5), 0.75)], floor=0.0)
     rng = random.Random(2)
     for _ in range(100):
         x, y = rng.uniform(-5, 8), rng.uniform(0.01, 1.0)
@@ -300,9 +329,9 @@ def _intersect_outcome(f, *args):
 def test_straightening_equals_closure_staging(seed):
     rng = random.Random(f"straighten:{seed}")
     staged, ys = _curve_family(rng)
-    samples = rng.choice((4, 16, 64))
-    new = _intersect_outcome(rectify_stages, staged, 0.0, samples)
-    ref = _intersect_outcome(staged_rectify, staged, 0.0, samples)
+    rng.choice((4, 16, 64))  # a spare draw, which keeps the probe points below
+    new = _intersect_outcome(rectify_stages, staged, 0.0)
+    ref = _intersect_outcome(staged_rectify, staged, 0.0)
     if ref is GraphsIntersectError or new is GraphsIntersectError:
         assert new is ref is GraphsIntersectError
         return
@@ -311,6 +340,27 @@ def test_straightening_equals_closure_staging(seed):
         for x in xs:
             assert _intersect_outcome(new.apply, x, y) == _intersect_outcome(ref.apply, x, y)
             assert _intersect_outcome(new.invert, x, y) == _intersect_outcome(ref.invert, x, y)
+
+
+def test_order_check_matches_exact_oracle():
+    """``_check_disjoint`` refuses a random curve family exactly when the
+    rational oracle finds two curves that meet, and names the first such pair;
+    prints the census as an ORDER line."""
+    families = crossing = refused = 0
+    for seed in range(600):
+        staged, _ = _curve_family(random.Random(f"order:{seed}"))
+        pairs = crossing_pairs_exact(staged, 0.0)
+        families += 1
+        crossing += bool(pairs)
+        try:
+            _check_disjoint(staged, 0.0)
+        except GraphsIntersectError as e:
+            refused += 1
+            assert pairs and str(e).startswith("curve graphs %d and %d " % pairs[0]), (seed, pairs, e)
+        else:
+            assert not pairs, (seed, pairs)
+    assert refused == crossing > 0 and families > crossing
+    print(f"ORDER families={families} crossing={crossing} refused={refused} clean_accepted={families - refused}")
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +398,9 @@ def _move_position(m: Straightening, by: float) -> Straightening:
 def test_exact_straightening_matches_rectify_stages(seed):
     rng = random.Random(f"exact:{seed}")
     staged, ys = _curve_family(rng)
+    rng.choice((4, 16, 64))  # a spare draw, which keeps the probe points below
     try:
-        m = rectify_stages(staged, floor=0.0, samples=rng.choice((4, 16, 64)))
+        m = rectify_stages(staged, floor=0.0)
     except GraphsIntersectError:
         return
     exact = ExactStraightening(staged)
@@ -460,6 +511,14 @@ def test_trapezoid_containment_sampling():
             y = rng.uniform(1e-9, t.top)
             x = rng.uniform(t.alpha(y), t.beta(y))
             assert y < cl(x)
+
+
+def test_trapezoid_refuses_a_side_that_spikes_between_samples():
+    # alpha exceeds beta only on about (0.501, 0.503), between the levels 0.5
+    # and 0.515625 that a check sampling 64 levels looks at
+    alpha = PLFunction((0.0, 0.5, 0.502, 0.504, 1.0), (0.0, 0.0, 2.0, 0.0, 0.0))
+    with pytest.raises(BadIntervalError):
+        Trapezoid(alpha, PLFunction.constant(1.0), (0.0, 1.0))
 
 
 def test_trapezoid_rejects_nonpositive_clearance():

@@ -110,7 +110,7 @@ SURFACE_REFUSALS = [
     ('mixed-endpoints', '{"strips":[{"id":"A","lower":["p",{"id":"q","endpoints":[3,4]}]}]}',
      'BadEndpoints', 'BadEndpoints: (A, lower): either all or no intervals of a side may carry explicit endpoints'),
     ('overlap', '{"strips":[{"id":"A","upper":[{"id":"p","endpoints":[0,3]},{"id":"q","endpoints":[2,4]}]}]}',
-     'BadEndpoints', "BadEndpoints: intervals 'p' and 'q' on (A, upper) overlap or are out of index order"),
+     'BadEndpoints', "BadEndpoints: intervals 'p' and 'q' on (A, upper) overlap or are out of order"),
     ('nan-endpoints', '{"strips":[{"id":"A","upper":[{"id":"p","endpoints":[NaN,3]}]}]}',
      'BadEndpoints', "BadEndpoints: interval 'p' endpoints must satisfy x0 < x1, got (nan, 3.0)"),
     ('self-gluing', _A('{"strips":[%s],"gluings":[{"id":"g","a":"a0","b":"a0"}]}'),
