@@ -7,8 +7,6 @@ stdout closed before the output was written (a broken pipe, as ``| head``
 makes).
 """
 
-from __future__ import annotations
-
 import gc
 import json
 import os
@@ -265,7 +263,7 @@ _COMMANDS = {
     "render": (_cmd_render, ("file",), {"--format": (("svg", "dot"), "svg")}, "emit an SVG or DOT diagram"),
 }
 _HELP = ("-h", "--help")
-_NEGATIVE = re.compile(r"-\d+$|-\d*\.\d+$")
+_NEGATIVE = r"-\d+$|-\d*\.\d+$"
 
 
 def _usage_line(command=None) -> str:
@@ -318,7 +316,7 @@ def _option(arg: str, names, command):
         _refuse(command, f"ambiguous option: {arg} could match {', '.join(o for o, _ in found)}")
     if found:
         return found[0]
-    return None if _NEGATIVE.match(arg) or " " in arg else (None, None)
+    return None if re.match(_NEGATIVE, arg) or " " in arg else (None, None)
 
 
 def _parse_command(command: str, args: list):

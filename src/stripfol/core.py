@@ -87,8 +87,8 @@ class BadIdError(SurfaceError):
 
 
 # characters a JSON string can carry but XML 1.0 text (the SVG of render)
-# or strict UTF-8 (lone surrogates) cannot
-_BAD_ID_CHAR = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+# or strict UTF-8 (lone surrogates) cannot; re compiles it on first use
+_BAD_ID_CHAR = r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]"
 
 
 class Interval(namedtuple("Interval", "id endpoints", defaults=(None,))):
@@ -333,9 +333,9 @@ def build_surface(
             )
 
     # each such character is unprintable, and isprintable scans faster
-    if not (ids := "".join(seen_ids)).isprintable() and _BAD_ID_CHAR.search(ids):
-        bad = next(i for i in (*strip_by_id, *interval_loc, *[g.id for g in gluings]) if _BAD_ID_CHAR.search(i))
-        char = ord(_BAD_ID_CHAR.search(bad).group())
+    if not (ids := "".join(seen_ids)).isprintable() and re.search(_BAD_ID_CHAR, ids):
+        bad = next(i for i in (*strip_by_id, *interval_loc, *[g.id for g in gluings]) if re.search(_BAD_ID_CHAR, i))
+        char = ord(re.search(_BAD_ID_CHAR, bad).group())
         raise BadIdError(f"id {bad!r} holds U+{char:04X}, which SVG or UTF-8 output cannot carry")
 
     return StripedSurface(strips, gluings, strip_by_id, interval_loc, gluing_by_interval)

@@ -17,8 +17,6 @@ offending rule and ids.  Each JSON document written equals
 gluings, ``render_dot`` the graph of its leaf space, which it takes built.
 """
 
-from __future__ import annotations
-
 import json
 import math
 

@@ -15,6 +15,7 @@ from itertools import permutations, product
 
 import json
 import math
+import re
 
 from stripfol.core import (
     _BAD_ID_CHAR,
@@ -31,6 +32,9 @@ from stripfol.core import (
     Side,
     StripedSurface,
     UnknownIntervalRefError,
+    build_surface,
+    glue,
+    strip,
 )
 from stripfol.decomposition import (
     Component,
@@ -490,6 +494,33 @@ def unpruned_rooted_code(surface: StripedSurface) -> bytes:
         rows = min(least_root_walks(piece).values())
         codes.append("|".join(",".join(map(str, row)) for row in rows).encode("ascii"))
     return b"/".join(sorted(codes))
+
+
+def decode_code(code: bytes) -> StripedSurface:
+    """A surface whose ``canonical_code`` is ``code``, read off the code alone.
+
+    Row ``p`` of piece ``i`` is strip ``"{i}.{p}"``, oriented as the walk
+    placed it: its side 0 is lower, and slot ``k`` of side ``s`` is interval
+    ``"{i}.{p}.{'lu'[s]}{k}"``.  Each partner pair is one gluing, reversing
+    iff its seam flag is 1.  Pieces are split at ``/``.
+    """
+    strips, gluings = [], []
+    for i, piece in enumerate(code.decode("ascii").split("/") if code else ()):
+        for p, text in enumerate(piece.split("|")):
+            row = [int(t) for t in text.split(",")]
+            ids = [[f"{i}.{p}.{'lu'[s]}{k}" for k in range(row[s])] for s in (0, 1)]
+            strips.append(strip(f"{i}.{p}", ids[0], ids[1]))
+            at = 2
+            for s, k in [(s, k) for s in (0, 1) for k in range(row[s])]:
+                if row[at] == -1:
+                    at += 1
+                    continue
+                q, o_side, o_slot, flag = row[at : at + 4]
+                at += 4
+                if (p, s, k) < (q, o_side, o_slot):  # each pair once
+                    other = f"{i}.{q}.{'lu'[o_side]}{o_slot}"
+                    gluings.append(glue(f"{i}.g{len(gluings)}", ids[s][k], other, ("preserving", "reversing")[flag]))
+    return build_surface(strips, gluings)
 
 
 # ---------------------------------------------------------------------------
@@ -987,9 +1018,9 @@ def build_surface_reference(strips, gluings=()) -> StripedSurface:
                 f"on the same side ({strip_id}, {side.value})"
             )
 
-    if _BAD_ID_CHAR.search("".join(seen_ids)):
-        bad = next(i for i in (*strip_by_id, *interval_loc, *[g.id for g in gluings]) if _BAD_ID_CHAR.search(i))
-        char = ord(_BAD_ID_CHAR.search(bad).group())
+    if re.search(_BAD_ID_CHAR, "".join(seen_ids)):
+        bad = next(i for i in (*strip_by_id, *interval_loc, *[g.id for g in gluings]) if re.search(_BAD_ID_CHAR, i))
+        char = ord(re.search(_BAD_ID_CHAR, bad).group())
         raise BadIdError(f"id {bad!r} holds U+{char:04X}, which SVG or UTF-8 output cannot carry")
 
     return StripedSurface(strips, gluings, strip_by_id, interval_loc, gluing_by_interval)

@@ -48,6 +48,7 @@ from _gen import (
     disjoint_union,
     enumerate_cycle_surfaces,
     h_flip,
+    random_connected_corpus,
     random_moves,
     random_surface,
     relabel_strips,
@@ -62,6 +63,7 @@ from _oracles import (
     automorphism_count,
     branch_and_bound_code,
     check_cycle_components_reference,
+    decode_code,
     decompose_by_member_search,
     exhaustive_isomorphic,
     is_isomorphism,
@@ -812,6 +814,29 @@ def test_pruned_code_equals_unpruned_walk():
     for s in surfaces:
         assert canonical_code(s) == unpruned_rooted_code(s)
     assert sum(len(s._partition) > 1 for s in surfaces) > 200
+
+
+def test_the_canonical_code_decodes_to_its_surface():
+    # the code is complete, not only invariant: one strip per row, one
+    # interval per slot and one gluing per partner pair rebuild a surface of
+    # the coded class, which re-encodes to the same bytes
+    rng = random.Random(48)
+    surfaces = random_connected_corpus(7, 300) + list(all_fixtures().values())
+    surfaces += [ring_surface(n, flags, width) for n in (1, 2, 3, 5, 8) for flags in ((P,), (R,), (P, R)) for width in (1, 2)]
+    surfaces += [
+        piece
+        for _ in range(15)
+        for piece in components(cyclic_cover(rng, random_surface(rng, max_strips=3, max_intervals=2), rng.choice((2, 3))))
+    ]
+    surfaces += [disjoint_union(ring_surface(4, width=2), ring_surface(5, (P, R), 2, "q")), build_surface([], [])]
+    for s in surfaces:
+        code = canonical_code(s)
+        decoded = decode_code(code)
+        assert canonical_code(decoded) == code
+        # pieces pair up by their codes; is_isomorphic takes one piece at a time
+        pieces = [sorted(components(t), key=canonical_code) for t in (decoded, s)]
+        assert len(pieces[0]) == len(pieces[1]) == code.count(b"/") + bool(code)
+        assert all(is_isomorphic(a, b) for a, b in zip(*pieces))
 
 
 def test_tied_roots_count_automorphisms():

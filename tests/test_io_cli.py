@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import hashlib
 import io
@@ -591,6 +592,39 @@ def test_cli_realize_refuses_a_span_too_wide_for_floats(tmp_path, capsys, ends):
         "error": "usage",
         "message": f"BadIntervalError: leaf span ({ends[0]}, {ends[1]}) is too wide: its squared width overflows",
     }
+
+
+def test_cli_realize_ends_every_narrow_span_in_a_named_rule(tmp_path, capsys):
+    # spans 10**-j at three offsets, every depth 1-8 and --samples 2-16.  The
+    # chart rectangle of [0, 1e-17] collapsed to one float step once
+    # straightened, and realize refused its own base points as outside the
+    # map domain.  Now a span is realized or refused as too narrow, and a
+    # depth only by the depth refusal, past a depth that realized it; an end
+    # that rounds onto the other makes the document itself invalid.
+    outcomes = collections.Counter()
+    for j in range(1, 21):
+        for offset in (0.0, 1.0, 1e6):
+            ends = [offset, offset + 10.0**-j]
+            doc = {"strips": [{"id": "S", "lower": [], "upper": [{"id": "S.u0", "endpoints": ends}]}], "gluings": []}
+            path = tmp_path / f"narrow-{j}-{offset}.json"
+            path.write_text(json.dumps(doc))
+            narrow = f"BadIntervalError: leaf span ({ends[0]}, {ends[1]}) is too narrow: under 32 float steps at its offset"
+            realized = False
+            for depth in range(1, 9):
+                for samples in range(2, 17):
+                    argv = ("realize", str(path), "--component", "S", "--side", "upper")
+                    code, out = run_cli(capsys, *argv, "--samples", str(samples), "--depth", str(depth))
+                    if ends[0] == ends[1]:
+                        assert (code, json.loads(out)["rule"]) == (1, "BadEndpoints")
+                        kind = "BadEndpoints"
+                    elif code == 0:
+                        realized, kind = True, "realized"
+                    else:
+                        message = json.loads(out)["message"]
+                        kind = message.partition(":")[0]
+                        assert code == 3 and (message == narrow or kind == "NonPositiveClearanceError" and realized), message
+                    outcomes[kind] += 1
+    assert outcomes == {"realized": 4320, "BadEndpoints": 1800, "BadIntervalError": 960, "NonPositiveClearanceError": 120}
 
 
 def test_cli_realize_keeps_a_wide_span_finite(tmp_path, capsys):

@@ -7,7 +7,10 @@ wall time: the package keeps out ``dataclasses``, which alone loads
 ``inspect``, ``ast``, ``dis`` and ``tokenize``; the CLI parses its arguments
 without ``argparse`` (and its ``gettext``), its records are
 ``collections.namedtuple``s, not ``typing.NamedTuple``s, and the realization
-engine ``homeo`` loads only when ``realize`` runs.
+engine ``homeo`` loads only when ``realize`` runs.  No module imports
+``__future__``, and nothing compiles a regular expression at import: the
+two patterns, read only by the BadId refusal and by a dash argument that no
+option names, are compiled by ``re`` on first use.
 """
 
 import ast
@@ -105,9 +108,28 @@ def test_importing_the_cli_compiles_no_annotation_string():
     assert json.loads(run.stdout).get("typing", 0) == 0
 
 
+def test_importing_the_cli_compiles_no_regular_expression():
+    # every re function compiles through re._compile; count the calls whose
+    # caller's caller is a stripfol module
+    code = (
+        "import collections, json, re, sys\n"
+        f"sys.path.insert(0, {str(SRC)!r})\n"
+        "calls = collections.Counter()\n"
+        "compile_ = re._compile\n"
+        "def counting(*args, **kwargs):\n"
+        "    calls[sys._getframe(2).f_globals.get('__name__')] += 1\n"
+        "    return compile_(*args, **kwargs)\n"
+        "re._compile = counting\n"
+        "import stripfol.cli\n"
+        "print(json.dumps(calls))\n"
+    )
+    run = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True)
+    assert {m: n for m, n in json.loads(run.stdout).items() if m.split(".")[0] == "stripfol"} == {}
+
+
 # modules that most commands never use; a site hook may load typing first,
 # so only the modules the import itself adds count
-LAZY = ("argparse", "gettext", "typing", "stripfol.homeo")
+LAZY = ("argparse", "gettext", "typing", "__future__", "stripfol.homeo")
 
 
 @pytest.mark.parametrize("flags", [["-I"], ["-I", "-S"]])
