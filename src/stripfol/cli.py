@@ -210,7 +210,7 @@ def _cmd_realize(args) -> int:
 
 def _realize_rows(args, surface, comp, closure) -> list[str]:
     """The CSV rows of ``realize``: an interior grid, then the base leaves."""
-    from .homeo import realize_half_strip
+    from .homeo import BadIntervalError, realize_half_strip
 
     chart, eta = realize_half_strip(surface, comp, closure, depth=args.depth)
     n = args.samples
@@ -233,9 +233,11 @@ def _realize_rows(args, surface, comp, closure) -> list[str]:
             y = -1.0 + (j + 1) / n
             X, Y = eta.apply(x, y)
             rows.append(f"{x:.9g},{y:.9g},{X:.9g},{Y:.9g},{leaf_id(X, Y)}")
-    for a, b, _ in chart.rectangles:
+    for (a, b, _), (lo, hi) in zip(chart.rectangles, chart.leaf_spans):
         for i in range(1, n):
             x = a + (b - a) * i / n
+            if not a < x < b:
+                raise BadIntervalError(f"leaf span ({lo}, {hi}) is too narrow: a base point rounds onto an end of its chart rectangle")
             X, Y = eta.apply(x, -1.0)
             rows.append(f"{x:.9g},-1,{X:.9g},{Y:.9g},{leaf_id(X, Y)}")
     return rows

@@ -510,11 +510,6 @@ def realize_half_strip(
         # width or the midpoint lie past 1e308 and fail this check too
         if not math.isfinite(w * w):
             raise BadIntervalError(f"leaf span ({L}, {R}) is too wide: its squared width overflows")
-        # the collar's top, half the span wide, lies up to kappa off in chart
-        # coordinates; a span under 32 float steps there leaves the top under
-        # 16, fewer than the base grid of realize's default --samples 16 needs
-        if w < 32.0 * math.ulp(max(-L, R) + kappa):
-            raise BadIntervalError(f"leaf span ({L}, {R}) is too narrow: under 32 float steps at its offset")
         scale = 8.0 * heights / w
         wedge = PLFunction((L, (L + R) / 2.0, R), (0.0, scale * w / 2.0, 0.0))
         trap = trapezoid_under_clearance(wedge, L, R, depth)

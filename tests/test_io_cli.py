@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stripfol import homeo
 from stripfol.cli import main
 from stripfol.core import SameSideGluingError, SurfaceError, build_surface, glue, strip
 from stripfol.io import ParseError, leafspace_json, parse, render, render_dot, render_svg, serialize
@@ -596,11 +597,12 @@ def test_cli_realize_refuses_a_span_too_wide_for_floats(tmp_path, capsys, ends):
 
 def test_cli_realize_ends_every_narrow_span_in_a_named_rule(tmp_path, capsys):
     # spans 10**-j at three offsets, every depth 1-8 and --samples 2-16.  The
-    # chart rectangle of [0, 1e-17] collapsed to one float step once
+    # chart rectangle of [0, 1e-17] collapses to one float step once
     # straightened, and realize refused its own base points as outside the
-    # map domain.  Now a span is realized or refused as too narrow, and a
-    # depth only by the depth refusal, past a depth that realized it; an end
-    # that rounds onto the other makes the document itself invalid.
+    # map domain.  Now such a base grid is refused as too narrow, every run
+    # ends in exit 0 or a named rule, and an end that rounds onto the other
+    # makes the document itself invalid.  Every run realized before the
+    # narrow-span refusal is still realized (4,372).
     outcomes = collections.Counter()
     for j in range(1, 21):
         for offset in (0.0, 1.0, 1e6):
@@ -608,23 +610,30 @@ def test_cli_realize_ends_every_narrow_span_in_a_named_rule(tmp_path, capsys):
             doc = {"strips": [{"id": "S", "lower": [], "upper": [{"id": "S.u0", "endpoints": ends}]}], "gluings": []}
             path = tmp_path / f"narrow-{j}-{offset}.json"
             path.write_text(json.dumps(doc))
-            narrow = f"BadIntervalError: leaf span ({ends[0]}, {ends[1]}) is too narrow: under 32 float steps at its offset"
-            realized = False
+            narrow = f"leaf span ({ends[0]}, {ends[1]}) is too narrow: a base point rounds onto an end of its chart rectangle"
             for depth in range(1, 9):
                 for samples in range(2, 17):
                     argv = ("realize", str(path), "--component", "S", "--side", "upper")
                     code, out = run_cli(capsys, *argv, "--samples", str(samples), "--depth", str(depth))
                     if ends[0] == ends[1]:
                         assert (code, json.loads(out)["rule"]) == (1, "BadEndpoints")
-                        kind = "BadEndpoints"
+                        outcomes["BadEndpoints"] += 1
                     elif code == 0:
-                        realized, kind = True, "realized"
+                        outcomes["realized"] += 1
                     else:
-                        message = json.loads(out)["message"]
-                        kind = message.partition(":")[0]
-                        assert code == 3 and (message == narrow or kind == "NonPositiveClearanceError" and realized), message
-                    outcomes[kind] += 1
-    assert outcomes == {"realized": 4320, "BadEndpoints": 1800, "BadIntervalError": 960, "NonPositiveClearanceError": 120}
+                        kind, _, message = json.loads(out)["message"].partition(": ")
+                        assert code == 3 and issubclass(getattr(homeo, kind), homeo.HomeoError), message
+                        assert kind != "HomeoError" and "map domain" not in message, message
+                        outcomes["narrow" if message == narrow else kind] += 1
+    assert outcomes == {
+        "realized": 4372,
+        "BadEndpoints": 1800,
+        "narrow": 226,
+        "BadIntervalError": 360,
+        "NonPositiveClearanceError": 315,
+        "NonIncreasingInputError": 120,
+        "GraphsIntersectError": 7,
+    }
 
 
 def test_cli_realize_keeps_a_wide_span_finite(tmp_path, capsys):
