@@ -16,18 +16,9 @@ from types import SimpleNamespace
 
 from .core import SurfaceError, is_connected, validate_class_f
 from .decomposition import (
-    Mode,
-    Shape,
-    StripClass,
-    canonical_code,
-    canonicalize,
-    check_cycle_components,
-    classify_component,
-    component_closures,
-    decompose,
-    is_isomorphic,
+    Mode, Shape, canonical_code, canonicalize, check_cycle_components, component_closures, decompose, is_isomorphic
 )
-from .io import _NL, ParseError, _encode_str, _records, _strings, leafspace_json, parse, render, serialize
+from .io import ParseError, decompose_json, leafspace_json, parse, render, serialize, validate_json
 from .leafspace import build_leaf_space
 
 EXIT_OK = 0
@@ -69,31 +60,9 @@ def _refuse_disconnected(surface, **which) -> bool:
     return True
 
 
-def _point_order(ls) -> dict:
-    """Point id -> rank in first-incidence order: by strip position, side,
-    interval place, the order in which build_leaf_space fills the incidence."""
-    first = dict.fromkeys([pid for pids in ls.incidence.values() for pid in pids])
-    return dict(zip(first, range(len(first))))
-
-
 def _cmd_validate(args) -> int:
     # validate_class_f's dict is library API, so it is formatted, not rebuilt
-    report = validate_class_f(_load(args.file))
-    enc = _encode_str
-    n1, n2, n3, n4, n5 = _NL[1:6]
-    leaves = []
-    for leaf in report["glued_leaves"]:
-        collars = [f'{{{n5}"strip": {enc(c["strip"])},{n5}"side": {enc(c["side"])}{n4}}}' for c in leaf["collars"]]
-        leaves.append(
-            f'{{{n3}"id": {enc(leaf["id"])},{n3}"collars": {_records(collars, 3)},'
-            f'{n3}"distinct": {"true" if leaf["distinct"] else "false"}{n2}}}'
-        )
-    print(
-        f'{{{n1}"ok": {"true" if report["ok"] else "false"},'
-        f'{n1}"connected": {"true" if report["connected"] else "false"},'
-        f'{n1}"components": {_records([_strings(c, 2) for c in report["components"]], 1)},'
-        f'{n1}"glued_leaves": {_records(leaves, 1)},{n1}"warnings": {_strings(report["warnings"], 1)}\n}}'
-    )
+    sys.stdout.write(validate_json(validate_class_f(_load(args.file))))
     return EXIT_OK
 
 
@@ -106,10 +75,6 @@ def _cmd_leafspace(args) -> int:
     return EXIT_OK
 
 
-_SHAPE_TEXT = {s: _encode_str(s.value) for s in Shape}
-_CLASS_TEXT = {c: _encode_str(c.value) for c in StripClass}
-
-
 def _cmd_decompose(args) -> int:
     surface = _load(args.file)
     if _refuse_disconnected(surface):
@@ -117,40 +82,7 @@ def _cmd_decompose(args) -> int:
     mode = Mode(args.mode)
     ls = build_leaf_space(surface)
     comps, cut = decompose(surface, mode, ls)
-    order = _point_order(ls)
-    cycle_check = check_cycle_components(surface, comps)
-    enc = _encode_str
-    n1, n2, n3, n4, n5 = _NL[1:6]
-    chain = Shape.CHAIN
-    recs = []
-    for comp in comps:
-        strips = [f'{{{n5}"id": {enc(s)},{n5}"flipped": {"true" if f else "false"}{n4}}}' for s, f in comp.strips]
-        rec = (
-            f'{{{n3}"strips": {_records(strips, 3)},{n3}"shape": {_SHAPE_TEXT[comp.shape]},'
-            f'{n3}"class": {_CLASS_TEXT[classify_component(comp)]},{n3}"interfaces": {_strings(comp.interfaces, 3)}'
-        )
-        if comp.shape is chain:
-            lower, upper, overlap = component_closures(comp)
-            rec += (
-                f',{n3}"closures": {{{n4}"lower": {_strings([p.id for p in lower.base_points], 4)},'
-                f'{n4}"upper": {_strings([p.id for p in upper.base_points], 4)},'
-                f'{n4}"overlap": {_strings(sorted([p.id for p in overlap], key=order.__getitem__), 4)}{n3}}}'
-            )
-            # an id may be the empty string, so test for None, as classify_component does
-            low, up = comp.retained_lower, comp.retained_upper
-            if low is not None or up is not None:
-                rec += (
-                    f',{n3}"retained": {{{n4}"lower": {"null" if low is None else enc(low)},'
-                    f'{n4}"upper": {"null" if up is None else enc(up)}{n3}}}'
-                )
-        else:
-            rec += f',{n3}"monodromy": {comp.monodromy}'
-        recs.append(rec + n2 + "}")
-    cut_ids = {p.id for p in cut}
-    print(
-        f'{{{n1}"mode": {enc(mode.value)},{n1}"cut": {_strings([pid for pid in order if pid in cut_ids], 1)},'
-        f'{n1}"components": {_records(recs, 1)},{n1}"cycle_check_ok": {"true" if cycle_check.ok else "false"}\n}}'
-    )
+    sys.stdout.write(decompose_json(ls, mode, comps, cut, check_cycle_components(surface, comps)))
     return EXIT_OK
 
 

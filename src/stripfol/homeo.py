@@ -187,7 +187,7 @@ class Trapezoid(namedtuple("Trapezoid", "alpha beta level_range base")):
             raise BadIntervalError(f"alpha(y) < beta(y) fails on levels ({c}, {d}]")
         if base is not None:
             a, b = base
-            if not (abs(alpha(c) - a) <= 1e-9 and abs(beta(c) - b) <= 1e-9):
+            if not (abs(alpha(c) - a) <= TOL and abs(beta(c) - b) <= TOL):
                 raise BadIntervalError("base endpoints must match the curve limits at c")
         return tuple.__new__(cls, (alpha, beta, level_range, base))
 
@@ -386,7 +386,7 @@ def roof_homeo(source: Trapezoid, target: Trapezoid) -> RoofMap:
     """
     roof = RoofMap(source, target)
     (cs, ds), (ct, dt), level = source.level_range, target.level_range, roof._level
-    if abs(level(cs) - ct) > 1e-9 or abs(level(ds) - dt) > 1e-9:
+    if abs(level(cs) - ct) > TOL or abs(level(ds) - dt) > TOL:
         raise LevelRangeMismatchError(
             "the level match must carry the source level range onto the target level range"
         )
@@ -474,8 +474,6 @@ def realize_half_strip(
         )
     end = comp.outer_lower if closure.side_parity is Side.LOWER else comp.outer_upper
     k = len(closure.base_points)
-    if k == 0:
-        return HalfStripChart((), ()), HalfStripMap((), Straightening(()))
 
     # leaf coordinate intervals on the outer side-end, in interval order; an
     # unbounded leaf gets a unit span at its finite end, which keeps it
@@ -510,6 +508,10 @@ def realize_half_strip(
         # width or the midpoint lie past 1e308 and fail this check too
         if not math.isfinite(w * w):
             raise BadIntervalError(f"leaf span ({L}, {R}) is too wide: its squared width overflows")
+        # a document's span has L < R; an unbounded leaf's unit stand-in can
+        # round to a point once its finite end reaches 2**53 in magnitude
+        if not L < R:
+            raise BadIntervalError(f"leaf span ({L}, {R}) is empty: an unbounded leaf's unit span rounds to a point")
         scale = 8.0 * heights / w
         wedge = PLFunction((L, (L + R) / 2.0, R), (0.0, scale * w / 2.0, 0.0))
         trap = trapezoid_under_clearance(wedge, L, R, depth)

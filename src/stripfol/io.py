@@ -1,4 +1,4 @@
-"""JSON surface documents and SVG / DOT diagram emission.
+"""JSON surface documents, the JSON reports and SVG / DOT diagram emission.
 
 The document format:
 
@@ -11,7 +11,8 @@ endpoints optional; ``"-inf"`` / ``"+inf"`` tokens stand for unbounded ends.
 Ids are JSON strings.  Parsing is strict: malformed JSON raises
 :class:`ParseError` with position, schema and validation failures name the
 offending rule and ids.  Each JSON document written equals
-``json.dumps(document, indent=2)`` byte for byte.
+``json.dumps(document, indent=2)`` byte for byte; so does each report:
+``validate_json``, ``leafspace_json`` and ``decompose_json``.
 
 ``render(surface, fmt)`` draws a surface: ``render_svg`` its strips and
 gluings, ``render_dot`` the graph of its leaf space, which it takes built.
@@ -29,6 +30,7 @@ from .core import (
     build_surface,
     GluingSpec,
 )
+from .decomposition import Shape, StripClass, _merge_seams, _merge_walk, classify_component, component_closures
 from .leafspace import LeafSpace, PointKind, build_leaf_space, sorted_closures
 
 
@@ -290,8 +292,6 @@ def render_svg(surface: StripedSurface) -> str:
     Coordinates print with two decimals; x maps to the page by
     ``_MARGIN + (x clamped to [lo, hi] - lo) * _X_SCALE``.
     """
-    from .decomposition import _merge_seams, _merge_walk
-
     # rows go piece by piece, each piece's merge components in order of first strip
     piece_of = {sid: i for i, part in enumerate(surface._partition) for sid in part}
     comps = sorted(_merge_walk(surface, _merge_seams(surface)), key=lambda c: piece_of[c.strips[0][0]])
@@ -394,4 +394,73 @@ def leafspace_json(ls: LeafSpace) -> str:
     return (
         f'{{{n1}"arcs": {_strings(ls.arcs, 1)},{n1}"points": {_records(points, 1)},'
         f'{n1}"incidence": {_records(incidence, 1)}\n}}\n'
+    )
+
+
+def validate_json(report: dict) -> str:
+    """The ``validate`` report: ``validate_class_f``'s dict, formatted."""
+    enc = _encode_str
+    n1, n2, n3, n4, n5 = _NL[1:6]
+    leaves = []
+    for leaf in report["glued_leaves"]:
+        collars = [f'{{{n5}"strip": {enc(c["strip"])},{n5}"side": {enc(c["side"])}{n4}}}' for c in leaf["collars"]]
+        leaves.append(
+            f'{{{n3}"id": {enc(leaf["id"])},{n3}"collars": {_records(collars, 3)},'
+            f'{n3}"distinct": {"true" if leaf["distinct"] else "false"}{n2}}}'
+        )
+    return (
+        f'{{{n1}"ok": {"true" if report["ok"] else "false"},'
+        f'{n1}"connected": {"true" if report["connected"] else "false"},'
+        f'{n1}"components": {_records([_strings(c, 2) for c in report["components"]], 1)},'
+        f'{n1}"glued_leaves": {_records(leaves, 1)},{n1}"warnings": {_strings(report["warnings"], 1)}\n}}\n'
+    )
+
+
+def _point_order(ls: LeafSpace) -> dict:
+    """Point id -> rank in first-incidence order: by strip position, side,
+    interval place, the order in which build_leaf_space fills the incidence."""
+    first = dict.fromkeys([pid for pids in ls.incidence.values() for pid in pids])
+    return dict(zip(first, range(len(first))))
+
+
+_SHAPE_TEXT = {s: _encode_str(s.value) for s in Shape}
+_CLASS_TEXT = {c: _encode_str(c.value) for c in StripClass}
+
+
+def decompose_json(ls: LeafSpace, mode, components, cut, cycle_check) -> str:
+    """The ``decompose`` report of ``decompose``'s components and cut in
+    ``mode``, with cut ids and overlaps in point order of the leaf space ``ls``
+    that it read, and ``check_cycle_components``' verdict."""
+    enc = _encode_str
+    n1, n2, n3, n4, n5 = _NL[1:6]
+    order = _point_order(ls)
+    chain = Shape.CHAIN
+    recs = []
+    for comp in components:
+        strips = [f'{{{n5}"id": {enc(s)},{n5}"flipped": {"true" if f else "false"}{n4}}}' for s, f in comp.strips]
+        rec = (
+            f'{{{n3}"strips": {_records(strips, 3)},{n3}"shape": {_SHAPE_TEXT[comp.shape]},'
+            f'{n3}"class": {_CLASS_TEXT[classify_component(comp)]},{n3}"interfaces": {_strings(comp.interfaces, 3)}'
+        )
+        if comp.shape is chain:
+            lower, upper, overlap = component_closures(comp)
+            rec += (
+                f',{n3}"closures": {{{n4}"lower": {_strings([p.id for p in lower.base_points], 4)},'
+                f'{n4}"upper": {_strings([p.id for p in upper.base_points], 4)},'
+                f'{n4}"overlap": {_strings(sorted([p.id for p in overlap], key=order.__getitem__), 4)}{n3}}}'
+            )
+            # an id may be the empty string, so test for None, as classify_component does
+            low, up = comp.retained_lower, comp.retained_upper
+            if low is not None or up is not None:
+                rec += (
+                    f',{n3}"retained": {{{n4}"lower": {"null" if low is None else enc(low)},'
+                    f'{n4}"upper": {"null" if up is None else enc(up)}{n3}}}'
+                )
+        else:
+            rec += f',{n3}"monodromy": {comp.monodromy}'
+        recs.append(rec + n2 + "}")
+    cut_ids = {p.id for p in cut}
+    return (
+        f'{{{n1}"mode": {enc(mode.value)},{n1}"cut": {_strings([pid for pid in order if pid in cut_ids], 1)},'
+        f'{n1}"components": {_records(recs, 1)},{n1}"cycle_check_ok": {"true" if cycle_check.ok else "false"}\n}}\n'
     )

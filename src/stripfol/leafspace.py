@@ -95,25 +95,16 @@ def build_leaf_space(surface: StripedSurface) -> LeafSpace:
     return new(LeafSpace, (surface.strip_ids(), tuple(points), incidence, {p.id: p for p in points}, ends_by_point))
 
 
-def sorted_closures(ls: LeafSpace) -> dict[str, tuple[str, ...]]:
-    """Point id -> the sorted ids of its Hausdorff closure, as ``hausdorff_closure``.
+def _closure_ids(ls: LeafSpace, pid: str) -> list[str]:
+    """The ids of a point's Hausdorff closure in id order: the point plus
+    every point on one of its side-ends, on which the point itself lies."""
+    ends, incidence = ls.ends_by_point[pid], ls.incidence
+    return sorted({*incidence[ends[0]], *incidence[ends[-1]]})
 
-    A point whose closure is the point set of one of its side-ends (a
-    boundary leaf, or a glued point alone on its other side-end) shares that
-    side-end's sorted tuple; only a glued point crowded on both sides gets a
-    tuple of its own.
-    """
-    incidence = ls.incidence
-    by_end = {end: pids if len(pids) == 1 else tuple(sorted(pids)) for end, pids in incidence.items()}
-    out = {}
-    for pid, ends in ls.ends_by_point.items():
-        if len(ends) == 1 or len(incidence[ends[1]]) == 1:
-            out[pid] = by_end[ends[0]]
-        elif len(incidence[ends[0]]) == 1:
-            out[pid] = by_end[ends[1]]
-        else:
-            out[pid] = tuple(sorted({*incidence[ends[0]], *incidence[ends[1]]}))
-    return out
+
+def sorted_closures(ls: LeafSpace) -> dict[str, tuple[str, ...]]:
+    """Point id -> the sorted ids of its Hausdorff closure, as ``hausdorff_closure``."""
+    return {pid: tuple(_closure_ids(ls, pid)) for pid in ls.ends_by_point}
 
 
 def hausdorff_closure(ls: LeafSpace, point: LeafPoint | str) -> tuple[LeafPoint, ...]:
@@ -125,8 +116,7 @@ def hausdorff_closure(ls: LeafSpace, point: LeafPoint | str) -> tuple[LeafPoint,
     finite-basis computation.
     """
     pid = point if isinstance(point, str) else point.id
-    ids = {pid}.union(*(ls.incidence[end] for end in ls.ends_of(pid)))
-    return tuple([ls.point(i) for i in sorted(ids)])
+    return tuple([ls.point(i) for i in _closure_ids(ls, pid)])
 
 
 def is_special(ls: LeafSpace, point: LeafPoint | str) -> bool:

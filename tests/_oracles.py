@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import permutations, product
+from typing import NamedTuple
 
 import json
 import math
@@ -129,6 +130,77 @@ def orientability_by_propagation(surface: StripedSurface) -> bool:
                 elif colors[nxt] != want:
                     return False
     return True
+
+
+class TopologicalType(NamedTuple):
+    """A connected striped surface up to homeomorphism (Kerekjarto, Richards).
+
+    ``genus`` is the genus of an orientable surface and the crosscap count of
+    a non-orientable one, as computed; a sound surface gives a whole number.
+    ``circles`` counts the boundary circles of the compact surface that
+    closes it, ``ends`` its ends and ``boundary_lines`` its unglued intervals.
+    """
+
+    orientable: bool
+    euler: int
+    genus: Fraction
+    circles: int
+    ends: int
+    boundary_lines: int
+
+
+def topological_type(surface: StripedSurface) -> TopologicalType:
+    """The type of a connected surface, read off its strips and gluings alone.
+
+    Strips and glued leaves are contractible, so the Euler characteristic is
+    strips minus gluings.  Each strip closes to a disk whose boundary circle
+    runs along the lower side left to right, then the upper side right to
+    left; arcs of the circle join one interval's end to the next interval's.
+    Closing each glued pair of intervals (a preserving seam joins left end to
+    left end, a reversing one left end to right end) gives a compact surface
+    whose boundary is made of those arcs and the unglued intervals.  Each of
+    its circles is an end of the surface if it holds no unglued interval, and
+    else gives one end per unglued interval on it.
+    """
+    parent: dict = {}
+
+    def find(v):
+        while parent.setdefault(v, v) != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    def union(a, b) -> None:
+        parent[find(a)] = find(b)
+
+    # vertices are interval ends (id, 0 left or 1 right); a seam merges ends
+    for g in surface.gluings:
+        flip = g.orientation is Orientation.REVERSING
+        union((g.first, 0), (g.second, int(flip)))
+        union((g.first, 1), (g.second, int(not flip)))
+    glued = {i for g in surface.gluings for i in (g.first, g.second)}
+    empty_disks = 0
+    edges = []  # (vertex, vertex, whether the edge is an unglued interval)
+    for s in surface.strips:
+        # the circle's intervals, each as (end entered, end left)
+        walk = [((iv.id, 0), (iv.id, 1)) for iv in s.lower] + [((iv.id, 1), (iv.id, 0)) for iv in reversed(s.upper)]
+        if not walk:
+            empty_disks += 1
+        for (_, leave), (enter, _) in zip(walk, walk[1:] + walk[:1]):
+            edges.append((leave, enter, False))
+        edges += [((iv.id, 0), (iv.id, 1), True) for iv in (*s.lower, *s.upper) if iv.id not in glued]
+    # every vertex meets two edges, so the components of the edge graph are circles
+    for a, b, _ in edges:
+        union(a, b)
+    lines_on = dict.fromkeys({find(a) for a, _, _ in edges}, 0)
+    for a, _, line in edges:
+        lines_on[find(a)] += line
+    circles = len(lines_on) + empty_disks
+    ends = sum(max(n, 1) for n in lines_on.values()) + empty_disks
+    orientable = orientability_by_propagation(surface)
+    euler = len(surface.strips) - len(surface.gluings)
+    # chi = 2 - 2g - circles if orientable, else 2 - k - circles
+    genus = Fraction(2 - euler - circles, 2 if orientable else 1)
+    return TopologicalType(orientable, euler, genus, circles, ends, sum(lines_on.values()))
 
 
 def _interval_map(a: StripedSurface, b: StripedSurface, perm: dict, flips: dict):

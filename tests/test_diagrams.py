@@ -1,7 +1,7 @@
 """The diagram writers against their references in ``tests/_oracles.py``.
 
 ``render_svg`` formats each distinct coordinate once and ``render_dot`` reads
-the shared closure tuples of ``sorted_closures``.  Each diagram must equal
+each point's closure ids from ``sorted_closures``.  Each diagram must equal
 the one its reference writes, ``render_svg_reference`` or
 ``render_dot_reference``, byte for byte.
 """

@@ -595,6 +595,23 @@ def test_cli_realize_refuses_a_span_too_wide_for_floats(tmp_path, capsys, ends):
     }
 
 
+@pytest.mark.parametrize("ends", [[1e17, "+inf"], ["-inf", -1e17], [2**53, "+inf"]])
+def test_cli_realize_refuses_an_unbounded_leaf_whose_unit_span_rounds_to_a_point(tmp_path, capsys, ends):
+    # an unbounded leaf is realized on a unit span at its finite end; from
+    # 2**53 on that span rounds to a point, and the collar's scale divided by
+    # its zero width
+    doc = {"strips": [{"id": "S", "upper": [{"id": "u0", "endpoints": ends}]}]}
+    path = tmp_path / "unbounded.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "realize", str(path), "--component", "S", "--side", "upper")
+    assert code == 3
+    end = float(ends[0] if ends[1] == "+inf" else ends[1])
+    assert json.loads(out) == {
+        "error": "usage",
+        "message": f"BadIntervalError: leaf span ({end}, {end}) is empty: an unbounded leaf's unit span rounds to a point",
+    }
+
+
 def test_cli_realize_ends_every_narrow_span_in_a_named_rule(tmp_path, capsys):
     # spans 10**-j at three offsets, every depth 1-8 and --samples 2-16.  The
     # chart rectangle of [0, 1e-17] collapses to one float step once

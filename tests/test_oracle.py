@@ -1,9 +1,12 @@
 import random
+from itertools import combinations
 
 import pytest
 
+from stripfol.decomposition import canonicalize, is_isomorphic
 from stripfol.leafspace import build_leaf_space, hausdorff_closure
-from fixtures import cylinder, kaplan5, open_strip
+from fixtures import all_fixtures, cylinder, kaplan5, moebius, open_strip
+from _oracles import TopologicalType, topological_type
 from _topology_oracle import (
     FiniteBasisSpace,
     bnd_bruteforce,
@@ -12,7 +15,7 @@ from _topology_oracle import (
     discretize,
 )
 
-from _gen import random_surface
+from _gen import enumerate_cycle_surfaces, random_connected_corpus, random_moves, random_surface
 
 
 def pt(pid):
@@ -152,3 +155,32 @@ def test_symmetry_universal():
         space = discretize(build_leaf_space(s), 4)
         rep = check_axioms(space)
         assert rep.symmetry_ok
+
+
+def test_topological_type_of_the_fixtures():
+    # (orientable, Euler characteristic, genus or crosscaps, circles, ends, boundary lines)
+    plane = TopologicalType(True, 1, 0, 1, 1, 0)
+    assert topological_type(kaplan5()) == plane  # Kaplan's plane
+    assert topological_type(open_strip()) == plane
+    assert topological_type(cylinder()) == (True, 0, 0, 2, 2, 0)  # the open annulus
+    assert topological_type(moebius()) == (False, 0, 1, 1, 1, 0)  # the open Moebius band
+
+
+def test_topological_type_is_whole_and_invariant():
+    """The type is a sound surface's, and a homeomorphism invariant: moves,
+    canonicalization and every pair that is_isomorphic accepts keep it."""
+    rng = random.Random(28)
+    corpus = [*random_connected_corpus(28, 60), *all_fixtures().values(), *enumerate_cycle_surfaces(3)]
+    types = [topological_type(s) for s in corpus]
+    moved = [random_moves(rng, s, 4) for s in corpus]
+    for s, m, t in zip(corpus, moved, types):
+        assert t.genus.denominator == 1 and t.genus >= (0 if t.orientable else 1), t
+        assert topological_type(m) == t
+        assert topological_type(canonicalize(s)) == t
+    accepted = 0
+    for (a, ta), (b, tb) in combinations(zip(corpus + moved, types + types), 2):
+        if is_isomorphic(a, b):
+            assert ta == tb
+            accepted += 1
+    assert accepted > 2 * len(corpus)  # each surface with its moved copy, and more
+    assert len(set(types)) > 10
